@@ -1,19 +1,23 @@
 """Eigensolvers for Sturm-Liouville problems.
 
 Two independent routes: a conservative finite-difference discretization
-solved as a symmetric tridiagonal generalized eigenproblem, and a two-sided
-shooting method with node-count bracketing. Richardson extrapolation and
-residual diagnostics round out the toolbox.
+solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
+RK4 shooting. Shooting isolates each level by node count, polishes it with
+Brent's method on the Wronskian mismatch, and applies precomputed 2x2 RK4
+step matrices along the grid. Richardson extrapolation and residual
+diagnostics round out the toolbox.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .core import (
     SampledFunction,
@@ -116,11 +120,32 @@ class ShootingReport:
     iterations: int
 
 
+def _rk4_step(u, v, h, g0, gm, g1, ic0, icm, ic1):
+    """One classical RK4 step of u' = v/c, v' = g u with g = q - lam w.
+
+    Works on floats and on arrays of steps; 0, m, 1 mark start, midpoint, end.
+    """
+    h2 = 0.5 * h
+    k1u = v * ic0
+    k1v = g0 * u
+    k2u = (v + h2 * k1v) * icm
+    k2v = gm * (u + h2 * k1u)
+    k3u = (v + h2 * k2v) * icm
+    k3v = gm * (u + h2 * k2u)
+    k4u = (v + h * k3v) * ic1
+    k4v = g1 * (u + h * k3u)
+    h6 = h / 6.0
+    return (u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
+            v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
+
+
 class _ShootingIntegrator:
     """Fixed-step RK4 for the first-order system (u, v) = (phi, c phi').
 
-    Coefficients are cubic-spline interpolated to step midpoints; all inner
-    loops run on Python floats for speed.
+    Coefficients are cubic-spline interpolated to step midpoints. The system
+    is linear, so for a given lambda each RK4 step is a 2x2 matrix; a sweep
+    builds all its step matrices at once with numpy and then only applies
+    them in a loop over Python floats.
     """
 
     _CAP = 1e100
@@ -129,27 +154,34 @@ class _ShootingIntegrator:
         grid = slp.grid
         pts = grid.points
         mids = 0.5 * (pts[:-1] + pts[1:])
-        c_spl = CubicSpline(pts, slp.c.values)
-        q_spl = CubicSpline(pts, slp.q.values)
-        w_spl = CubicSpline(pts, slp.w.values)
         self.h = grid.h
         self.n = grid.n
-        self.ic_n = (1.0 / slp.c.values).tolist()
-        self.ic_m = (1.0 / c_spl(mids)).tolist()
-        self.q_n = slp.q.values.tolist()
-        self.q_m = q_spl(mids).tolist()
-        self.w_n = slp.w.values.tolist()
-        self.w_m = w_spl(mids).tolist()
-        self.qw_min = float(np.min(slp.q.values / slp.w.values))
+        self.ic_n = 1.0 / slp.c.values
+        self.ic_m = 1.0 / CubicSpline(pts, slp.c.values)(mids)
+        self.q_n = slp.q.values
+        self.q_m = CubicSpline(pts, slp.q.values)(mids)
+        self.w_n = slp.w.values
+        self.w_m = CubicSpline(pts, slp.w.values)(mids)
+        qw = slp.q.values / slp.w.values
+        self.qw_min = float(np.min(qw))
         # Matching index: near the potential minimum, clamped to the middle half.
-        i_min = int(np.argmin(slp.q.values / slp.w.values))
+        i_min = int(np.argmin(qw))
         self.match = min(max(i_min, self.n // 4), 3 * self.n // 4)
 
-    def _g_n(self, i: int, lam: float) -> float:
-        return self.q_n[i] - lam * self.w_n[i]
-
-    def _g_m(self, i: int, lam: float) -> float:
-        return self.q_m[i] - lam * self.w_m[i]
+    def step_matrices(self, lam: float, start: int, stop: int):
+        """Entries (a, b, c, d) of the step matrices [[a, b], [c, d]] that
+        carry (u, v) from node `start` to node `stop`, in stepping order."""
+        g = self.q_n - lam * self.w_n
+        lo, hi = sorted((start, stop))
+        mid, i0, i1, h = slice(lo, hi), slice(lo, hi), slice(lo + 1, hi + 1), self.h
+        if stop < start:
+            i0, i1, h = i1, i0, -h
+        # Stepping the basis states (1, 0) and (0, 1) gives the two columns.
+        uu, vv = _rk4_step(*np.eye(2)[:, :, None], h,
+                           g[i0], self.q_m[mid] - lam * self.w_m[mid], g[i1],
+                           self.ic_n[i0], self.ic_m[mid], self.ic_n[i1])
+        order = slice(None, None, 1 if h > 0 else -1)
+        return uu[0, order], uu[1, order], vv[0, order], vv[1, order]
 
     def _sweep(self, lam: float, start: int, stop: int):
         """Integrate from node `start` to node `stop` (either direction).
@@ -157,52 +189,29 @@ class _ShootingIntegrator:
         Returns (u, v, nodes): the final scaled state and the number of
         sign changes of u along the way.
         """
-        step = 1 if stop > start else -1
-        h = self.h * step
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        u, v = 0.0, 1.0 if step > 0 else -1.0
+        u, v = 0.0, (1.0 if stop > start else -1.0)
         nodes = 0
-        last_sign = 0
-        cap = self._CAP
-        ic_n, ic_m = self.ic_n, self.ic_m
-        q_n, q_m, w_n, w_m = self.q_n, self.q_m, self.w_n, self.w_m
-        i = start
-        while i != stop:
-            im = i if step > 0 else i - 1   # midpoint index between i and i+step
-            j = i + step
-            g0 = q_n[i] - lam * w_n[i]
-            gm = q_m[im] - lam * w_m[im]
-            g1 = q_n[j] - lam * w_n[j]
-            ic0 = ic_n[i]
-            icm = ic_m[im]
-            ic1 = ic_n[j]
-            k1u = v * ic0
-            k1v = g0 * u
-            k2u = (v + h2 * k1v) * icm
-            k2v = gm * (u + h2 * k1u)
-            k3u = (v + h2 * k2v) * icm
-            k3v = gm * (u + h2 * k2u)
-            k4u = (v + h * k3v) * ic1
-            k4v = g1 * (u + h * k3u)
-            u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            v = v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-            sign = 1 if u > 0.0 else (-1 if u < 0.0 else 0)
-            if sign != 0:
-                if last_sign != 0 and sign != last_sign:
+        negative = None          # sign of the last nonzero u, None before the first
+        cap, ncap = self._CAP, -self._CAP
+        for a, b, c, d in zip(*(m.tolist() for m in self.step_matrices(lam, start, stop))):
+            u, v = a * u + b * v, c * u + d * v
+            if u < 0.0:
+                if negative is False:
                     nodes += 1
-                last_sign = sign
-            mag = abs(u) + abs(v)
-            if mag > cap:
+                negative = True
+            elif u > 0.0:
+                if negative:
+                    nodes += 1
+                negative = False
+            if u > cap or u < ncap or v > cap or v < ncap:
+                mag = abs(u) + abs(v)
                 u /= mag
                 v /= mag
-            i = j
         return u, v, nodes
 
     def node_count(self, lam: float) -> int:
         """Interior sign changes of the solution shot from the left end."""
-        _, _, nodes = self._sweep(lam, 0, self.n - 1)
-        return nodes
+        return self._sweep(lam, 0, self.n - 1)[2]
 
     def wronskian_mismatch(self, lam: float) -> float:
         """Scaled Wronskian defect u_L v_R - u_R v_L at the matching node."""
@@ -219,83 +228,73 @@ def shooting_eigenvalue(
     rel_tol: float = 1e-10,
     max_doublings: int = 60,
 ) -> ShootingReport:
-    """n-th eigenvalue by two-sided shooting with node-count bracketing.
+    """n-th eigenvalue by two-sided shooting with node-count isolation.
 
-    The n-th eigenvalue is bracketed by the interior node count of the
-    left-shot solution, narrowed by bisection, then polished by bisection
-    on the sign of the Wronskian mismatch at the matching node.
+    A doubling search upward from min(q/w) raises both ends of [lo, hi],
+    then bisection on the node count of the left-shot solution stops as
+    soon as N(lo) = n and N(hi) = n + 1, so the bracket holds eigenvalue n
+    alone. Brent's method on the Wronskian mismatch at the matching node
+    then polishes it to `rel_tol`. If the mismatch has no sign change on
+    the bracket, node-count bisection finishes the job instead.
+
+    `iterations` counts full-grid integrations: one per node count and one
+    per distinct mismatch evaluation.
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")
     integ = _ShootingIntegrator(slp)
-    evals = 0
+    node_evals = 0
+    # Memoized: brentq's endpoint calls and the final mismatch cost no sweep.
+    mismatch = functools.cache(integ.wronskian_mismatch)
 
-    # The ground eigenvalue lies above min(q/w); expand upward geometrically.
-    lo = integ.qw_min
-    gap = max(1.0, abs(lo) * 0.5)
-    hi = lo + gap
+    def nodes(lam: float) -> int:
+        nonlocal node_evals
+        node_evals += 1
+        return integ.node_count(lam)
+
+    # The ground eigenvalue lies above min(q/w), so N(lo) = 0 there; double
+    # upward, moving lo up to every point that still has at most n nodes.
+    lo = base = integ.qw_min
+    n_lo = 0
+    gap = max(1.0, abs(base) * 0.5)
     for _ in range(max_doublings):
-        evals += 1
-        if integ.node_count(hi) >= n + 1:
+        hi = base + gap
+        n_hi = nodes(hi)
+        if n_hi > n:
             break
+        lo, n_lo = hi, n_hi
         gap *= 2.0
-        hi = lo + gap
     else:
         raise BracketError(
-            f"no bracket with > {n} nodes found in [{lo:g}, {hi:g}] "
+            f"no bracket with > {n} nodes found in [{base:g}, {base + gap:g}] "
             f"after {max_doublings} doublings"
         )
 
     # Bisect on node count until [lo, hi] isolates exactly eigenvalue n.
-    while True:
-        evals += 1
+    while (n_lo, n_hi) != (n, n + 1) and hi - lo > rel_tol * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        if integ.node_count(mid) <= n:
-            lo = mid
+        n_mid = nodes(mid)
+        if n_mid <= n:
+            lo, n_lo = mid, n_mid
         else:
-            hi = mid
-        if hi - lo <= 1e-2 * max(1.0, abs(mid)):
-            evals += 2
-            if integ.node_count(lo) == n and integ.node_count(hi) == n + 1:
-                break
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
-            break
+            hi, n_hi = mid, n_mid
 
-    # Polish on the sign of the Wronskian mismatch inside the bracket.
-    f_lo = integ.wronskian_mismatch(lo)
-    f_hi = integ.wronskian_mismatch(hi)
-    evals += 2
-    if f_lo == 0.0:
-        lam = lo
-    elif f_hi == 0.0:
-        lam = hi
-    elif f_lo * f_hi < 0.0:
-        while hi - lo > rel_tol * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            f_mid = integ.wronskian_mismatch(mid)
-            evals += 1
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0.0:
-                hi, f_hi = mid, f_mid
-            else:
-                lo, f_lo = mid, f_mid
-        lam = 0.5 * (lo + hi)
+    xtol = rel_tol * max(1.0, abs(hi))
+    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
+        lam = brentq(mismatch, lo, hi, xtol=xtol)
     else:
         # No sign change (matching node unluckily placed); fall back to
         # pure node-count bisection, which also converges to eigenvalue n.
-        while hi - lo > rel_tol * max(1.0, abs(hi)):
+        while hi - lo > xtol:
             mid = 0.5 * (lo + hi)
-            evals += 1
-            if integ.node_count(mid) <= n:
+            if nodes(mid) <= n:
                 lo = mid
             else:
                 hi = mid
         lam = 0.5 * (lo + hi)
 
-    mismatch = abs(integ.wronskian_mismatch(lam))
-    evals += 1
     return ShootingReport(
-        eigenvalue=lam, node_count=n, mismatch=mismatch, iterations=evals
+        eigenvalue=lam, node_count=n, mismatch=abs(mismatch(lam)),
+        iterations=node_evals + mismatch.cache_info().misses,
     )

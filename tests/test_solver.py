@@ -19,6 +19,7 @@ from gupmdm.models import (
     swanson_sl,
 )
 from gupmdm.solver import (
+    _ShootingIntegrator,
     discretize,
     eigen_solve,
     residual,
@@ -145,6 +146,85 @@ class TestShooting:
         slp = laplace_problem(51)
         with pytest.raises(ValueError):
             shooting_eigenvalue(slp, -1)
+
+    def test_levels_isolated_in_few_sweeps(self):
+        # The CLI default at (tau, omega) = (0.05, 1): box 12, 1201 -> 2401 points.
+        g = make_grid(-12, 12, 1201).refined()
+        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g)
+        for n in range(6):
+            assert shooting_eigenvalue(slp, n).iterations <= 20
+
+    def test_iterations_count_full_sweeps(self, monkeypatch):
+        sweeps = []
+        node_count = _ShootingIntegrator.node_count
+        mismatch = _ShootingIntegrator.wronskian_mismatch
+        monkeypatch.setattr(_ShootingIntegrator, "node_count",
+                            lambda self, lam: sweeps.append(lam) or node_count(self, lam))
+        monkeypatch.setattr(_ShootingIntegrator, "wronskian_mismatch",
+                            lambda self, lam: sweeps.append(lam) or mismatch(self, lam))
+        g = make_grid(-12, 12, 1201)
+        rep = shooting_eigenvalue(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g), 2)
+        assert rep.iterations == len(sweeps)
+
+    def test_no_mismatch_sign_change_falls_back_to_node_count(self, monkeypatch):
+        g = make_grid(-12, 12, 1201)
+        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.0), g)
+        monkeypatch.setattr(_ShootingIntegrator, "wronskian_mismatch",
+                            lambda self, lam: 1.0)
+        rep = shooting_eigenvalue(slp, 3)
+        assert rep.node_count == 3
+        assert rep.eigenvalue == pytest.approx(7.0, abs=1e-6)
+        integ = _ShootingIntegrator(slp)
+        assert integ.node_count(rep.eigenvalue * (1 - 1e-8)) == 3
+        assert integ.node_count(rep.eigenvalue * (1 + 1e-8)) == 4
+
+    @pytest.mark.parametrize("tau, omega", [(0.05, 1.0), (0.1, 2.0)])
+    def test_closed_form_on_wide_box(self, tau, omega):
+        # Kempf-Mangano-Mann: E_n = omega[(n+1/2)(sqrt(1+g^2/4)+g/2) + g n^2/2],
+        # g = tau omega; the box 40/sqrt(omega) leaves no visible truncation.
+        params = GupOscillatorParams(omega=omega, tau=tau)
+        pmax = 40.0 / math.sqrt(omega)
+        slp = gup_oscillator_sl(params, make_grid(-pmax, pmax, 4801))
+        gam = tau * omega
+        for n in range(6):
+            exact = omega * ((n + 0.5) * (math.sqrt(1 + gam * gam / 4) + gam / 2)
+                             + gam * n * n / 2)
+            e = params.energy_from_eigenvalue(shooting_eigenvalue(slp, n).eigenvalue)
+            assert e == pytest.approx(exact, rel=1e-6)
+
+
+def _scalar_rk4_step(integ, lam, i, j):
+    """RK4 step from node i to the neighbouring node j, one float at a time."""
+    u, v = 0.6, -1.3
+    h = integ.h * (j - i)
+    im = min(i, j)
+    g0 = integ.q_n[i] - lam * integ.w_n[i]
+    gm = integ.q_m[im] - lam * integ.w_m[im]
+    g1 = integ.q_n[j] - lam * integ.w_n[j]
+    ic0, icm, ic1 = integ.ic_n[i], integ.ic_m[im], integ.ic_n[j]
+    k1u, k1v = v * ic0, g0 * u
+    k2u, k2v = (v + h / 2 * k1v) * icm, gm * (u + h / 2 * k1u)
+    k3u, k3v = (v + h / 2 * k2v) * icm, gm * (u + h / 2 * k2u)
+    k4u, k4v = (v + h * k3v) * ic1, g1 * (u + h * k3u)
+    return ((u, v), (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+                     v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)))
+
+
+@pytest.mark.parametrize("start, stop", [(0, 200), (200, 0), (30, 140), (170, 60)])
+def test_step_matrix_matches_scalar_rk4(start, stop):
+    g = make_grid(-6, 6, 201)
+    integ = _ShootingIntegrator(gup_oscillator_sl(GupOscillatorParams(1.3, 0.2), g))
+    lam = 4.7
+    mats = integ.step_matrices(lam, start, stop)
+    step = 1 if stop > start else -1
+    assert all(m.size == abs(stop - start) for m in mats)
+    for k in (0, 1, 57, abs(stop - start) - 2, abs(stop - start) - 1):
+        i = start + k * step
+        (u, v), expected = _scalar_rk4_step(integ, lam, i, i + step)
+        a, b, c, d = (m[k] for m in mats)
+        got = (a * u + b * v, c * u + d * v)
+        scale = max(abs(x) for x in expected)
+        assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-14 * scale
 
 
 class TestRichardson:
