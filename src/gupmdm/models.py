@@ -43,6 +43,15 @@ class GupOscillatorParams:
         """E from the generalized eigenvalue lam = 2E/omega^2."""
         return lam * self.omega**2 / 2.0
 
+    def sl(self, grid: Grid) -> SturmLiouvilleProblem:
+        return gup_oscillator_sl(self, grid)
+
+    def mass(self, grid: Grid) -> SampledFunction:
+        return mass_profile_gup(self, grid)
+
+    def veff(self, energy: float, grid: Grid) -> SampledFunction:
+        return effective_potential_gup(self, energy, grid)
+
 
 @dataclass(frozen=True)
 class SwansonParams:
@@ -68,6 +77,20 @@ class SwansonParams:
     def energy_from_eigenvalue(self, lam: float) -> float:
         """E from the generalized eigenvalue lam = 2E + alpha - beta."""
         return (lam - self.alpha + self.beta) / 2.0
+
+    def sl(self, grid: Grid) -> SturmLiouvilleProblem:
+        return swanson_sl(self, grid)
+
+    def mass(self, grid: Grid) -> SampledFunction:
+        return mass_profile_swanson(self, grid)
+
+    def veff(self, energy: float, grid: Grid) -> SampledFunction:
+        return effective_potential_swanson(self, energy, grid)
+
+
+# Model name -> params class. The methods above look the module functions up
+# at call time, so patching a module attribute reaches calls made through here.
+MODELS = {"gup-oscillator": GupOscillatorParams, "swanson": SwansonParams}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -20,6 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .core import (
+    Grid,
     SampledFunction,
     Spectrum,
     SturmLiouvilleProblem,
@@ -93,7 +95,10 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
         if phi[i_max] < 0:
             phi = -phi
         funcs.append(SampledFunction(slp.grid, phi))
-    return Spectrum(eigenvalues=vals, eigenfunctions=tuple(funcs))
+    try:
+        return Spectrum(eigenvalues=vals, eigenfunctions=tuple(funcs))
+    except ValueError as exc:  # a grid too coarse to resolve the lowest levels
+        raise SolverError(str(exc)) from exc
 
 
 def solve_sl(slp: SturmLiouvilleProblem, k: int) -> Spectrum:
@@ -102,8 +107,24 @@ def solve_sl(slp: SturmLiouvilleProblem, k: int) -> Spectrum:
 
 
 def richardson(e_h: float, e_h2: float) -> float:
-    """Second-order Richardson extrapolation from spacings h and h/2."""
+    """Second-order Richardson extrapolation from spacings h and h/2.
+
+    Works elementwise on arrays of eigenvalues as well as on floats.
+    """
     return (4.0 * e_h2 - e_h) / 3.0
+
+
+def solve_extrapolated(
+    build: Callable[[Grid], SturmLiouvilleProblem], grid: Grid, k: int
+) -> tuple[np.ndarray, SturmLiouvilleProblem, Spectrum]:
+    """Lowest k eigenvalues of build(grid) and build(grid.refined()), extrapolated.
+
+    Returns the Richardson values with the fine-grid problem and its spectrum.
+    """
+    coarse = solve_sl(build(grid), k)
+    fine_slp = build(grid.refined())
+    fine = solve_sl(fine_slp, k)
+    return richardson(coarse.eigenvalues, fine.eigenvalues), fine_slp, fine
 
 
 def residual(coeffs: RawOdeCoefficients, phi: SampledFunction, lam: float) -> float:

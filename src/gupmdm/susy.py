@@ -12,7 +12,6 @@ the verification pipeline is V(p) = p^2/(1+tau p^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .core import (
     constant,
     derivative,
     inner_slice,
+    make_grid,
     require_same_grid,
     sample,
 )
@@ -93,15 +93,11 @@ def partner_potential(
     """
     require_same_grid(fd.xi, veff)
     d_theta = derivative(fd.theta, 1)
-    d2_xi = derivative(xi_sq(fd.xi), 2)
+    d2_xi = derivative(fd.xi * fd.xi, 2)
     # xi*xi'' = ((xi^2)'' - 2 xi'^2)/2; using xi^2 keeps polynomial xi^2 exact.
     d_xi = derivative(fd.xi, 1)
     xi_xipp = 0.5 * d2_xi - d_xi * d_xi
     return veff + 2.0 * fd.xi * d_theta - xi_xipp
-
-
-def xi_sq(xi: SampledFunction) -> SampledFunction:
-    return xi * xi
 
 
 def apply_intertwiner(fd: FactorizationData, phi: SampledFunction) -> SampledFunction:
@@ -165,17 +161,13 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
     level, and that the mapped functions A phi_{n+1} are near-eigenfunctions
     of the partner.
     """
-    g1 = make_grid_sym(p_max, n)
+    g1 = make_grid(-p_max, p_max, n)
     g2 = g1.refined()
     _, spec_c, _, _, spec1_c = _partner_spectrum_on_grid(tau, g1, k)
     slp_f, spec_f, fd_f, slp1_f, spec1_f = _partner_spectrum_on_grid(tau, g2, k)
 
-    lam = np.array(
-        [richardson(a, b) for a, b in zip(spec_c.eigenvalues, spec_f.eigenvalues)]
-    )
-    lam1 = np.array(
-        [richardson(a, b) for a, b in zip(spec1_c.eigenvalues, spec1_f.eigenvalues)]
-    )
+    lam = richardson(spec_c.eigenvalues, spec_f.eigenvalues)
+    lam1 = richardson(spec1_c.eigenvalues, spec1_f.eigenvalues)
     defects = np.abs(lam1 - lam[1:])
 
     # Mapped-eigenfunction residual on the fine grid, inner 80%.
@@ -201,8 +193,3 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
         mapped_residuals=np.array(residuals),
     )
 
-
-def make_grid_sym(p_max: float, n: int) -> Grid:
-    from .core import make_grid
-
-    return make_grid(-p_max, p_max, n)

@@ -120,12 +120,21 @@ class TestSolve:
         assert rc == 3
         assert "solver error" in capsys.readouterr().err
 
+    def test_unresolved_spectrum_exit_3(self, capsys):
+        # The default box 12/sqrt(omega) is too wide for its 1201 points to
+        # resolve the ground state of width sqrt(omega): a solver failure,
+        # not a config error.
+        rc = main(["solve", "--omega", "0.001"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "solver error" in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_tau_sweep_csv(self, capsys):
         rc = main(["sweep", "--param", "tau", "--start", "0.0", "--stop", "0.1",
-                   "--count", "3", "--n", "201", "--k", "2", "--pmax", "8",
-                   "--jobs", "2"])
+                   "--count", "3", "--n", "201", "--k", "2", "--pmax", "8"])
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().splitlines()

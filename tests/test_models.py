@@ -5,6 +5,7 @@ import pytest
 
 from gupmdm.core import make_grid, sample
 from gupmdm.models import (
+    MODELS,
     GupOscillatorParams,
     SwansonParams,
     WeightOverflowError,
@@ -230,3 +231,24 @@ def test_tau_continuity_of_spectrum():
         - np.array([par0.energy_from_eigenvalue(v) for v in e0])
     )
     assert np.max(shift) <= 1e-3
+
+
+MODEL_KWARGS = {
+    "gup-oscillator": dict(omega=1.3, tau=0.1),
+    "swanson": dict(omega=2.0, alpha=0.3, beta=0.1, tau=0.1),
+}
+MODEL_FUNCTIONS = {
+    "gup-oscillator": (gup_oscillator_sl, mass_profile_gup, effective_potential_gup),
+    "swanson": (swanson_sl, mass_profile_swanson, effective_potential_swanson),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_table_methods_match_module_functions(name):
+    params = MODELS[name](**MODEL_KWARGS[name])
+    build, mass, veff = MODEL_FUNCTIONS[name]
+    slp, ref = params.sl(GRID), build(params, GRID)
+    for attr in ("c", "q", "w"):
+        assert np.array_equal(getattr(slp, attr).values, getattr(ref, attr).values)
+    assert np.array_equal(params.mass(GRID).values, mass(params, GRID).values)
+    assert np.array_equal(params.veff(0.7, GRID).values, veff(params, 0.7, GRID).values)

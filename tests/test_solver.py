@@ -25,6 +25,7 @@ from gupmdm.solver import (
     residual,
     richardson,
     shooting_eigenvalue,
+    solve_extrapolated,
     solve_sl,
 )
 
@@ -244,6 +245,21 @@ class TestRichardson:
         e2 = solve_sl(gup_oscillator_sl(params, g1.refined()), 1).eigenvalues[0]
         e = params.energy_from_eigenvalue(richardson(e1, e2))
         assert e == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("params", [
+        GupOscillatorParams(omega=1.0, tau=0.05),
+        SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05),
+    ])
+    def test_solve_extrapolated_matches_per_level(self, params):
+        g1 = make_grid(-10, 10, 601)
+        lams, fine_slp, fine = solve_extrapolated(params.sl, g1, 4)
+        coarse = solve_sl(params.sl(g1), 4)
+        assert fine_slp.grid == g1.refined()
+        assert fine.eigenvalues.tolist() == solve_sl(fine_slp, 4).eigenvalues.tolist()
+        assert lams.tolist() == [
+            richardson(float(a), float(b))
+            for a, b in zip(coarse.eigenvalues, fine.eigenvalues)
+        ]
 
 
 class TestResidual:
