@@ -20,6 +20,7 @@ from .models import (
     swanson_sl,
 )
 from .solver import (
+    Shooter,
     discretize,
     eigen_solve,
     richardson,
@@ -31,6 +32,7 @@ from .solver import (
 __all__ = [
     "Grid",
     "SampledFunction",
+    "Shooter",
     "Spectrum",
     "SturmLiouvilleProblem",
     "GupOscillatorParams",

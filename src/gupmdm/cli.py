@@ -28,7 +28,13 @@ from .models import (
     raw_residual_values,
     sl_residual_values,
 )
-from .solver import SolverError, shooting_eigenvalue, solve_extrapolated, solve_sl
+from .solver import (
+    Shooter,
+    SolverError,
+    shooting_eigenvalue,
+    solve_extrapolated,
+    solve_sl,
+)
 
 
 class ConfigError(ValueError):
@@ -240,10 +246,11 @@ def _solve_rows(cfg: RunConfig):
     lams, fine_slp, fine_spec = solve_extrapolated(
         params.sl, make_grid(-pmax, pmax, cfg.n), cfg.k
     )
+    shooter = Shooter(fine_slp)
     rows = []
     for idx, lam in enumerate(lams.tolist()):
         energy = params.energy_from_eigenvalue(lam)
-        rep = shooting_eigenvalue(fine_slp, idx)
+        rep = shooting_eigenvalue(shooter, idx)
         e_shoot = params.energy_from_eigenvalue(rep.eigenvalue)
         rows.append([idx, lam, energy, e_shoot, abs(energy - e_shoot)])
     return rows, fine_spec

@@ -2,15 +2,16 @@
 
 Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
-RK4 shooting. Shooting isolates each level by node count, polishes it with
-Brent's method on the Wronskian mismatch, and applies precomputed 2x2 RK4
-step matrices along the grid. Richardson extrapolation and residual
+RK4 shooting. Shooting finds level n as the root of the Pruefer angle sum
+Theta(lambda) = (n + 1) pi, one monotone function for every level: a
+`Shooter` memoizes Theta, brackets each level from the angles already
+computed, and polishes it with Brent's method; each sweep applies 2x2 RK4
+step matrices built with numpy. Richardson extrapolation and residual
 diagnostics round out the toolbox.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +37,7 @@ class SolverError(RuntimeError):
 
 
 class BracketError(SolverError):
-    """Eigenvalue bracketing by node count failed."""
+    """Shooting found no bracket for a level, or its root misses the target angle."""
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,24 @@ def residual(coeffs: RawOdeCoefficients, phi: SampledFunction, lam: float) -> fl
 
 @dataclass(frozen=True)
 class ShootingReport:
+    """One shooting level.
+
+    `mismatch` is the final angle defect |Theta(eigenvalue) - (n+1) pi| in
+    radians; `iterations` counts the full-grid sweeps this call made.
+    """
+
     eigenvalue: float
     node_count: int
     mismatch: float
     iterations: int
+
+
+# Expansion steps a bracket search may take before it raises BracketError.
+MAX_BRACKET_STEPS = 60
+# Largest angle defect |Theta(lam) - (n+1) pi| accepted at a returned root.
+ANGLE_TOL = 1e-6
+# A secant expansion step aims this many times as far as the predicted root.
+_OVERSHOOT = 1.25
 
 
 def _rk4_step(u, v, h, g0, gm, g1, ic0, icm, ic1):
@@ -160,13 +175,31 @@ def _rk4_step(u, v, h, g0, gm, g1, ic0, icm, ic1):
             v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
 
 
-class _ShootingIntegrator:
-    """Fixed-step RK4 for the first-order system (u, v) = (phi, c phi').
+def _half_angle(u: float, v: float, nodes: int) -> float:
+    """Continuous angle of (u, v) after `nodes` sign changes of u, from u = 0+.
 
-    Coefficients are cubic-spline interpolated to step midpoints. The system
+    Where u < 0, (u, v) -> (-u, -v) turns the angle by pi, so atan2 lies in
+    [0, pi] and measures the part past the last node. Its value pi (u rounded
+    to 0 just before a sign change) equals the next node's nodes * pi, so
+    rounding never makes the angle jump by pi, as atan2 mod pi would.
+    """
+    if u < 0.0:
+        u, v = -u, -v
+    return nodes * math.pi + math.atan2(u, v)
+
+
+class Shooter:
+    """Two-sided RK4 shooting on one Sturm-Liouville problem.
+
+    Integrates the first-order system (u, v) = (phi, c phi') with fixed-step
+    RK4, coefficients cubic-spline interpolated to step midpoints. The system
     is linear, so for a given lambda each RK4 step is a 2x2 matrix; a sweep
     builds all its step matrices at once with numpy and then only applies
     them in a loop over Python floats.
+
+    `angle(lam)` is the Pruefer angle sum Theta at the matching node, memoized
+    per instance, so every level solved on one Shooter reuses the sweeps of
+    the levels before it.
     """
 
     _CAP = 1e100
@@ -175,19 +208,27 @@ class _ShootingIntegrator:
         grid = slp.grid
         pts = grid.points
         mids = 0.5 * (pts[:-1] + pts[1:])
+        c, q, w = slp.c.values, slp.q.values, slp.w.values
+        self.grid = grid
         self.h = grid.h
         self.n = grid.n
-        self.ic_n = 1.0 / slp.c.values
-        self.ic_m = 1.0 / CubicSpline(pts, slp.c.values)(mids)
-        self.q_n = slp.q.values
-        self.q_m = CubicSpline(pts, slp.q.values)(mids)
-        self.w_n = slp.w.values
-        self.w_m = CubicSpline(pts, slp.w.values)(mids)
-        qw = slp.q.values / slp.w.values
+        spline = CubicSpline(pts, np.column_stack([c, q, w]))   # one for all three
+        c_m, self.q_m, self.w_m = spline(mids).T.copy()          # contiguous rows
+        self.ic_n = 1.0 / c
+        self.ic_m = 1.0 / c_m
+        self.q_n = q
+        self.w_n = w
+        qw = q / w
         self.qw_min = float(np.min(qw))
         # Matching index: near the potential minimum, clamped to the middle half.
         i_min = int(np.argmin(qw))
         self.match = min(max(i_min, self.n // 4), 3 * self.n // 4)
+        self._angles: dict[float, float] = {}
+
+    @property
+    def sweeps(self) -> int:
+        """Full-grid sweeps made so far: one per distinct lambda in the memo."""
+        return len(self._angles)
 
     def step_matrices(self, lam: float, start: int, stop: int):
         """Entries (a, b, c, d) of the step matrices [[a, b], [c, d]] that
@@ -230,92 +271,89 @@ class _ShootingIntegrator:
                 v /= mag
         return u, v, nodes
 
-    def node_count(self, lam: float) -> int:
-        """Interior sign changes of the solution shot from the left end."""
-        return self._sweep(lam, 0, self.n - 1)[2]
+    def _angle(self, lam: float) -> float:
+        """Theta(lam) = theta_L + theta_R at the matching node, one full sweep.
 
-    def wronskian_mismatch(self, lam: float) -> float:
-        """Scaled Wronskian defect u_L v_R - u_R v_L at the matching node."""
-        u_l, v_l, _ = self._sweep(lam, 0, self.match)
-        u_r, v_r, _ = self._sweep(lam, self.n - 1, self.match)
-        s_l = max(abs(u_l), abs(v_l))
-        s_r = max(abs(u_r), abs(v_r))
-        return (u_l * v_r - u_r * v_l) / (s_l * s_r)
+        theta_L is the Pruefer angle atan2(u, v) of the left solution, theta_R
+        that of the right solution mirrored in v, atan2(u, -v); both are 0 at
+        their own end. Theta is continuous and increasing in lambda, and
+        Theta(lambda_n) = (n + 1) pi.
+        """
+        u_l, v_l, n_l = self._sweep(lam, 0, self.match)
+        u_r, v_r, n_r = self._sweep(lam, self.n - 1, self.match)
+        return _half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r)
+
+    def angle(self, lam: float) -> float:
+        """Theta(lam), memoized: a repeated lambda costs no sweep."""
+        theta = self._angles.get(lam)
+        if theta is None:
+            theta = self._angles[lam] = self._angle(lam)
+        return theta
+
+    def bracket(self, target: float) -> tuple[float, float]:
+        """(lo, hi) with Theta(lo) <= target < Theta(hi), from the memo if it can.
+
+        Theta(min q/w) < pi, since q - lam w >= 0 there keeps both solutions
+        from turning, so that point is always a lower end. While no memoized
+        angle lies above `target`, a secant through the two highest points
+        below it predicts the crossing and the next trial aims _OVERSHOOT
+        times as far. A trial reaches at most twice as far from min q/w as
+        the highest point below, plus one gap; with no rising secant it
+        takes that cap.
+        """
+        base = self.qw_min
+        if self.angle(base) > target:
+            raise BracketError(f"angle {self.angle(base):.6g} at min(q/w) = {base:g} "
+                               f"already exceeds the target {target:.6g}")
+        gap = max(1.0, abs(base) * 0.5)
+        for _ in range(MAX_BRACKET_STEPS):
+            hi = min((lam for lam, th in self._angles.items() if th > target),
+                     default=math.inf)
+            below = sorted((lam, th) for lam, th in self._angles.items()
+                           if th <= target and lam < hi)
+            lam2, th2 = below[-1]
+            if hi < math.inf:
+                return lam2, hi
+            trial = 2.0 * lam2 - base + gap
+            if len(below) > 1:
+                lam1, th1 = below[-2]
+                slope = (th2 - th1) / (lam2 - lam1)
+                if slope > 0.0:
+                    trial = min(trial, lam2 + _OVERSHOOT * (target - th2) / slope)
+            self.angle(trial)
+        raise BracketError(f"no angle above {target:.6g} in [{base:g}, {trial:g}] "
+                           f"after {MAX_BRACKET_STEPS} expansion steps")
 
 
 def shooting_eigenvalue(
-    slp: SturmLiouvilleProblem,
+    problem: SturmLiouvilleProblem | Shooter,
     n: int,
     rel_tol: float = 1e-10,
-    max_doublings: int = 60,
 ) -> ShootingReport:
-    """n-th eigenvalue by two-sided shooting with node-count isolation.
+    """n-th eigenvalue by two-sided shooting on the Pruefer angle.
 
-    A doubling search upward from min(q/w) raises both ends of [lo, hi],
-    then bisection on the node count of the left-shot solution stops as
-    soon as N(lo) = n and N(hi) = n + 1, so the bracket holds eigenvalue n
-    alone. Brent's method on the Wronskian mismatch at the matching node
-    then polishes it to `rel_tol`. If the mismatch has no sign change on
-    the bracket, node-count bisection finishes the job instead.
+    Level n is the root of Theta(lam) = (n + 1) pi. `Shooter.bracket` finds
+    it a bracket, from angles earlier levels on the same Shooter computed
+    where it can, and Brent's method polishes the root to `rel_tol`. A
+    `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter for every
+    level of a problem to share its sweeps.
 
-    `iterations` counts full-grid integrations: one per node count and one
-    per distinct mismatch evaluation.
+    Raises BracketError when no bracket is found or the root misses the
+    target angle by more than ANGLE_TOL (a jump in Theta, as on a grid too
+    coarse for the level). `iterations` counts the full-grid sweeps this
+    call made.
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")
-    integ = _ShootingIntegrator(slp)
-    node_evals = 0
-    # Memoized: brentq's endpoint calls and the final mismatch cost no sweep.
-    mismatch = functools.cache(integ.wronskian_mismatch)
-
-    def nodes(lam: float) -> int:
-        nonlocal node_evals
-        node_evals += 1
-        return integ.node_count(lam)
-
-    # The ground eigenvalue lies above min(q/w), so N(lo) = 0 there; double
-    # upward, moving lo up to every point that still has at most n nodes.
-    lo = base = integ.qw_min
-    n_lo = 0
-    gap = max(1.0, abs(base) * 0.5)
-    for _ in range(max_doublings):
-        hi = base + gap
-        n_hi = nodes(hi)
-        if n_hi > n:
-            break
-        lo, n_lo = hi, n_hi
-        gap *= 2.0
-    else:
-        raise BracketError(
-            f"no bracket with > {n} nodes found in [{base:g}, {base + gap:g}] "
-            f"after {max_doublings} doublings"
-        )
-
-    # Bisect on node count until [lo, hi] isolates exactly eigenvalue n.
-    while (n_lo, n_hi) != (n, n + 1) and hi - lo > rel_tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        n_mid = nodes(mid)
-        if n_mid <= n:
-            lo, n_lo = mid, n_mid
-        else:
-            hi, n_hi = mid, n_mid
-
-    xtol = rel_tol * max(1.0, abs(hi))
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
-        lam = brentq(mismatch, lo, hi, xtol=xtol)
-    else:
-        # No sign change (matching node unluckily placed); fall back to
-        # pure node-count bisection, which also converges to eigenvalue n.
-        while hi - lo > xtol:
-            mid = 0.5 * (lo + hi)
-            if nodes(mid) <= n:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-
-    return ShootingReport(
-        eigenvalue=lam, node_count=n, mismatch=abs(mismatch(lam)),
-        iterations=node_evals + mismatch.cache_info().misses,
-    )
+    shooter = problem if isinstance(problem, Shooter) else Shooter(problem)
+    sweeps = shooter.sweeps
+    target = (n + 1) * math.pi
+    lo, hi = shooter.bracket(target)
+    xtol = rel_tol * max(1.0, abs(lo), abs(hi))
+    lam = brentq(lambda x: shooter.angle(x) - target, lo, hi, xtol=xtol)
+    defect = abs(shooter.angle(lam) - target)
+    if not defect <= ANGLE_TOL:
+        raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "
+                           f"lambda = {lam:.12g}; the grid may not resolve it")
+    return ShootingReport(eigenvalue=lam, node_count=n, mismatch=defect,
+                          iterations=shooter.sweeps - sweeps)

@@ -14,7 +14,8 @@ from gupmdm.cli import (
     main,
     parse_config_text,
 )
-from gupmdm.solver import SolverError
+from gupmdm.core import make_grid
+from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue
 
 FAST = ["--n", "201", "--k", "3", "--pmax", "8"]
 
@@ -119,6 +120,34 @@ class TestSolve:
         rc = main(["solve", *FAST])
         assert rc == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_bracket_failure_exit_3(self, monkeypatch, capsys):
+        # An angle that never reaches the target: shooting finds no bracket.
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: 0.5)
+        rc = main(["solve", *FAST])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "solver error" in captured.err
+        assert captured.out == ""
+
+    def test_small_omega_shooting_levels_distinct(self, capsys):
+        # The default box at omega = 0.001 is too wide for its grid. A search
+        # that stops short there prints one non-root for two levels; each
+        # level must be a root of its own angle target, or the solve exits 3.
+        rc = main(["solve", "--omega", "0.001", "--k", "3"])
+        captured = capsys.readouterr()
+        if rc == 3:
+            assert "solver error" in captured.err
+            return
+        assert rc == 0
+        shot = [float(line.split(",")[3]) for line in captured.out.strip().splitlines()[1:]]
+        assert len(shot) == 3
+        assert shot[0] < shot[1] < shot[2]
+        cfg = RunConfig(omega=0.001, k=3)
+        pmax = cfg.resolved_pmax()
+        shooter = Shooter(cfg.params().sl(make_grid(-pmax, pmax, cfg.n).refined()))
+        for n in range(3):
+            assert shooting_eigenvalue(shooter, n).mismatch <= ANGLE_TOL
 
     def test_unresolved_spectrum_exit_3(self, capsys):
         # The default box 12/sqrt(omega) is too wide for its 1201 points to

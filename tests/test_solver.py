@@ -19,7 +19,10 @@ from gupmdm.models import (
     swanson_sl,
 )
 from gupmdm.solver import (
-    _ShootingIntegrator,
+    ANGLE_TOL,
+    BracketError,
+    Shooter,
+    _half_angle,
     discretize,
     eigen_solve,
     residual,
@@ -155,29 +158,62 @@ class TestShooting:
         for n in range(6):
             assert shooting_eigenvalue(slp, n).iterations <= 20
 
-    def test_iterations_count_full_sweeps(self, monkeypatch):
+    def test_iterations_sum_to_distinct_sweeps(self, monkeypatch):
         sweeps = []
-        node_count = _ShootingIntegrator.node_count
-        mismatch = _ShootingIntegrator.wronskian_mismatch
-        monkeypatch.setattr(_ShootingIntegrator, "node_count",
-                            lambda self, lam: sweeps.append(lam) or node_count(self, lam))
-        monkeypatch.setattr(_ShootingIntegrator, "wronskian_mismatch",
-                            lambda self, lam: sweeps.append(lam) or mismatch(self, lam))
+        sweep = Shooter._sweep
+        monkeypatch.setattr(Shooter, "_sweep", lambda self, lam, start, stop:
+                            sweeps.append(lam) or sweep(self, lam, start, stop))
         g = make_grid(-12, 12, 1201)
-        rep = shooting_eigenvalue(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g), 2)
-        assert rep.iterations == len(sweeps)
+        shooter = Shooter(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g))
+        total = sum(shooting_eigenvalue(shooter, n).iterations for n in range(6))
+        # One angle is two half-grid sweeps, left and right of the matching node.
+        assert len(sweeps) == 2 * total
+        assert len(set(sweeps)) == total == shooter.sweeps
 
-    def test_no_mismatch_sign_change_falls_back_to_node_count(self, monkeypatch):
+    def test_shared_shooter_sweep_budget(self):
+        # The CLI default at (tau, omega) = (0.05, 1); the node-count and
+        # Wronskian search took 77 sweeps for these six levels.
+        g = make_grid(-12, 12, 1201).refined()
+        shooter = Shooter(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g))
+        assert sum(shooting_eigenvalue(shooter, n).iterations for n in range(6)) <= 50
+
+    def test_levels_order_independent(self):
+        g = make_grid(-12, 12, 1201).refined()
+        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g)
+        shooter = Shooter(slp)
+        shared = {n: shooting_eigenvalue(shooter, n).eigenvalue for n in range(5, -1, -1)}
+        for n, lam in shared.items():
+            fresh = shooting_eigenvalue(Shooter(slp), n).eigenvalue
+            assert lam == pytest.approx(fresh, rel=1e-10)
+
+    def test_angle_straddles_target_at_eigenvalue(self):
         g = make_grid(-12, 12, 1201)
         slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.0), g)
-        monkeypatch.setattr(_ShootingIntegrator, "wronskian_mismatch",
-                            lambda self, lam: 1.0)
         rep = shooting_eigenvalue(slp, 3)
         assert rep.node_count == 3
         assert rep.eigenvalue == pytest.approx(7.0, abs=1e-6)
-        integ = _ShootingIntegrator(slp)
-        assert integ.node_count(rep.eigenvalue * (1 - 1e-8)) == 3
-        assert integ.node_count(rep.eigenvalue * (1 + 1e-8)) == 4
+        assert rep.mismatch <= ANGLE_TOL
+        shooter = Shooter(slp)
+        assert shooter.angle(rep.eigenvalue * (1 - 1e-8)) < 4 * math.pi
+        assert shooter.angle(rep.eigenvalue * (1 + 1e-8)) > 4 * math.pi
+
+    def test_half_angle_continuous_across_node(self):
+        # u rounding to 0 just before and just after the third node, v < 0:
+        # both sides are 3 pi, though atan2 gives pi on the first.
+        assert _half_angle(1e-300, -1.0, 2) == pytest.approx(3 * math.pi)
+        assert _half_angle(-1e-300, -1.0, 3) == pytest.approx(3 * math.pi)
+        assert _half_angle(0.5, 0.5, 0) == pytest.approx(math.pi / 4)
+
+    @pytest.mark.parametrize("angle, message", [
+        (lambda lam: 0.5, "no angle above"),                   # never reaches 2 pi
+        (lambda lam: 0.5 if lam < 2.0 else 10.0, "misses"),    # jumps over it
+        (lambda lam: 10.0, "already exceeds"),                 # above it at min(q/w)
+    ], ids=["no-bracket", "jump", "above-at-base"])
+    def test_bracket_error(self, monkeypatch, angle, message):
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: angle(lam))
+        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, 201))
+        with pytest.raises(BracketError, match=message):
+            shooting_eigenvalue(slp, 1)
 
     @pytest.mark.parametrize("tau, omega", [(0.05, 1.0), (0.1, 2.0)])
     def test_closed_form_on_wide_box(self, tau, omega):
@@ -214,7 +250,7 @@ def _scalar_rk4_step(integ, lam, i, j):
 @pytest.mark.parametrize("start, stop", [(0, 200), (200, 0), (30, 140), (170, 60)])
 def test_step_matrix_matches_scalar_rk4(start, stop):
     g = make_grid(-6, 6, 201)
-    integ = _ShootingIntegrator(gup_oscillator_sl(GupOscillatorParams(1.3, 0.2), g))
+    integ = Shooter(gup_oscillator_sl(GupOscillatorParams(1.3, 0.2), g))
     lam = 4.7
     mats = integ.step_matrices(lam, start, stop)
     step = 1 if stop > start else -1
