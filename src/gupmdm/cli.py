@@ -240,7 +240,13 @@ def svg_polyline(xs, ys, title: str) -> str:
 # ---------------------------------------------------------------- commands
 
 
+# Largest |energy - energy_shooting| / |energy| a solve accepts: the
+# acceptance tolerance of matrix against shooting.
+AGREE_RTOL = 1e-6
+
+
 def _solve_rows(cfg: RunConfig):
+    """Rows of one solve; SolverError when matrix and shooting disagree."""
     pmax = cfg.resolved_pmax()
     params = cfg.params()
     lams, fine_slp, fine_spec = solve_extrapolated(
@@ -252,7 +258,13 @@ def _solve_rows(cfg: RunConfig):
         energy = params.energy_from_eigenvalue(lam)
         rep = shooting_eigenvalue(shooter, idx)
         e_shoot = params.energy_from_eigenvalue(rep.eigenvalue)
-        rows.append([idx, lam, energy, e_shoot, abs(energy - e_shoot)])
+        delta = abs(energy - e_shoot)
+        if not delta <= AGREE_RTOL * abs(energy):
+            raise SolverError(
+                f"level {idx}: matrix energy {energy:.12g} and shooting energy "
+                f"{e_shoot:.12g} differ by more than {AGREE_RTOL:g} (relative)"
+            )
+        rows.append([idx, lam, energy, e_shoot, delta])
     return rows, fine_spec
 
 
@@ -311,26 +323,22 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, count: int)
 
 
 def cmd_profile(cfg: RunConfig, which: str, energy: float | None) -> int:
+    """Mass M = 1/c or V_eff - Lambda = q - lam w of the model's SL problem."""
+    if which == "veff" and energy is None:
+        raise ConfigError("veff profile requires --energy")
     pmax = cfg.resolved_pmax()
-    grid = make_grid(-pmax, pmax, cfg.n)
     params = cfg.params()
-    try:
-        if which == "mass":
-            prof = params.mass(grid)
-        elif which == "veff":
-            if energy is None:
-                raise ConfigError("veff profile requires --energy")
-            prof = params.veff(energy, grid)
-        else:
-            raise ConfigError(f"unknown profile {which!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [[float(p), float(v)] for p, v in zip(grid.points, prof.values)]
+    slp = params.sl(make_grid(-pmax, pmax, cfg.n))
+    if which == "mass":
+        prof = slp.mass
+    else:
+        prof = slp.effective_potential(params.eigenvalue_from_energy(energy))
+    rows = [[float(p), float(v)] for p, v in zip(slp.grid.points, prof.values)]
     _emit(["p", "value"], rows, cfg)
     if cfg.plot and cfg.out not in (None, "-"):
         stem = cfg.out.rsplit(".", 1)[0]
         with open(stem + ".svg", "w") as fh:
-            fh.write(svg_polyline(grid.points, prof.values, f"{which} profile"))
+            fh.write(svg_polyline(slp.grid.points, prof.values, f"{which} profile"))
     return EXIT_OK
 
 

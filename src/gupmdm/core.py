@@ -144,6 +144,15 @@ class SturmLiouvilleProblem:
     def grid(self) -> Grid:
         return self.c.grid
 
+    @property
+    def mass(self) -> SampledFunction:
+        """Momentum-dependent mass M = 1/c of the Schroedinger reading."""
+        return 1.0 / self.c
+
+    def effective_potential(self, lam: float) -> SampledFunction:
+        """V_eff - Lambda = q - lam w, the potential at spectral parameter lam."""
+        return self.q - lam * self.w
+
 
 @dataclass(frozen=True)
 class Spectrum:

@@ -1,8 +1,9 @@
 """Deformed-oscillator and Swanson model builders.
 
 Translates the two deformed Hamiltonians into raw ODE coefficients and
-self-adjoint Sturm-Liouville problems, and evaluates the momentum-dependent
-mass / effective-potential profiles.
+self-adjoint Sturm-Liouville problems. The momentum-dependent mass and the
+effective potential are read off the SL problem (`SturmLiouvilleProblem.mass`,
+`.effective_potential`) rather than written out per model.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from .core import (
 )
 
 
+def _check_square(name: str, x: float) -> None:
+    """ValueError naming the parameter when x**2 overflows a float."""
+    try:
+        x**2
+    except OverflowError:
+        raise ValueError(f"{name}^2 overflows, got {name} = {x:g}") from None
+
+
 @dataclass(frozen=True)
 class GupOscillatorParams:
     """Deformed harmonic oscillator: frequency omega, deformation tau."""
@@ -34,6 +43,7 @@ class GupOscillatorParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
+        _check_square("omega", self.omega)
 
     @property
     def mu(self) -> float:
@@ -43,14 +53,12 @@ class GupOscillatorParams:
         """E from the generalized eigenvalue lam = 2E/omega^2."""
         return lam * self.omega**2 / 2.0
 
+    def eigenvalue_from_energy(self, energy: float) -> float:
+        """lam = 2E/omega^2, the inverse of energy_from_eigenvalue."""
+        return 2.0 * energy / self.omega**2
+
     def sl(self, grid: Grid) -> SturmLiouvilleProblem:
         return gup_oscillator_sl(self, grid)
-
-    def mass(self, grid: Grid) -> SampledFunction:
-        return mass_profile_gup(self, grid)
-
-    def veff(self, energy: float, grid: Grid) -> SampledFunction:
-        return effective_potential_gup(self, energy, grid)
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,7 @@ class SwansonParams:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
+        _check_square("omega", self.omega)
         if not self.omega**2 - 4.0 * self.alpha * self.beta > 0:
             raise ValueError("need omega^2 - 4*alpha*beta > 0")
         if not self.omega * (self.omega + self.alpha + self.beta) > 0:
@@ -78,18 +87,16 @@ class SwansonParams:
         """E from the generalized eigenvalue lam = 2E + alpha - beta."""
         return (lam - self.alpha + self.beta) / 2.0
 
+    def eigenvalue_from_energy(self, energy: float) -> float:
+        """lam = 2E + alpha - beta, the inverse of energy_from_eigenvalue."""
+        return 2.0 * energy + self.alpha - self.beta
+
     def sl(self, grid: Grid) -> SturmLiouvilleProblem:
         return swanson_sl(self, grid)
 
-    def mass(self, grid: Grid) -> SampledFunction:
-        return mass_profile_swanson(self, grid)
 
-    def veff(self, energy: float, grid: Grid) -> SampledFunction:
-        return effective_potential_swanson(self, energy, grid)
-
-
-# Model name -> params class. The methods above look the module functions up
-# at call time, so patching a module attribute reaches calls made through here.
+# Model name -> params class. `sl` looks the builder up at call time, so
+# patching a module attribute reaches calls made through here.
 MODELS = {"gup-oscillator": GupOscillatorParams, "swanson": SwansonParams}
 
 
@@ -140,107 +147,43 @@ def gup_oscillator_sl(params: GupOscillatorParams, grid: Grid) -> SturmLiouville
 
 
 class WeightOverflowError(ValueError):
-    """Integrating-factor weight exceeded the configured cap."""
+    """The Swanson integrating factor W(p) is not finite on the grid."""
 
-    def __init__(self, p_at: float, value: float, cap: float):
+    def __init__(self, p_at: float):
         self.p_at = p_at
-        self.value = value
-        self.cap = cap
-        super().__init__(
-            f"weight W(p) = {value:.3e} exceeds cap {cap:.1e} at p = {p_at:g}"
-        )
+        super().__init__(f"weight W(p) is not finite at p = {p_at:g}")
 
 
-def _swanson_weight(params: SwansonParams, p: np.ndarray, cap: float) -> np.ndarray:
-    """Integrating factor W(p); exp(delta p^2) on the tau = 0 branch."""
-    big_g = params.omega * (params.omega + params.alpha + params.beta)
-    delta = (params.alpha - params.beta) / big_g
-    if params.tau > 0:
-        with np.errstate(over="ignore"):
-            w = (1.0 + params.tau * p * p) ** (1.0 + delta / params.tau)
-    else:
-        with np.errstate(over="ignore"):
-            w = np.exp(delta * p * p)
-    bad = ~np.isfinite(w) | (np.abs(w) > cap)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise WeightOverflowError(float(p[i]), float(w[i]), cap)
-    return w
-
-
-def swanson_sl(
-    params: SwansonParams, grid: Grid, weight_cap: float = 1e12
-) -> SturmLiouvilleProblem:
+def swanson_sl(params: SwansonParams, grid: Grid) -> SturmLiouvilleProblem:
     """Self-adjoint form of the deformed Swanson eigenvalue equation.
 
+    With G = omega (omega+alpha+beta), delta = (alpha-beta)/G,
+    C = (omega-alpha-beta)/omega - (omega+alpha-beta) tau and the integrating
+    factor W = (1+tau p^2)^(1+delta/tau), exp(delta p^2) at tau = 0:
+    c = W, q = C p^2 W/((1+tau p^2)^2 G), w = W/((1+tau p^2)^2 G).
     The generalized eigenvalue is lam = 2E + alpha - beta.
     """
     p = grid.points
     u = 1.0 + params.tau * p * p
     big_g = params.omega * (params.omega + params.alpha + params.beta)
-    big_c = (
-        (params.omega - params.alpha - params.beta) / params.omega
-        - (params.omega + params.alpha - params.beta) * params.tau
-    )
-    w_fac = _swanson_weight(params, p, weight_cap)
-    return SturmLiouvilleProblem(
-        c=SampledFunction(grid, w_fac),
-        q=SampledFunction(grid, big_c * p * p * w_fac / (u**2 * big_g)),
-        w=SampledFunction(grid, w_fac / (u**2 * big_g)),
-    )
-
-
-def mass_profile_gup(params: GupOscillatorParams, grid: Grid) -> SampledFunction:
-    """M(p) = (1+tau p^2)^-1."""
-    p = grid.points
-    return SampledFunction(grid, 1.0 / (1.0 + params.tau * p * p))
-
-
-def mass_profile_swanson(params: SwansonParams, grid: Grid) -> SampledFunction:
-    """M(p) = (1+tau p^2)^-[1 + (alpha-beta)/(omega tau (omega+alpha+beta))]."""
-    if params.tau == 0:
-        raise ValueError(
-            "mass exponent is singular at tau = 0; the tau = 0 limit is the "
-            "exp(delta p^2) weight handled by swanson_sl"
-        )
-    p = grid.points
-    expo = 1.0 + (params.alpha - params.beta) / (
-        params.omega * params.tau * (params.omega + params.alpha + params.beta)
-    )
-    return SampledFunction(grid, (1.0 + params.tau * p * p) ** (-expo))
-
-
-def effective_potential_gup(
-    params: GupOscillatorParams, energy: float, grid: Grid
-) -> SampledFunction:
-    """V_eff - Lambda = (mu^2 p^2 - lam)/(1+tau p^2), lam = 2E/omega^2."""
-    p = grid.points
-    lam = 2.0 * energy / params.omega**2
-    return SampledFunction(
-        grid, (params.mu**2 * p * p - lam) / (1.0 + params.tau * p * p)
-    )
-
-
-def effective_potential_swanson(
-    params: SwansonParams, energy: float, grid: Grid
-) -> SampledFunction:
-    """V_eff - Lambda for the deformed Swanson problem.
-
-    Bracket [C p^2 - (2E+alpha-beta)] times
-    (1+tau p^2)^(-1 + delta/tau) / (omega (omega+alpha+beta)).
-    """
-    if params.tau == 0:
-        raise ValueError("effective potential exponent is singular at tau = 0")
-    p = grid.points
-    u = 1.0 + params.tau * p * p
-    big_g = params.omega * (params.omega + params.alpha + params.beta)
     delta = (params.alpha - params.beta) / big_g
     big_c = (
         (params.omega - params.alpha - params.beta) / params.omega
         - (params.omega + params.alpha - params.beta) * params.tau
     )
-    bracket = big_c * p * p - (2.0 * energy + params.alpha - params.beta)
-    return SampledFunction(grid, bracket * u ** (-1.0 + delta / params.tau) / big_g)
+    with np.errstate(over="ignore"):
+        if params.tau > 0:
+            w_fac = u ** (1.0 + delta / params.tau)
+        else:
+            w_fac = np.exp(delta * p * p)
+    bad = ~np.isfinite(w_fac)
+    if np.any(bad):
+        raise WeightOverflowError(float(p[np.argmax(bad)]))
+    return SturmLiouvilleProblem(
+        c=SampledFunction(grid, w_fac),
+        q=SampledFunction(grid, big_c * p * p * w_fac / (u**2 * big_g)),
+        w=SampledFunction(grid, w_fac / (u**2 * big_g)),
+    )
 
 
 def raw_residual_values(

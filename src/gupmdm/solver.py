@@ -143,7 +143,6 @@ class ShootingReport:
     """
 
     eigenvalue: float
-    node_count: int
     mismatch: float
     iterations: int
 
@@ -355,5 +354,5 @@ def shooting_eigenvalue(
     if not defect <= ANGLE_TOL:
         raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "
                            f"lambda = {lam:.12g}; the grid may not resolve it")
-    return ShootingReport(eigenvalue=lam, node_count=n, mismatch=defect,
+    return ShootingReport(eigenvalue=lam, mismatch=defect,
                           iterations=shooter.sweeps - sweeps)

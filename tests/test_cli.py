@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupmdm import cli
 from gupmdm.cli import (
@@ -149,6 +153,34 @@ class TestSolve:
         for n in range(3):
             assert shooting_eigenvalue(shooter, n).mismatch <= ANGLE_TOL
 
+    def test_matrix_shooting_disagreement_exit_3(self, capsys):
+        # On the unresolved omega = 0.001 grid the two methods differ by ~1000x
+        # the energy; that is a solver failure, not a printed spectrum.
+        rc = main(["solve", "--omega", "0.001", "--k", "2"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "differ by more than" in captured.err
+        assert captured.out == ""
+
+    def test_swanson_huge_weight_solves(self, capsys):
+        # W = exp(delta p^2) ~ 1e25 at the box edge: no cap, exact spectrum.
+        rc = main(["solve", "--model", "swanson", "--omega", "2", "--alpha", "0.9",
+                   "--beta", "0.05", "--pmax", "20"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        energies = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
+        omega_bar = math.sqrt(4.0 - 4.0 * 0.9 * 0.05)
+        for n, e in enumerate(energies):
+            assert abs(e - (n + 0.5) * omega_bar) <= 1e-6
+
+    @pytest.mark.parametrize("command", [["solve"], ["profile", "mass"]])
+    def test_omega_square_overflow_exit_2(self, command, capsys):
+        rc = main([*command, "--model", "swanson", "--omega", "1e200"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "overflows" in captured.err
+        assert captured.out == ""
+
     def test_unresolved_spectrum_exit_3(self, capsys):
         # The default box 12/sqrt(omega) is too wide for its 1201 points to
         # resolve the ground state of width sqrt(omega): a solver failure,
@@ -172,20 +204,29 @@ class TestSweep:
         assert all(line.endswith(",") for line in lines[1:])  # empty error column
 
     def test_failed_point_gets_nan_rows(self, capsys):
-        # Small tau makes the Swanson weight exponent ~ 1/tau, overflowing the
-        # weight cap on this grid; those points must appear as NaN rows with a
-        # message rather than aborting the sweep.
+        # At tau = 0 the Swanson weight exp(delta p^2) overflows on this wide
+        # box; that point must appear as NaN rows with a message rather than
+        # aborting the sweep, while tau = 0.1 solves.
         rc = main(["sweep", "--model", "swanson", "--omega", "2.0",
-                   "--alpha", "0.9", "--param", "tau", "--start", "0.001",
-                   "--stop", "0.1", "--count", "2", "--n", "201", "--k", "2",
-                   "--pmax", "40"])
+                   "--alpha", "0.9", "--param", "tau", "--start", "0.0",
+                   "--stop", "0.1", "--count", "2", "--n", "801", "--k", "2",
+                   "--pmax", "80"])
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().splitlines()[1:]
         failed = [l for l in lines if not l.endswith(",")]
         ok = [l for l in lines if l.endswith(",")]
         assert failed and ok
-        assert all("nan" in l for l in failed)
+        assert all("nan" in l and "not finite" in l for l in failed)
+
+    def test_disagreeing_point_gets_nan_rows(self, capsys):
+        rc = main(["sweep", "--param", "omega", "--start", "0.001", "--stop", "1",
+                   "--count", "2", "--n", "201", "--k", "2"])
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rc == 0
+        assert all(l.startswith("0.001,") and ",nan," in l and "differ by more than" in l
+                   for l in lines[:2])
+        assert all(l.endswith(",") for l in lines[2:])
 
     def test_count_one_rejected(self, capsys):
         rc = main(["sweep", "--param", "tau", "--start", "0", "--stop", "1",
@@ -218,10 +259,14 @@ class TestProfile:
                 (line.split(",") for line in out.strip().splitlines()[1:])}
         assert rows[0.0] == pytest.approx(-1.0, abs=1e-15)
 
-    def test_swanson_mass_tau_zero_exit_2(self, capsys):
+    def test_swanson_mass_tau_zero_gaussian(self, capsys):
         rc = main(["profile", "mass", "--model", "swanson", "--omega", "2.0",
-                   "--tau", "0.0", "--n", "11"])
-        assert rc == 2
+                   "--alpha", "0.3", "--beta", "0.1", "--tau", "0.0", "--n", "11"])
+        assert rc == 0
+        delta = 0.2 / (2.0 * 2.4)
+        for line in capsys.readouterr().out.strip().splitlines()[1:]:
+            p, v = map(float, line.split(","))
+            assert v == pytest.approx(math.exp(-delta * p * p), rel=1e-14)
 
     def test_plot_svg(self, tmp_path):
         out = tmp_path / "mass.csv"
@@ -248,3 +293,44 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["passed"] is True
+
+
+EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])
+
+
+@given(
+    command=st.sampled_from([["solve"], ["profile", "mass"], ["profile", "veff"]]),
+    model=st.sampled_from(["gup-oscillator", "swanson"]),
+    omega=st.floats(0.1, 3.0),
+    tau=st.floats(0.0, 0.3),
+    alpha=st.floats(-0.5, 0.5),
+    beta=st.floats(-0.5, 0.5),
+    pmax=st.one_of(st.none(), st.floats(1.0, 20.0)),
+    energy=st.floats(-10.0, 10.0),
+    n=st.integers(-3, 201),
+    k=st.integers(-1, 8),
+    spoiled=st.sampled_from([None, "omega", "tau", "alpha", "beta", "pmax", "energy"]),
+    extreme=EXTREME,
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_main_fuzz_exit_codes(command, spoiled, extreme, **values):
+    """Any input exits 0, 2 or 3 without a traceback; exit 0 prints finite numbers.
+
+    One float option at a time (`spoiled`) takes an extreme value.
+    """
+    if spoiled is not None:
+        values[spoiled] = extreme
+    names = ["model", "omega", "tau", "alpha", "beta", "pmax", "n"]
+    names += {"solve": ["k"], "mass": [], "veff": ["energy"]}[command[-1]]
+    argv = [*command] + [f"--{name}={values[name]}" for name in names
+                         if values[name] is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc == 0:
+        text = out.getvalue().lower()
+        assert "nan" not in text and "inf" not in text
+    else:
+        assert out.getvalue() == ""
+        assert "error: " in err.getvalue()

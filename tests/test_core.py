@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gupmdm.core import (
     GridMismatchError,
     SampledFunction,
+    SturmLiouvilleProblem,
     constant,
     count_interior_sign_changes,
     derivative,
@@ -155,3 +156,16 @@ def test_count_interior_sign_changes():
     assert count_interior_sign_changes(np.array([0, 1, 2, 1, 0.0])) == 0
     assert count_interior_sign_changes(np.array([0, 1, -1, 1, 0.0])) == 2
     assert count_interior_sign_changes(np.array([0, 1, 0, -1, 0.0])) == 1
+
+
+def test_sl_problem_mass_and_effective_potential():
+    # -(c phi')' + q phi = lam w phi read as a Schroedinger equation with mass
+    # M = 1/c and V_eff - Lambda = q - lam w.
+    g = make_grid(-2, 2, 9)
+    slp = SturmLiouvilleProblem(c=sample(g, lambda p: 1.0 + p * p),
+                                q=sample(g, lambda p: p**4),
+                                w=sample(g, lambda p: 3.0 + p))
+    p = g.points
+    assert np.array_equal(slp.mass.values, 1.0 / (1.0 + p * p))
+    assert np.allclose(slp.effective_potential(1.5).values, p**4 - 1.5 * (3.0 + p),
+                       rtol=0, atol=1e-15)

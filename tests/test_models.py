@@ -9,12 +9,8 @@ from gupmdm.models import (
     GupOscillatorParams,
     SwansonParams,
     WeightOverflowError,
-    effective_potential_gup,
-    effective_potential_swanson,
     gup_oscillator_raw,
     gup_oscillator_sl,
-    mass_profile_gup,
-    mass_profile_swanson,
     raw_residual_values,
     sl_residual_values,
     swanson_sl,
@@ -29,6 +25,14 @@ def at(sf, p):
     i = int(np.argmin(np.abs(sf.grid.points - p)))
     assert abs(sf.grid.points[i] - p) < 1e-12
     return sf.values[i]
+
+
+def mass(params):
+    return params.sl(GRID).mass
+
+
+def veff(params, energy):
+    return params.sl(GRID).effective_potential(params.eigenvalue_from_energy(energy))
 
 
 class TestParams:
@@ -50,6 +54,9 @@ class TestParams:
         sw = SwansonParams(omega=2.0, alpha=0.3, beta=0.1)
         assert sw.energy_from_eigenvalue(1.2) == pytest.approx(0.5)
         assert sw.omega_bar == pytest.approx(math.sqrt(3.88))
+        for params in (gup, sw):
+            assert params.eigenvalue_from_energy(params.energy_from_eigenvalue(1.2)) == (
+                pytest.approx(1.2, rel=1e-15))
 
 
 class TestGupOscillatorRaw:
@@ -145,61 +152,60 @@ class TestSwansonSl:
 
 
 class TestMassProfiles:
+    """M = 1/c read off the SL problem, against the closed forms."""
+
     def test_gup_values(self):
-        m = mass_profile_gup(GupOscillatorParams(1.0, 1.0), GRID)
+        m = mass(GupOscillatorParams(1.0, 1.0))
         assert at(m, 0.0) == pytest.approx(1.0)
         assert at(m, 1.0) == pytest.approx(0.5)
 
     def test_gup_tau_zero_constant(self):
-        m = mass_profile_gup(GupOscillatorParams(1.0, 0.0), GRID)
+        m = mass(GupOscillatorParams(1.0, 0.0))
         assert np.allclose(m.values, 1.0)
 
     def test_gup_even_and_inverse_of_c(self):
-        params = GupOscillatorParams(1.0, 0.3)
-        m = mass_profile_gup(params, GRID)
+        m = mass(GupOscillatorParams(1.0, 0.3))
         assert np.allclose(m.values, m.values[::-1])
-        slp = gup_oscillator_sl(params, GRID)
-        assert np.allclose(m.values * slp.c.values, 1.0, atol=1e-14)
+        assert np.allclose(m.values, 1.0 / (1.0 + 0.3 * GRID.points**2), rtol=1e-15)
 
     def test_swanson_equals_gup_when_alpha_is_beta(self):
-        sw = mass_profile_swanson(SwansonParams(1.0, 0.2, 0.2, 0.1), GRID)
-        gup = mass_profile_gup(GupOscillatorParams(1.0, 0.1), GRID)
+        sw = mass(SwansonParams(1.0, 0.2, 0.2, 0.1))
+        gup = mass(GupOscillatorParams(1.0, 0.1))
         assert np.allclose(sw.values, gup.values, atol=1e-14)
 
     def test_swanson_point_value(self):
-        sw = mass_profile_swanson(SwansonParams(1.0, 0.2, 0.1, 0.1), GRID)
+        sw = mass(SwansonParams(1.0, 0.2, 0.1, 0.1))
         assert at(sw, 0.0) == pytest.approx(1.0)
         expo = 1.0 + 0.1 / (0.1 * 1.3)
         assert at(sw, 1.0) == pytest.approx(1.1**-expo, rel=1e-14)
         assert 1.1**-expo == pytest.approx(0.84482506, abs=1e-8)
 
-    def test_swanson_tau_zero_rejected(self):
-        with pytest.raises(ValueError, match="tau = 0"):
-            mass_profile_swanson(SwansonParams(1.0, 0.2, 0.1, 0.0), GRID)
+    def test_swanson_tau_zero_gaussian(self):
+        # The tau -> 0 limit of (1+tau p^2)^-(1+delta/tau) is exp(-delta p^2).
+        sw = mass(SwansonParams(1.0, 0.2, 0.1, 0.0))
+        assert np.allclose(sw.values, np.exp(-0.1 / 1.3 * GRID.points**2), rtol=1e-14)
 
 
 class TestEffectivePotentials:
+    """V_eff - Lambda = q - lam w read off the SL problem."""
+
     def test_gup_values(self):
-        params = GupOscillatorParams(1.0, 1.0)
-        v = effective_potential_gup(params, 0.5, GRID)
+        v = veff(GupOscillatorParams(1.0, 1.0), 0.5)
         assert at(v, 0.0) == pytest.approx(-1.0)  # -lam = -2E/omega^2
         assert at(v, 1.0) == pytest.approx(0.0)
 
     def test_gup_tau_zero_parabola(self):
-        params = GupOscillatorParams(2.0, 0.0)
-        v = effective_potential_gup(params, 1.0, GRID)
+        v = veff(GupOscillatorParams(2.0, 0.0), 1.0)
         assert np.allclose(v.values, GRID.points**2 / 4 - 0.5, atol=1e-13)
 
     def test_swanson_at_origin(self):
-        params = SwansonParams(1.0, 0.2, 0.1, 0.1)
-        v = effective_potential_swanson(params, 0.5, GRID)
+        v = veff(SwansonParams(1.0, 0.2, 0.1, 0.1), 0.5)
         assert at(v, 0.0) == pytest.approx(-(2 * 0.5 + 0.1) / 1.3)
 
     def test_swanson_point_value(self):
         # Independent arithmetic: bracket = (0.7 - 1.1*0.1) - 1.1 = -0.51,
         # power = -1 + delta/tau = -3/13, divided by omega(omega+a+b) = 1.3.
-        params = SwansonParams(1.0, 0.2, 0.1, 0.1)
-        v = effective_potential_swanson(params, 0.5, GRID)
+        v = veff(SwansonParams(1.0, 0.2, 0.1, 0.1), 0.5)
         expected = -0.51 * 1.1 ** (-3 / 13) / 1.3
         assert expected == pytest.approx(-0.38377322, abs=1e-8)
         assert at(v, 1.0) == pytest.approx(expected, rel=1e-13)
@@ -208,13 +214,16 @@ class TestEffectivePotentials:
         # With alpha = beta the bracket reduces to the oscillator form up to
         # the 1/omega^2 normalization (exactly in the tau -> 0 limit).
         omega, tau = 1.3, 1e-7
-        sw = effective_potential_swanson(SwansonParams(omega, 0.0, 0.0, tau), 0.7, GRID)
-        gup = effective_potential_gup(GupOscillatorParams(omega, tau), 0.7, GRID)
+        sw = veff(SwansonParams(omega, 0.0, 0.0, tau), 0.7)
+        gup = veff(GupOscillatorParams(omega, tau), 0.7)
         assert np.allclose(sw.values, gup.values, atol=1e-5)
 
-    def test_swanson_tau_zero_rejected(self):
-        with pytest.raises(ValueError):
-            effective_potential_swanson(SwansonParams(1.0, 0.2, 0.1, 0.0), 0.5, GRID)
+    def test_swanson_tau_zero_gaussian(self):
+        # tau = 0: (C p^2 - (2E+alpha-beta)) exp(delta p^2)/G with C = 0.7.
+        v = veff(SwansonParams(1.0, 0.2, 0.1, 0.0), 0.5)
+        p = GRID.points
+        expected = (0.7 * p * p - 1.1) * np.exp(0.1 / 1.3 * p * p) / 1.3
+        assert np.allclose(v.values, expected, rtol=1e-13, atol=0)
 
 
 def test_tau_continuity_of_spectrum():
@@ -237,18 +246,12 @@ MODEL_KWARGS = {
     "gup-oscillator": dict(omega=1.3, tau=0.1),
     "swanson": dict(omega=2.0, alpha=0.3, beta=0.1, tau=0.1),
 }
-MODEL_FUNCTIONS = {
-    "gup-oscillator": (gup_oscillator_sl, mass_profile_gup, effective_potential_gup),
-    "swanson": (swanson_sl, mass_profile_swanson, effective_potential_swanson),
-}
+MODEL_BUILDERS = {"gup-oscillator": gup_oscillator_sl, "swanson": swanson_sl}
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_table_methods_match_module_functions(name):
     params = MODELS[name](**MODEL_KWARGS[name])
-    build, mass, veff = MODEL_FUNCTIONS[name]
-    slp, ref = params.sl(GRID), build(params, GRID)
+    slp, ref = params.sl(GRID), MODEL_BUILDERS[name](params, GRID)
     for attr in ("c", "q", "w"):
         assert np.array_equal(getattr(slp, attr).values, getattr(ref, attr).values)
-    assert np.array_equal(params.mass(GRID).values, mass(params, GRID).values)
-    assert np.array_equal(params.veff(0.7, GRID).values, veff(params, 0.7, GRID).values)
