@@ -4,6 +4,10 @@ Outputs are deterministic: fixed float formatting (17 significant digits),
 fixed row order, no timestamps, so repeated runs with the same config are
 byte-identical.
 
+`solve` and `sweep` solve each model in its Liouville normal form
+(`gupmdm.models.normal_form_sl`), so they take no box size; `profile` prints
+the momentum-space problem on [-pmax, pmax].
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid config, 3 solver failure.
 """
 
@@ -13,7 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +30,8 @@ from .models import (
     SwansonParams,
     gup_oscillator_raw,
     gup_oscillator_sl,
+    normal_form_grid,
+    normal_form_sl,
     raw_residual_values,
     sl_residual_values,
 )
@@ -58,17 +65,11 @@ class RunConfig:
     tau: float = 0.0
     alpha: float = 0.0
     beta: float = 0.0
-    pmax: float | None = None       # default 12/sqrt(omega)
     n: int = 1201
     k: int = 6
     format: str = "csv"
     out: str | None = None
     plot: bool = False
-
-    def resolved_pmax(self) -> float:
-        if self.pmax is not None:
-            return self.pmax
-        return 12.0 / math.sqrt(abs(self.omega)) if self.omega != 0 else 12.0
 
     def params(self):
         cls = MODELS.get(self.model)
@@ -90,11 +91,6 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         self.params()
         return self
-
-    def echo(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["pmax"] = self.resolved_pmax()
-        return d
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -173,7 +169,7 @@ def write_table(header: list[str], rows: list[list], cfg: RunConfig, dest) -> No
             )
     else:
         payload = {
-            "meta": {"config": cfg.echo(), "version": __version__},
+            "meta": {"config": asdict(cfg), "version": __version__},
             "rows": [dict(zip(header, row)) for row in rows],
         }
         json.dump(payload, dest, indent=2, default=float)
@@ -246,18 +242,23 @@ AGREE_RTOL = 1e-6
 
 
 def _solve_rows(cfg: RunConfig):
-    """Rows of one solve; SolverError when matrix and shooting disagree."""
-    pmax = cfg.resolved_pmax()
+    """Rows of one normal-form solve and its fine-grid spectrum in x.
+
+    ValueError (naming tau) where the model has no usable normal form;
+    SolverError when matrix and shooting disagree.
+    """
     params = cfg.params()
-    lams, fine_slp, fine_spec = solve_extrapolated(
-        params.sl, make_grid(-pmax, pmax, cfg.n), cfg.k
+    form = params.normal_form()
+    mus, fine_slp, fine_spec = solve_extrapolated(
+        partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k
     )
     shooter = Shooter(fine_slp)
     rows = []
-    for idx, lam in enumerate(lams.tolist()):
+    for idx, mu in enumerate(mus.tolist()):
+        lam = form.eigenvalue(mu)
         energy = params.energy_from_eigenvalue(lam)
         rep = shooting_eigenvalue(shooter, idx)
-        e_shoot = params.energy_from_eigenvalue(rep.eigenvalue)
+        e_shoot = params.energy_from_eigenvalue(form.eigenvalue(rep.eigenvalue))
         delta = abs(energy - e_shoot)
         if not delta <= AGREE_RTOL * abs(energy):
             raise SolverError(
@@ -277,18 +278,18 @@ def cmd_solve(cfg: RunConfig) -> int:
         with open(stem + ".svg", "w") as fh:
             fh.write(
                 svg_polyline(
-                    grid.points, spec.eigenfunctions[0].values, "ground state"
+                    grid.points, spec.eigenfunctions[0].values, "ground state y0(x)"
                 )
             )
         with open(stem + "_eigenfunctions.csv", "w") as fh:
             fh.write(
-                "p," + ",".join(f"phi{j}" for j in range(len(spec.eigenfunctions)))
+                "x," + ",".join(f"y{j}" for j in range(len(spec.eigenfunctions)))
                 + "\n"
             )
-            for i, p in enumerate(grid.points):
+            for i, x in enumerate(grid.points):
                 fh.write(
                     ",".join(
-                        [_fmt(float(p))]
+                        [_fmt(float(x))]
                         + [_fmt(float(f.values[i])) for f in spec.eigenfunctions]
                     )
                     + "\n"
@@ -322,12 +323,18 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, count: int)
     return EXIT_OK
 
 
-def cmd_profile(cfg: RunConfig, which: str, energy: float | None) -> int:
-    """Mass M = 1/c or V_eff - Lambda = q - lam w of the model's SL problem."""
+def cmd_profile(
+    cfg: RunConfig, which: str, energy: float | None, pmax: float | None = None
+) -> int:
+    """Mass M = 1/c or V_eff - Lambda = q - lam w of the model's SL problem.
+
+    On p in [-pmax, pmax]; pmax defaults to 12/sqrt(|omega|).
+    """
     if which == "veff" and energy is None:
         raise ConfigError("veff profile requires --energy")
-    pmax = cfg.resolved_pmax()
     params = cfg.params()
+    if pmax is None:
+        pmax = 12.0 / math.sqrt(abs(cfg.omega))
     slp = params.sl(make_grid(-pmax, pmax, cfg.n))
     if which == "mass":
         prof = slp.mass
@@ -516,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float)
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
-        p.add_argument("--pmax", type=float)
         p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--format", choices=("csv", "json"))
@@ -542,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_profile)
     p_profile.add_argument("which", choices=("mass", "veff"))
     p_profile.add_argument("--energy", type=float)
+    p_profile.add_argument("--pmax", type=float,
+                           help="momentum box half-width (default 12/sqrt(omega))")
 
     return parser
 
@@ -574,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.param, args.start, args.stop, args.count)
         if args.command == "profile":
-            return cmd_profile(cfg, args.which, args.energy)
+            return cmd_profile(cfg, args.which, args.energy, args.pmax)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

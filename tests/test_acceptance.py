@@ -284,10 +284,42 @@ def test_criterion_09_tau_continuity(cross_method_matrix):
 
 
 def test_criterion_10_determinism(tmp_path):
-    args = ["solve", "--n", "401", "--k", "4", "--pmax", "10", "--tau", "0.05"]
+    args = ["solve", "--n", "401", "--k", "4", "--tau", "0.05"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     ok = a.read_bytes() == b.read_bytes()
     report(10, "determinism", ok, f"{a.stat().st_size} bytes, byte-identical = {ok}")
+    assert ok
+
+
+SWANSON = dict(model="swanson", omega=2.0, alpha=0.3, beta=0.1)
+CLOSED_FORM_POINTS = (
+    [dict(model="gup-oscillator", tau=tau, omega=omega) for tau in TAUS for omega in OMEGAS]
+    + [dict(SWANSON, tau=tau) for tau in (0.0, 0.05, 0.1, 0.2)]
+    + [dict(SWANSON, alpha=0.1, beta=0.3, tau=0.1),          # alpha < beta
+       dict(model="gup-oscillator", tau=0.5, omega=2.0)]     # tau * omega = 1
+)
+
+
+def test_criterion_11_closed_form_spectra(tmp_path):
+    # `gupmdm solve` at its defaults against the closed forms: the
+    # Kempf-Mangano-Mann spectrum and its Swanson analogue, (n+1/2) omega_bar
+    # at tau = 0 (`exact_energy`).
+    out = tmp_path / "solve.csv"
+    worst, where = 0.0, None
+    for point in CLOSED_FORM_POINTS:
+        argv = [f"--{name}={value}" for name, value in point.items()]
+        assert cli.main(["solve", *argv, "--out", str(out)]) == 0, point
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        params = cli.RunConfig(**point).params()
+        for row in rows:
+            n, energy = int(row[0]), float(row[2])
+            rel = abs(energy - params.exact_energy(n)) / params.exact_energy(n)
+            if rel > worst:
+                worst, where = rel, (point, n)
+    ok = worst <= 1e-6
+    report(11, "closed-form spectra", ok,
+           f"{len(CLOSED_FORM_POINTS)} points, worst relative error {worst:.3g} at {where}")
     assert ok

@@ -19,15 +19,16 @@ from gupmdm.cli import (
     parse_config_text,
 )
 from gupmdm.core import make_grid
-from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue
+from gupmdm.models import GupOscillatorParams, gup_oscillator_sl, normal_form_grid, normal_form_sl
+from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue, solve_sl
 
-FAST = ["--n", "201", "--k", "3", "--pmax", "8"]
+FAST = ["--n", "201", "--k", "3"]
 
 
 class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig(model="swanson", omega=2.0, alpha=0.3, beta=0.1,
-                        tau=0.05, pmax=9.0, n=401, k=4, format="json")
+                        tau=0.05, n=401, k=4, format="json")
         parsed = config_from_sources(parse_config_text(emit_config(cfg)), {})
         assert parsed == cfg
 
@@ -49,10 +50,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_sources({"omega": "abc"}, {})
 
-    def test_default_pmax_scales_with_omega(self):
-        cfg = RunConfig(omega=4.0)
-        assert cfg.resolved_pmax() == pytest.approx(6.0)
-        assert RunConfig(omega=1.0, pmax=7.5).resolved_pmax() == 7.5
+    def test_pmax_rejected_outside_profile(self, tmp_path, capsys):
+        # solve and sweep work in the normal form, which has no box to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--pmax", "8"])
+        assert exc.value.code == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("omega = 2.0\npmax = 8\n")
+        assert main(["solve", "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown config key 'pmax'" in captured.err
+        assert captured.out == ""
 
     def test_validate_rejects_small_n(self):
         with pytest.raises(ConfigError):
@@ -79,7 +87,8 @@ class TestSolve:
         rc = main(["solve", *FAST, "--format", "json", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["meta"]["config"]["pmax"] == 8.0
+        assert payload["meta"]["config"]["n"] == 201
+        assert "pmax" not in payload["meta"]["config"]
         assert len(payload["rows"]) == 3
         e0 = payload["rows"][0]["energy"]
         assert e0 == pytest.approx(0.5, abs=1e-4)
@@ -87,7 +96,7 @@ class TestSolve:
 
     def test_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("omega = 2.0\ntau = 0.05\nn = 201\nk = 2\npmax = 8\n")
+        cfgfile.write_text("omega = 2.0\ntau = 0.05\nn = 201\nk = 2\n")
         rc = main(["solve", "--config", str(cfgfile)])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
@@ -100,7 +109,7 @@ class TestSolve:
         assert svg.startswith("<?xml")
         assert "<polyline" in svg
         funcs = (tmp_path / "run_eigenfunctions.csv").read_text().splitlines()
-        assert funcs[0] == "p,phi0,phi1,phi2"
+        assert funcs[0] == "x,y0,y1,y2"
         assert len(funcs) == 402  # header + refined grid (2n-1 points)
 
     def test_invalid_model_params_exit_2(self, capsys):
@@ -135,37 +144,35 @@ class TestSolve:
         assert captured.out == ""
 
     def test_small_omega_shooting_levels_distinct(self, capsys):
-        # The default box at omega = 0.001 is too wide for its grid. A search
-        # that stops short there prints one non-root for two levels; each
-        # level must be a root of its own angle target, or the solve exits 3.
+        # A search that stops short prints one non-root for two levels; each
+        # level must be a root of its own angle target.
         rc = main(["solve", "--omega", "0.001", "--k", "3"])
         captured = capsys.readouterr()
-        if rc == 3:
-            assert "solver error" in captured.err
-            return
-        assert rc == 0
+        assert rc == 0, captured.err
         shot = [float(line.split(",")[3]) for line in captured.out.strip().splitlines()[1:]]
         assert len(shot) == 3
         assert shot[0] < shot[1] < shot[2]
         cfg = RunConfig(omega=0.001, k=3)
-        pmax = cfg.resolved_pmax()
-        shooter = Shooter(cfg.params().sl(make_grid(-pmax, pmax, cfg.n).refined()))
+        eps = cfg.params().normal_form().eps
+        shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, cfg.n).refined()))
         for n in range(3):
             assert shooting_eigenvalue(shooter, n).mismatch <= ANGLE_TOL
 
     def test_matrix_shooting_disagreement_exit_3(self, capsys):
-        # On the unresolved omega = 0.001 grid the two methods differ by ~1000x
-        # the energy; that is a solver failure, not a printed spectrum.
-        rc = main(["solve", "--omega", "0.001", "--k", "2"])
+        # At tau*omega = 4 the singular ends slow both methods down; at the
+        # default n they differ by about 1e-5 relative. That is a solver
+        # failure, not a printed spectrum.
+        rc = main(["solve", "--tau", "4"])
         captured = capsys.readouterr()
         assert rc == 3
         assert "differ by more than" in captured.err
         assert captured.out == ""
 
     def test_swanson_huge_weight_solves(self, capsys):
-        # W = exp(delta p^2) ~ 1e25 at the box edge: no cap, exact spectrum.
+        # The p-space weight exp(delta p^2) grows fast here; the normal form
+        # has no weight to overflow, and the spectrum is exact.
         rc = main(["solve", "--model", "swanson", "--omega", "2", "--alpha", "0.9",
-                   "--beta", "0.05", "--pmax", "20"])
+                   "--beta", "0.05"])
         out = capsys.readouterr().out
         assert rc == 0
         energies = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
@@ -181,21 +188,33 @@ class TestSolve:
         assert "overflows" in captured.err
         assert captured.out == ""
 
-    def test_unresolved_spectrum_exit_3(self, capsys):
-        # The default box 12/sqrt(omega) is too wide for its 1201 points to
-        # resolve the ground state of width sqrt(omega): a solver failure,
+    def test_unresolved_spectrum_exit_3(self):
+        # A p box of 12/sqrt(omega) is too wide for 1201 points to resolve the
+        # ground state of width sqrt(omega): a SolverError (exit 3 from main),
         # not a config error.
-        rc = main(["solve", "--omega", "0.001"])
+        params = GupOscillatorParams(omega=0.001)
+        pmax = 12.0 / math.sqrt(params.omega)
+        with pytest.raises(SolverError, match="strictly ascending"):
+            solve_sl(gup_oscillator_sl(params, make_grid(-pmax, pmax, 1201)), 6)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "swanson", "--omega", "2", "--alpha", "0.3", "--beta", "0.1",
+          "--tau", "0.8"], "<= 0 at tau = 0.8"),
+        (["--tau", "1e300"], "not finite at tau = 1e+300"),
+        (["--tau", "inf"], "not finite at tau = inf"),
+    ], ids=["oscillatory-end", "huge-tau", "inf-tau"])
+    def test_no_normal_form_exit_2(self, argv, message, capsys):
+        rc = main(["solve", *argv])
         captured = capsys.readouterr()
-        assert rc == 3
-        assert "solver error" in captured.err
+        assert rc == 2
+        assert message in captured.err
         assert captured.out == ""
 
 
 class TestSweep:
     def test_tau_sweep_csv(self, capsys):
         rc = main(["sweep", "--param", "tau", "--start", "0.0", "--stop", "0.1",
-                   "--count", "3", "--n", "201", "--k", "2", "--pmax", "8"])
+                   "--count", "3", "--n", "201", "--k", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().splitlines()
@@ -204,27 +223,28 @@ class TestSweep:
         assert all(line.endswith(",") for line in lines[1:])  # empty error column
 
     def test_failed_point_gets_nan_rows(self, capsys):
-        # At tau = 0 the Swanson weight exp(delta p^2) overflows on this wide
-        # box; that point must appear as NaN rows with a message rather than
-        # aborting the sweep, while tau = 0.1 solves.
+        # At tau = 0.8 this Swanson model has Q <= 0 (an oscillatory end);
+        # that point must appear as NaN rows with a message rather than
+        # aborting the sweep, while tau = 0 solves.
         rc = main(["sweep", "--model", "swanson", "--omega", "2.0",
-                   "--alpha", "0.9", "--param", "tau", "--start", "0.0",
-                   "--stop", "0.1", "--count", "2", "--n", "801", "--k", "2",
-                   "--pmax", "80"])
+                   "--alpha", "0.3", "--beta", "0.1", "--param", "tau",
+                   "--start", "0.0", "--stop", "0.8", "--count", "2",
+                   "--n", "201", "--k", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().splitlines()[1:]
         failed = [l for l in lines if not l.endswith(",")]
         ok = [l for l in lines if l.endswith(",")]
         assert failed and ok
-        assert all("nan" in l and "not finite" in l for l in failed)
+        assert all(l.startswith("0.8") and "nan" in l and "<= 0 at tau = 0.8" in l
+                   for l in failed)
 
     def test_disagreeing_point_gets_nan_rows(self, capsys):
-        rc = main(["sweep", "--param", "omega", "--start", "0.001", "--stop", "1",
-                   "--count", "2", "--n", "201", "--k", "2"])
+        rc = main(["sweep", "--param", "tau", "--start", "4", "--stop", "0.1",
+                   "--count", "2", "--k", "2"])
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         assert rc == 0
-        assert all(l.startswith("0.001,") and ",nan," in l and "differ by more than" in l
+        assert all(l.startswith("4,") and ",nan," in l and "differ by more than" in l
                    for l in lines[:2])
         assert all(l.endswith(",") for l in lines[2:])
 
@@ -235,6 +255,21 @@ class TestSweep:
 
 
 class TestProfile:
+    @pytest.mark.parametrize("argv, pmax", [([], 6.0), (["--pmax", "7.5"], 7.5)])
+    def test_window(self, argv, pmax, capsys):
+        # Default 12/sqrt(omega), or the explicit --pmax.
+        rc = main(["profile", "mass", "--omega", "4", "--n", "5", *argv])
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rc == 0
+        assert [float(r.split(",")[0]) for r in rows] == [-pmax, -pmax / 2, 0.0, pmax / 2, pmax]
+
+    def test_profile_without_normal_form(self, capsys):
+        # Q <= 0 rules out a solve, not the p-space profile.
+        rc = main(["profile", "mass", "--model", "swanson", "--omega", "2",
+                   "--alpha", "0.3", "--beta", "0.1", "--tau", "0.8", "--n", "11"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 12
+
     def test_mass_values(self, capsys):
         rc = main(["profile", "mass", "--tau", "0.25", "--pmax", "2",
                    "--n", "5"])
@@ -320,8 +355,8 @@ def test_main_fuzz_exit_codes(command, spoiled, extreme, **values):
     """
     if spoiled is not None:
         values[spoiled] = extreme
-    names = ["model", "omega", "tau", "alpha", "beta", "pmax", "n"]
-    names += {"solve": ["k"], "mass": [], "veff": ["energy"]}[command[-1]]
+    names = ["model", "omega", "tau", "alpha", "beta", "n"]
+    names += {"solve": ["k"], "mass": ["pmax"], "veff": ["pmax", "energy"]}[command[-1]]
     argv = [*command] + [f"--{name}={values[name]}" for name in names
                          if values[name] is not None]
     out, err = io.StringIO(), io.StringIO()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from gupmdm.models import (
     SwansonParams,
     WeightOverflowError,
     gup_oscillator_raw,
+    NORMAL_FORM_HALF_WIDTH,
     gup_oscillator_sl,
+    normal_form_grid,
+    normal_form_sl,
     raw_residual_values,
     sl_residual_values,
     swanson_sl,
 )
-from gupmdm.solver import richardson, shooting_eigenvalue, solve_sl
+from gupmdm.solver import richardson, shooting_eigenvalue, solve_extrapolated, solve_sl
 
 
 GRID = make_grid(-6, 6, 241)
@@ -149,6 +153,85 @@ class TestSwansonSl:
             lam = richardson(s1.eigenvalues[n], s2.eigenvalues[n])
             shot = shooting_eigenvalue(slp2, n).eigenvalue
             assert abs(lam - shot) <= 1e-6 * max(1.0, abs(shot))
+
+
+class TestNormalForm:
+    """(S, B, k^2), the exact levels, and the builder shared by both models."""
+
+    @pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (0.05, 1.0), (0.1, 2.0),
+                                            (1.0, 1.0), (0.01, 0.001)])
+    def test_oscillator_exact_energy_is_kmm(self, tau, omega):
+        # Kempf-Mangano-Mann: E_n = omega[(n+1/2)(sqrt(1+g^2/4)+g/2) + g n^2/2],
+        # g = tau omega.
+        params = GupOscillatorParams(omega=omega, tau=tau)
+        g = tau * omega
+        for n in range(8):
+            kmm = omega * ((n + 0.5) * (math.sqrt(1 + g * g / 4) + g / 2) + g * n * n / 2)
+            assert params.exact_energy(n) == pytest.approx(kmm, rel=1e-14)
+
+    def test_oscillator_eps_depends_on_tau_omega_only(self):
+        a = GupOscillatorParams(omega=2.0, tau=0.1).normal_form().eps2
+        b = GupOscillatorParams(omega=0.5, tau=0.4).normal_form().eps2
+        assert a == pytest.approx(b, rel=1e-15)
+
+    def test_swanson_tau_zero_exact_energy(self):
+        params = SwansonParams(2.0, 0.3, 0.1, 0.0)
+        assert params.normal_form().k2 == 0.0
+        for n in range(6):
+            assert params.exact_energy(n) == pytest.approx((n + 0.5) * params.omega_bar,
+                                                           rel=1e-14)
+
+    @pytest.mark.parametrize("args", [(2.0, 0.3, 0.1, 0.05), (2.0, 0.1, 0.3, 0.05),
+                                      (1.8, -0.2, 0.4, 0.05)])
+    def test_swanson_exact_energy_matches_momentum_space(self, args):
+        # Independent of the normal form: the p-space problem on a wide box.
+        params = SwansonParams(*args)
+        lams, _, _ = solve_extrapolated(params.sl, make_grid(-30, 30, 3001), 4)
+        for n, lam in enumerate(lams):
+            assert params.energy_from_eigenvalue(lam) == pytest.approx(
+                params.exact_energy(n), rel=1e-7)
+
+    @pytest.mark.parametrize("params, message", [
+        (SwansonParams(2.0, 0.3, 0.1, 0.8), "<= 0 at tau = 0.8"),
+        (GupOscillatorParams(1.0, 1e300), "not finite at tau = 1e+300"),
+        (GupOscillatorParams(1.0, math.inf), "not finite at tau = inf"),
+        (GupOscillatorParams(1.0, math.nan), "not finite at tau = nan"),
+        (SwansonParams(2.0, 0.3, 0.1, 1e300), "not finite at tau = 1e+300"),
+    ], ids=["oscillatory-end", "huge-tau", "inf-tau", "nan-tau", "swanson-huge-tau"])
+    def test_unusable_normal_form_names_tau(self, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            params.normal_form()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            params.exact_energy(0)
+
+    def test_oscillatory_end_still_has_a_profile(self):
+        # The check sits in normal_form(), not in the constructor.
+        assert np.all(np.isfinite(mass(SwansonParams(2.0, 0.3, 0.1, 0.8)).values))
+
+    def test_grid_half_width(self):
+        assert normal_form_grid(0.0, 5).p_max == NORMAL_FORM_HALF_WIDTH
+        assert normal_form_grid(0.1, 5).p_max == NORMAL_FORM_HALF_WIDTH
+        assert normal_form_grid(0.5, 5).p_max == math.pi
+        assert normal_form_grid(0.5, 5).p_min == -math.pi
+
+    def test_eps_zero_is_harmonic(self):
+        grid = normal_form_grid(0.0, 241)
+        slp = normal_form_sl(0.0, grid)
+        assert np.array_equal(slp.q.values, grid.points**2)
+        assert np.all(slp.c.values == 1.0) and np.all(slp.w.values == 1.0)
+
+    def test_singular_ends_get_finite_stand_in(self):
+        eps = 0.8
+        grid = normal_form_grid(eps, 201)
+        q = normal_form_sl(eps, grid).q.values
+        assert q[0] == q[1] and q[-1] == q[-2]
+        x = grid.points[100:103]
+        inner = (1 - eps**4 / 4) * (np.tan(eps * x) / eps) ** 2
+        assert np.allclose(q[100:103], inner, rtol=1e-14)
+        # Below the singular width the box is truncated and keeps its ends.
+        grid = normal_form_grid(0.05, 201)
+        q = normal_form_sl(0.05, grid).q.values
+        assert q[0] > q[1]
 
 
 class TestMassProfiles:
