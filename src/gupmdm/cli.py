@@ -257,7 +257,9 @@ def _solve_rows(cfg: RunConfig):
     for idx, mu in enumerate(mus.tolist()):
         lam = form.eigenvalue(mu)
         energy = params.energy_from_eigenvalue(lam)
-        rep = shooting_eigenvalue(shooter, idx)
+        # The matrix eigenpair only saves sweeps: Theta has one root per level.
+        rep = shooting_eigenvalue(shooter, idx,
+                                  start=(mu, fine_spec.eigenfunctions[idx]))
         e_shoot = params.energy_from_eigenvalue(form.eigenvalue(rep.eigenvalue))
         delta = abs(energy - e_shoot)
         if not delta <= AGREE_RTOL * abs(energy):

@@ -38,10 +38,8 @@ from .core import (
 
 def _check_square(name: str, x: float) -> None:
     """ValueError naming the parameter when x**2 overflows a float."""
-    try:
-        x**2
-    except OverflowError:
-        raise ValueError(f"{name}^2 overflows, got {name} = {x:g}") from None
+    if math.isinf(x * x):
+        raise ValueError(f"{name}^2 overflows, got {name} = {x:g}")
 
 
 class NormalForm(NamedTuple):
@@ -107,6 +105,7 @@ class GupOscillatorParams:
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         _check_square("omega", self.omega)
+        _check_square("1/omega", self.mu)
 
     @property
     def mu(self) -> float:
@@ -241,20 +240,28 @@ def gup_oscillator_sl(params: GupOscillatorParams, grid: Grid) -> SturmLiouville
     -( (1+tau p^2) phi' )' + mu^2 p^2/(1+tau p^2) phi = lam phi/(1+tau p^2).
     """
     p = grid.points
-    u = 1.0 + params.tau * p * p
+    with np.errstate(all="ignore"):
+        u = 1.0 + params.tau * p * p
+        q = params.mu**2 * p * p / u
+        w = 1.0 / u
+    return _p_space_sl(params.tau, grid, u, q, w)
+
+
+def _p_space_sl(tau: float, grid: Grid, c, q, w) -> SturmLiouvilleProblem:
+    """The SL problem (c, q, w), or a ValueError naming tau where one is not finite."""
+    if not all(np.all(np.isfinite(a)) for a in (c, q, w)):
+        raise ValueError(f"the p-space coefficients are not finite at tau = {tau:g}")
     return SturmLiouvilleProblem(
-        c=SampledFunction(grid, u),
-        q=SampledFunction(grid, params.mu**2 * p * p / u),
-        w=SampledFunction(grid, 1.0 / u),
+        c=SampledFunction(grid, c), q=SampledFunction(grid, q), w=SampledFunction(grid, w)
     )
 
 
 class WeightOverflowError(ValueError):
     """The Swanson integrating factor W(p) is not finite on the grid."""
 
-    def __init__(self, p_at: float):
+    def __init__(self, p_at: float, tau: float):
         self.p_at = p_at
-        super().__init__(f"weight W(p) is not finite at p = {p_at:g}")
+        super().__init__(f"weight W(p) is not finite at p = {p_at:g}, tau = {tau:g}")
 
 
 def swanson_sl(params: SwansonParams, grid: Grid) -> SturmLiouvilleProblem:
@@ -267,21 +274,19 @@ def swanson_sl(params: SwansonParams, grid: Grid) -> SturmLiouvilleProblem:
     The generalized eigenvalue is lam = 2E + alpha - beta.
     """
     p = grid.points
-    u = 1.0 + params.tau * p * p
     big_g, delta, big_c = params.big_g, params.delta, params.big_c
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        u = 1.0 + params.tau * p * p
         if params.tau > 0:
             w_fac = u ** (1.0 + delta / params.tau)
         else:
             w_fac = np.exp(delta * p * p)
+        q = big_c * p * p * w_fac / (u**2 * big_g)
+        w = w_fac / (u**2 * big_g)
     bad = ~np.isfinite(w_fac)
     if np.any(bad):
-        raise WeightOverflowError(float(p[np.argmax(bad)]))
-    return SturmLiouvilleProblem(
-        c=SampledFunction(grid, w_fac),
-        q=SampledFunction(grid, big_c * p * p * w_fac / (u**2 * big_g)),
-        w=SampledFunction(grid, w_fac / (u**2 * big_g)),
-    )
+        raise WeightOverflowError(float(p[np.argmax(bad)]), params.tau)
+    return _p_space_sl(params.tau, grid, w_fac, q, w)
 
 
 # Half-width of the normal-form box where the interval |x| < pi/(2 eps) is

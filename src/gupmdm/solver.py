@@ -3,11 +3,13 @@
 Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
 RK4 shooting. Shooting finds level n as the root of the Pruefer angle sum
-Theta(lambda) = (n + 1) pi, one monotone function for every level: a
-`Shooter` memoizes Theta, brackets each level from the angles already
-computed, and polishes it with Brent's method; each sweep applies 2x2 RK4
-step matrices built with numpy. Richardson extrapolation and residual
-diagnostics round out the toolbox.
+Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized
+on a `Shooter`; each sweep applies 2x2 RK4 step matrices built with numpy.
+Started from a matrix eigenpair, the root search takes a Newton step with
+the slope of Theta read off the eigenfunction, then secant steps; without
+a start, or when those steps stray, it brackets the level from the angles
+already computed and polishes it with Brent's method. Richardson
+extrapolation and residual diagnostics round out the toolbox.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     SturmLiouvilleProblem,
     inner_slice,
     require_same_grid,
+    weighted_inner_product,
 )
 from .models import RawOdeCoefficients, raw_residual_values
 
@@ -153,6 +156,8 @@ MAX_BRACKET_STEPS = 60
 ANGLE_TOL = 1e-6
 # A secant expansion step aims this many times as far as the predicted root.
 _OVERSHOOT = 1.25
+# Newton and secant steps a seeded root search may take before it falls back.
+_SEED_STEPS = 6
 
 
 def _rk4_step(u, v, h, g0, gm, g1, ic0, icm, ic1):
@@ -217,6 +222,7 @@ class Shooter:
         self.ic_m = 1.0 / c_m
         self.q_n = q
         self.w_n = w
+        self.weight = slp.w
         qw = q / w
         self.qw_min = float(np.min(qw))
         # Matching index: near the potential minimum, clamped to the middle half.
@@ -289,6 +295,21 @@ class Shooter:
             theta = self._angles[lam] = self._angle(lam)
         return theta
 
+    def eigen_slope(self, phi: SampledFunction) -> float:
+        """dTheta/dlambda at an eigenvalue, from its eigenfunction phi.
+
+        Pruefer's identity gives dtheta/dlambda = (1/r^2) int w u^2 on each
+        side of the matching node m, with r^2 = u^2 + (c u')^2 at m. At an
+        eigenvalue both sides are phi, so the sum is
+        int w phi^2 / (phi_m^2 + (c_m phi'_m)^2) at any scale of phi, with
+        phi'_m a central difference; inf where phi and phi' vanish at m.
+        """
+        norm = weighted_inner_product(phi, phi, self.weight)
+        m, y = self.match, phi.values
+        dy = (y[m + 1] - y[m - 1]) / (2.0 * self.h)
+        r2 = float(y[m] ** 2 + (dy / self.ic_n[m]) ** 2)
+        return norm / r2 if r2 > 0.0 else math.inf
+
     def bracket(self, target: float) -> tuple[float, float]:
         """(lo, hi) with Theta(lo) <= target < Theta(hi), from the memo if it can.
 
@@ -324,18 +345,58 @@ class Shooter:
                            f"after {MAX_BRACKET_STEPS} expansion steps")
 
 
+def _seeded_root(shooter: Shooter, target: float, lam0: float,
+                 phi: SampledFunction, tol: float) -> float | None:
+    """Root of Theta - target by a Newton step from lam0, then secant steps.
+
+    The first slope is `Shooter.eigen_slope(phi)`, later ones the secant
+    through the last two angles. Returns the last lambda swept once a step
+    is at most `tol`, or None (fall back) when a slope is not positive and
+    finite, a step leaves the interval the memoized angles bracket, or
+    _SEED_STEPS steps do not converge.
+    """
+    lam = float(lam0)
+    if not math.isfinite(lam):
+        return None
+    theta = shooter.angle(lam)
+    slope = shooter.eigen_slope(phi)
+    for _ in range(_SEED_STEPS):
+        if not 0.0 < slope < math.inf:
+            return None
+        step = (target - theta) / slope
+        if abs(step) <= tol:
+            return lam
+        memo = shooter._angles.items()
+        lo = max((x for x, th in memo if th <= target), default=-math.inf)
+        hi = min((x for x, th in memo if th > target), default=math.inf)
+        new = lam + step
+        if not lo < new < hi:
+            return None
+        theta_new = shooter.angle(new)
+        slope = (theta_new - theta) / (new - lam)
+        lam, theta = new, theta_new
+    return None
+
+
 def shooting_eigenvalue(
     problem: SturmLiouvilleProblem | Shooter,
     n: int,
     rel_tol: float = 1e-10,
+    start: tuple[float, SampledFunction] | None = None,
 ) -> ShootingReport:
     """n-th eigenvalue by two-sided shooting on the Pruefer angle.
 
-    Level n is the root of Theta(lam) = (n + 1) pi. `Shooter.bracket` finds
-    it a bracket, from angles earlier levels on the same Shooter computed
-    where it can, and Brent's method polishes the root to `rel_tol`. A
-    `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter for every
-    level of a problem to share its sweeps.
+    Level n is the root of Theta(lam) = (n + 1) pi. With `start` = (lam0,
+    phi), a matrix estimate of level n and its eigenfunction, the search
+    sweeps at lam0, takes a Newton step with `Shooter.eigen_slope(phi)` and
+    then secant steps, and stops once a step is at most
+    rel_tol * max(1, |lam0|). Without a start, or when that search strays,
+    stalls or returns an angle off by more than ANGLE_TOL, `Shooter.bracket`
+    finds a bracket, from angles earlier levels on the same Shooter computed
+    where it can, and Brent's method polishes the root to `rel_tol`. Theta
+    has one root per level, so the start changes the cost, not the level
+    found. A `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter
+    for every level of a problem to share its sweeps.
 
     Raises BracketError when no bracket is found or the root misses the
     target angle by more than ANGLE_TOL (a jump in Theta, as on a grid too
@@ -347,9 +408,14 @@ def shooting_eigenvalue(
     shooter = problem if isinstance(problem, Shooter) else Shooter(problem)
     sweeps = shooter.sweeps
     target = (n + 1) * math.pi
-    lo, hi = shooter.bracket(target)
-    xtol = rel_tol * max(1.0, abs(lo), abs(hi))
-    lam = brentq(lambda x: shooter.angle(x) - target, lo, hi, xtol=xtol)
+    lam = None
+    if start is not None:
+        lam0, phi = start
+        lam = _seeded_root(shooter, target, lam0, phi, rel_tol * max(1.0, abs(lam0)))
+    if lam is None or not abs(shooter.angle(lam) - target) <= ANGLE_TOL:
+        lo, hi = shooter.bracket(target)
+        xtol = rel_tol * max(1.0, abs(lo), abs(hi))
+        lam = brentq(lambda x: shooter.angle(x) - target, lo, hi, xtol=xtol)
     defect = abs(shooter.angle(lam) - target)
     if not defect <= ANGLE_TOL:
         raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "

@@ -180,9 +180,13 @@ class TestSolve:
         for n, e in enumerate(energies):
             assert abs(e - (n + 0.5) * omega_bar) <= 1e-6
 
-    @pytest.mark.parametrize("command", [["solve"], ["profile", "mass"]])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--model", "swanson", "--omega", "1e200"],
+        ["profile", "mass", "--model", "swanson", "--omega", "1e200"],
+        ["profile", "mass", "--omega", "1e-200"],      # (1/omega)^2 overflows
+    ])
     def test_omega_square_overflow_exit_2(self, command, capsys):
-        rc = main([*command, "--model", "swanson", "--omega", "1e200"])
+        rc = main(command)
         captured = capsys.readouterr()
         assert rc == 2
         assert "overflows" in captured.err
@@ -262,6 +266,20 @@ class TestProfile:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert rc == 0
         assert [float(r.split(",")[0]) for r in rows] == [-pmax, -pmax / 2, 0.0, pmax / 2, pmax]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", [["mass"], ["veff", "--energy", "1"]])
+    @pytest.mark.parametrize("model", ["gup-oscillator", "swanson"])
+    @pytest.mark.parametrize("tau", ["inf", "nan", "1e300"])
+    def test_extreme_tau_no_warning(self, tau, model, which, capsys):
+        # The p-space builders: finite numbers, or exit 2 naming tau; no numpy
+        # RuntimeWarning on the way (warnings are errors here).
+        rc = main(["profile", *which, "--model", model, "--tau", tau, "--n", "11"])
+        captured = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert f"tau = {float(tau):g}" in captured.err
+            assert captured.out == ""
 
     def test_profile_without_normal_form(self, capsys):
         # Q <= 0 rules out a solve, not the p-space profile.

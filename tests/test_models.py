@@ -140,6 +140,7 @@ class TestSwansonSl:
         with pytest.raises(WeightOverflowError) as err:
             swanson_sl(params, big)
         assert abs(err.value.p_at) > 0
+        assert "tau = 0" in str(err.value)
 
     def test_cross_solver_spectrum(self):
         # Deformed Swanson solved by two independent methods.

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gupmdm.models import (
     SwansonParams,
     gup_oscillator_raw,
     gup_oscillator_sl,
+    normal_form_grid,
+    normal_form_sl,
     swanson_sl,
 )
 from gupmdm.solver import (
@@ -227,6 +230,113 @@ class TestShooting:
                              + gam * n * n / 2)
             e = params.energy_from_eigenvalue(shooting_eigenvalue(slp, n).eigenvalue)
             assert e == pytest.approx(exact, rel=1e-6)
+
+
+def _normal_form_solve(params, k=6):
+    """Richardson values, fine problem and fine spectrum of the default `solve`."""
+    eps = params.normal_form().eps
+    return solve_extrapolated(partial(normal_form_sl, eps), normal_form_grid(eps, 1201), k)
+
+
+# The acceptance points: TAUS x OMEGAS, and Swanson (2, 0.3, 0.1) at three taus.
+ACCEPTANCE_POINTS = (
+    [GupOscillatorParams(omega, tau) for tau in (0.0, 0.01, 0.05, 0.1)
+     for omega in (0.5, 1.0, 2.0)]
+    + [SwansonParams(2.0, 0.3, 0.1, tau) for tau in (0.0, 0.05, 0.2)]
+)
+
+
+def _spy_brackets(monkeypatch):
+    """List that records the target of every `Shooter.bracket` call."""
+    targets = []
+    bracket = Shooter.bracket
+    monkeypatch.setattr(Shooter, "bracket", lambda self, target:
+                        targets.append(target) or bracket(self, target))
+    return targets
+
+
+class TestSeededShooting:
+    @pytest.mark.parametrize("params", ACCEPTANCE_POINTS, ids=repr)
+    def test_seeded_matches_unseeded(self, params):
+        mus, slp, spec = _normal_form_solve(params)
+        seeded, plain = Shooter(slp), Shooter(slp)
+        for n, mu in enumerate(mus.tolist()):
+            rep = shooting_eigenvalue(seeded, n, start=(mu, spec.eigenfunctions[n]))
+            ref = shooting_eigenvalue(plain, n).eigenvalue
+            assert rep.eigenvalue == pytest.approx(ref, rel=2e-10, abs=0)
+            assert rep.mismatch <= ANGLE_TOL
+
+    def test_sweep_budget(self):
+        # Six levels at (tau, omega) = (0.05, 1) on the default grid: 42 sweeps
+        # unseeded, about 11 from the matrix eigenpairs.
+        mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05))
+        shooter = Shooter(slp)
+        total = sum(shooting_eigenvalue(shooter, n, start=(mu, spec.eigenfunctions[n]))
+                    .iterations for n, mu in enumerate(mus.tolist()))
+        assert total == shooter.sweeps <= 14
+
+    def test_eigen_slope_matches_angle(self):
+        # dTheta/dlambda from the eigenfunction against a difference of Theta.
+        mus, slp, spec = _normal_form_solve(SwansonParams(2.0, 0.3, 0.1, 0.05), k=3)
+        shooter = Shooter(slp)
+        for n, mu in enumerate(mus.tolist()):
+            d = 1e-6 * mu
+            fd = (shooter.angle(mu + d) - shooter.angle(mu - d)) / (2 * d)
+            phi = spec.eigenfunctions[n]
+            assert shooter.eigen_slope(phi) == pytest.approx(fd, rel=1e-3)
+            assert shooter.eigen_slope(phi * 3.0) == pytest.approx(fd, rel=1e-3)
+
+    @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-phi", "steep-slope",
+                                     "negative-slope", "nan-slope"])
+    def test_bad_start_falls_back(self, bad, monkeypatch):
+        # Level 2 at (0.05, 1) from a start that is wrong in one way each.
+        mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=4)
+        n = 2
+        ref = shooting_eigenvalue(slp, n).eigenvalue
+        lam0, phi = mus[n], spec.eigenfunctions[n]
+        slope = {"steep-slope": 1e12, "negative-slope": -1.0, "nan-slope": math.nan}.get(bad)
+        if slope is not None:
+            monkeypatch.setattr(Shooter, "eigen_slope", lambda self, phi: slope)
+        if bad == "next-level":
+            lam0, phi = mus[n + 1], spec.eigenfunctions[n + 1]
+        elif bad == "floor":
+            lam0 = Shooter(slp).qw_min
+        elif bad == "zero-phi":
+            phi = phi * 0.0                                    # slope inf
+        elif bad == "steep-slope":
+            # The first step is tiny, so the search stops at lam0, off the
+            # root; only the angle check sends it on to Brent.
+            lam0 = mus[n] * (1 + 1e-5)
+        brackets = _spy_brackets(monkeypatch)
+        rep = shooting_eigenvalue(slp, n, start=(lam0, phi))
+        assert rep.eigenvalue == pytest.approx(ref, rel=2e-10, abs=0)
+        assert rep.mismatch <= ANGLE_TOL
+        if bad not in ("next-level", "floor"):     # these may also converge seeded
+            assert brackets == [(n + 1) * math.pi]
+
+    def test_step_out_of_bracket_falls_back(self, monkeypatch):
+        # Theta = pi + atan(lam - 1) with angles known at 0.9 and 1.1: from
+        # 1.05, a slope far too shallow sends the Newton step out of (0.9, 1.1).
+        monkeypatch.setattr(Shooter, "_angle",
+                            lambda self, lam: math.pi + math.atan(lam - 1.0))
+        monkeypatch.setattr(Shooter, "eigen_slope", lambda self, phi: 1e-3)
+        slp = laplace_problem(51)
+        shooter = Shooter(slp)
+        shooter.angle(0.9), shooter.angle(1.1)
+        brackets = _spy_brackets(monkeypatch)
+        rep = shooting_eigenvalue(shooter, 0, start=(1.05, slp.w))
+        assert brackets == [math.pi]
+        # Nothing swept outside (0.9, 1.1) but the bracket's base, min q/w = 0.
+        assert all(0.9 <= lam <= 1.1 for lam in shooter._angles if lam != 0.0)
+        assert rep.eigenvalue == pytest.approx(1.0, abs=1e-9)
+
+    def test_bracket_error_when_seeded(self, monkeypatch):
+        # Theta never reaches the target: the seeded search stalls, and the
+        # fallback raises as it does unseeded.
+        mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=2)
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: 0.5)
+        with pytest.raises(BracketError, match="no angle above"):
+            shooting_eigenvalue(slp, 1, start=(mus[1], spec.eigenfunctions[1]))
 
 
 def _scalar_rk4_step(integ, lam, i, j):
