@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid config, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -176,13 +177,32 @@ def write_table(header: list[str], rows: list[list], cfg: RunConfig, dest) -> No
         dest.write("\n")
 
 
-def _emit(header: list[str], rows: list[list], cfg: RunConfig) -> None:
-    """write_table to cfg.out, or to stdout when it is unset or "-"."""
-    if cfg.out in (None, "-"):
-        write_table(header, rows, cfg, sys.stdout)
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The file `out`, or stdout when it is unset or "-"."""
+    if out in (None, "-"):
+        yield sys.stdout
     else:
-        with open(cfg.out, "w") as dest:
-            write_table(header, rows, cfg, dest)
+        with open(out, "w") as dest:
+            yield dest
+
+
+def _emit(header: list[str], rows: list[list], cfg: RunConfig) -> None:
+    with _output(cfg.out) as dest:
+        write_table(header, rows, cfg, dest)
+
+
+def _plot(cfg: RunConfig, xs, ys, title: str) -> str | None:
+    """With --plot and a file --out, write <stem>.svg of ys against xs.
+
+    stem is --out without its suffix; returns it, or None when there is no plot.
+    """
+    if not cfg.plot or cfg.out in (None, "-"):
+        return None
+    stem = cfg.out.rsplit(".", 1)[0]
+    with open(stem + ".svg", "w") as fh:
+        fh.write(svg_polyline(xs, ys, title))
+    return stem
 
 
 def svg_polyline(xs, ys, title: str) -> str:
@@ -274,28 +294,14 @@ def _solve_rows(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig) -> int:
     rows, spec = _solve_rows(cfg)
     _emit(["index", "lambda", "energy", "energy_shooting", "abs_delta"], rows, cfg)
-    if cfg.plot and cfg.out not in (None, "-"):
-        stem = cfg.out.rsplit(".", 1)[0]
-        grid = spec.eigenfunctions[0].grid
-        with open(stem + ".svg", "w") as fh:
-            fh.write(
-                svg_polyline(
-                    grid.points, spec.eigenfunctions[0].values, "ground state y0(x)"
-                )
-            )
+    ys = [f.values for f in spec.eigenfunctions]
+    x = spec.eigenfunctions[0].grid.points
+    stem = _plot(cfg, x, ys[0], "ground state y0(x)")
+    if stem is not None:
+        header = ["x", *(f"y{j}" for j in range(len(ys)))]
         with open(stem + "_eigenfunctions.csv", "w") as fh:
-            fh.write(
-                "x," + ",".join(f"y{j}" for j in range(len(spec.eigenfunctions)))
-                + "\n"
-            )
-            for i, x in enumerate(grid.points):
-                fh.write(
-                    ",".join(
-                        [_fmt(float(x))]
-                        + [_fmt(float(f.values[i])) for f in spec.eigenfunctions]
-                    )
-                    + "\n"
-                )
+            write_table(header, np.column_stack([x, *ys]).tolist(),
+                        replace(cfg, format="csv"), fh)
     return EXIT_OK
 
 
@@ -344,10 +350,7 @@ def cmd_profile(
         prof = slp.effective_potential(params.eigenvalue_from_energy(energy))
     rows = [[float(p), float(v)] for p, v in zip(slp.grid.points, prof.values)]
     _emit(["p", "value"], rows, cfg)
-    if cfg.plot and cfg.out not in (None, "-"):
-        stem = cfg.out.rsplit(".", 1)[0]
-        with open(stem + ".svg", "w") as fh:
-            fh.write(svg_polyline(slp.grid.points, prof.values, f"{which} profile"))
+    _plot(cfg, slp.grid.points, prof.values, f"{which} profile")
     return EXIT_OK
 
 
@@ -499,12 +502,8 @@ def cmd_verify(suite: str, out: str | None) -> int:
     checks = VERIFY_SUITES[suite]()
     passed = all(c["passed"] for c in checks)
     payload = {"suite": suite, "passed": passed, "checks": checks}
-    text = json.dumps(payload, indent=2, default=float) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with _output(out) as dest:
+        dest.write(json.dumps(payload, indent=2, default=float) + "\n")
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -583,12 +582,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_solve(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.param, args.start, args.stop, args.count)
-        if args.command == "profile":
-            return cmd_profile(cfg, args.which, args.energy, args.pmax)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return cmd_profile(cfg, args.which, args.energy, args.pmax)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -129,12 +129,9 @@ class SturmLiouvilleProblem:
     c: SampledFunction
     q: SampledFunction
     w: SampledFunction
-    bc: str = "dirichlet"
 
     def __post_init__(self):
         require_same_grid(self.c, self.q, self.w)
-        if self.bc != "dirichlet":
-            raise ValueError(f"unsupported boundary condition {self.bc!r}")
         if np.any(self.c.values <= 0):
             raise ValueError("diffusion coefficient c must be positive")
         if np.any(self.w.values <= 0):

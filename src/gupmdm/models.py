@@ -1,14 +1,19 @@
-"""Deformed-oscillator and Swanson model builders.
+"""Deformed-oscillator and Swanson models as one Sturm-Liouville family.
 
-Translates the two deformed Hamiltonians into raw ODE coefficients and
-self-adjoint Sturm-Liouville problems in momentum p. The momentum-dependent
-mass and the effective potential are read off the SL problem
-(`SturmLiouvilleProblem.mass`, `.effective_potential`) rather than written
-out per model.
+A model is tau, three constants (G, delta, C) and its own map between E and
+the generalized eigenvalue lam. With u = 1 + tau p^2 and W = u^(1 + delta/tau)
+(exp(delta p^2) at tau = 0), each is the momentum-space problem `p_space_sl`
 
-Both models and every tau also share one Liouville normal form (`normal_form`,
-`normal_form_sl`): with constants (S, B, k^2) per model, Q = k^4/4 + S and
-eps = k Q^(-1/4), each becomes
+    -(W phi')' + C p^2 W/(u^2 G) phi = lam W/(u^2 G) phi.
+
+Swanson has G = omega (omega+alpha+beta), delta = (alpha-beta)/G and
+C = (omega-alpha-beta)/omega - (omega+alpha-beta) tau; the deformed oscillator
+is (G, delta, C) = (1, 0, 1/omega^2). The mass and the effective potential are
+read off the SL problem (`SturmLiouvilleProblem.mass`, `.effective_potential`).
+
+The constants also give one Liouville normal form (`normal_form`,
+`normal_form_sl`): with (S, B, k^2) = (G[C + G delta (delta+tau)], G delta,
+tau G), Q = k^4/4 + S and eps = k Q^(-1/4), every model and tau becomes
 
     -y'' + (1 - eps^4/4) (tan(eps x)/eps)^2 y = mu y,  |x| < pi/(2 eps),
 
@@ -20,6 +25,7 @@ variable arctan(sqrt(tau) p)/sqrt(tau G), and phi = (c w)^(-1/4) y.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,12 +98,38 @@ def _normal_form(tau: float, s: float, b: float, k2: float) -> NormalForm:
     return form
 
 
+class ModelParams:
+    """Base of both models: a frozen dataclass with `tau`, constants `big_g`,
+    `delta`, `big_c` and `energy_from_eigenvalue` / `eigenvalue_from_energy`."""
+
+    def sl(self, grid: Grid) -> SturmLiouvilleProblem:
+        return p_space_sl(self, grid)
+
+    def normal_form(self) -> NormalForm:
+        """S = G[C + G delta (delta + tau)], B = G delta, k^2 = tau G.
+
+        The Liouville map phi = (cw)^(-1/4) y with cw = (1+tau p^2)^(2 delta/tau)/G
+        adds G delta [1 + (delta/tau + 1) tan^2(k rho)] to q/w = C tan^2(k rho)/tau.
+        """
+        g, d = self.big_g, self.delta
+        return _normal_form(self.tau, g * (self.big_c + g * d * (d + self.tau)),
+                            g * d, self.tau * g)
+
+    def exact_energy(self, n: int) -> float:
+        """Closed-form E_n from the normal form's exact levels."""
+        return self.energy_from_eigenvalue(self.normal_form().exact_eigenvalue(n))
+
+
 @dataclass(frozen=True)
-class GupOscillatorParams:
-    """Deformed harmonic oscillator: frequency omega, deformation tau."""
+class GupOscillatorParams(ModelParams):
+    """Deformed harmonic oscillator, (G, delta, C) = (1, 0, 1/omega^2);
+    exact_energy is the Kempf-Mangano-Mann spectrum."""
 
     omega: float
     tau: float = 0.0
+
+    big_g = 1.0
+    delta = 0.0
 
     def __post_init__(self):
         if not self.omega > 0:
@@ -111,6 +143,11 @@ class GupOscillatorParams:
     def mu(self) -> float:
         return 1.0 / self.omega
 
+    @property
+    def big_c(self) -> float:
+        """C = 1/omega^2 = mu * mu."""
+        return self.mu * self.mu
+
     def energy_from_eigenvalue(self, lam: float) -> float:
         """E from the generalized eigenvalue lam = 2E/omega^2."""
         return lam * self.omega**2 / 2.0
@@ -119,21 +156,10 @@ class GupOscillatorParams:
         """lam = 2E/omega^2, the inverse of energy_from_eigenvalue."""
         return 2.0 * energy / self.omega**2
 
-    def sl(self, grid: Grid) -> SturmLiouvilleProblem:
-        return gup_oscillator_sl(self, grid)
-
-    def normal_form(self) -> NormalForm:
-        """S = 1/omega^2, B = 0, k^2 = tau; eps^2 depends on tau*omega only."""
-        return _normal_form(self.tau, self.mu * self.mu, 0.0, self.tau)
-
-    def exact_energy(self, n: int) -> float:
-        """Closed-form E_n, the Kempf-Mangano-Mann spectrum."""
-        return self.energy_from_eigenvalue(self.normal_form().exact_eigenvalue(n))
-
 
 @dataclass(frozen=True)
-class SwansonParams:
-    """Non-Hermitian Swanson oscillator parameters."""
+class SwansonParams(ModelParams):
+    """Non-Hermitian Swanson oscillator; (n + 1/2) omega_bar at tau = 0."""
 
     omega: float
     alpha: float
@@ -144,10 +170,13 @@ class SwansonParams:
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         _check_square("omega", self.omega)
-        if not self.omega**2 - 4.0 * self.alpha * self.beta > 0:
-            raise ValueError("need omega^2 - 4*alpha*beta > 0")
-        if not self.omega * (self.omega + self.alpha + self.beta) > 0:
-            raise ValueError("need omega*(omega+alpha+beta) > 0")
+        bar2 = self.omega**2 - 4.0 * self.alpha * self.beta
+        for name, x in (("omega^2 - 4*alpha*beta", bar2),
+                        ("omega*(omega+alpha+beta)", self.big_g)):
+            if not x > 0:
+                raise ValueError(f"need {name} > 0")
+            if x < sys.float_info.min:  # subnormal: most of its bits are lost
+                raise ValueError(f"{name} = {x:g} is subnormal at omega = {self.omega:g}")
 
     @property
     def omega_bar(self) -> float:
@@ -179,26 +208,9 @@ class SwansonParams:
         """lam = 2E + alpha - beta, the inverse of energy_from_eigenvalue."""
         return 2.0 * energy + self.alpha - self.beta
 
-    def sl(self, grid: Grid) -> SturmLiouvilleProblem:
-        return swanson_sl(self, grid)
 
-    def normal_form(self) -> NormalForm:
-        """S = G[C + G delta (delta + tau)], B = G delta, k^2 = tau G.
-
-        The Liouville map phi = (cw)^(-1/4) y with cw = (1+tau p^2)^(2 delta/tau)/G
-        adds G delta [1 + (delta/tau + 1) tan^2(k rho)] to q/w = C tan^2(k rho)/tau.
-        """
-        g, d = self.big_g, self.delta
-        return _normal_form(self.tau, g * (self.big_c + g * d * (d + self.tau)),
-                            g * d, self.tau * g)
-
-    def exact_energy(self, n: int) -> float:
-        """Closed-form E_n; (n + 1/2) omega_bar at tau = 0."""
-        return self.energy_from_eigenvalue(self.normal_form().exact_eigenvalue(n))
-
-
-# Model name -> params class. `sl` looks the builder up at call time, so
-# patching a module attribute reaches calls made through here.
+# Model name -> params class. `sl` looks `p_space_sl` up at call time, so
+# patching that module attribute reaches calls made through here.
 MODELS = {"gup-oscillator": GupOscillatorParams, "swanson": SwansonParams}
 
 
@@ -233,60 +245,43 @@ def gup_oscillator_raw(params: GupOscillatorParams, grid: Grid) -> RawOdeCoeffic
     )
 
 
-def gup_oscillator_sl(params: GupOscillatorParams, grid: Grid) -> SturmLiouvilleProblem:
-    """Self-adjoint form of the deformed oscillator.
+class WeightOverflowError(ValueError):
+    """A p-space coefficient c = W, q or w is not finite on the grid."""
 
-    Multiplying the raw ODE by the integrating factor 1+tau p^2 gives
+    def __init__(self, p_at: float, tau: float):
+        self.p_at = p_at
+        super().__init__(
+            f"the p-space coefficients are not finite at p = {p_at:g}, tau = {tau:g}")
+
+
+def p_space_sl(params: ModelParams, grid: Grid) -> SturmLiouvilleProblem:
+    """Self-adjoint form of the model's eigenvalue equation in momentum p.
+
+    c = W, q = C p^2 W/(u^2 G), w = W/(u^2 G): the raw ODE times the
+    integrating factor W. For the oscillator (W = u) that is
     -( (1+tau p^2) phi' )' + mu^2 p^2/(1+tau p^2) phi = lam phi/(1+tau p^2).
+    W/u is formed first and u^2 never: the oscillator's c and w are u and 1/u
+    exactly, and u^2 cannot overflow. WeightOverflowError names the first p
+    where c, q or w is not finite.
     """
     p = grid.points
+    tau = params.tau
     with np.errstate(all="ignore"):
-        u = 1.0 + params.tau * p * p
-        q = params.mu**2 * p * p / u
-        w = 1.0 / u
-    return _p_space_sl(params.tau, grid, u, q, w)
-
-
-def _p_space_sl(tau: float, grid: Grid, c, q, w) -> SturmLiouvilleProblem:
-    """The SL problem (c, q, w), or a ValueError naming tau where one is not finite."""
-    if not all(np.all(np.isfinite(a)) for a in (c, q, w)):
-        raise ValueError(f"the p-space coefficients are not finite at tau = {tau:g}")
+        u = 1.0 + tau * p * p
+        c = u ** (1.0 + params.delta / tau) if tau > 0 else np.exp(params.delta * p * p)
+        w_u = c / u
+        q = params.big_c * p * p / u * w_u / params.big_g
+        w = w_u / u / params.big_g
+    bad = ~(np.isfinite(c) & np.isfinite(q) & np.isfinite(w))
+    if np.any(bad):
+        raise WeightOverflowError(float(p[np.argmax(bad)]), tau)
     return SturmLiouvilleProblem(
         c=SampledFunction(grid, c), q=SampledFunction(grid, q), w=SampledFunction(grid, w)
     )
 
 
-class WeightOverflowError(ValueError):
-    """The Swanson integrating factor W(p) is not finite on the grid."""
-
-    def __init__(self, p_at: float, tau: float):
-        self.p_at = p_at
-        super().__init__(f"weight W(p) is not finite at p = {p_at:g}, tau = {tau:g}")
-
-
-def swanson_sl(params: SwansonParams, grid: Grid) -> SturmLiouvilleProblem:
-    """Self-adjoint form of the deformed Swanson eigenvalue equation.
-
-    With G = omega (omega+alpha+beta), delta = (alpha-beta)/G,
-    C = (omega-alpha-beta)/omega - (omega+alpha-beta) tau and the integrating
-    factor W = (1+tau p^2)^(1+delta/tau), exp(delta p^2) at tau = 0:
-    c = W, q = C p^2 W/((1+tau p^2)^2 G), w = W/((1+tau p^2)^2 G).
-    The generalized eigenvalue is lam = 2E + alpha - beta.
-    """
-    p = grid.points
-    big_g, delta, big_c = params.big_g, params.delta, params.big_c
-    with np.errstate(all="ignore"):
-        u = 1.0 + params.tau * p * p
-        if params.tau > 0:
-            w_fac = u ** (1.0 + delta / params.tau)
-        else:
-            w_fac = np.exp(delta * p * p)
-        q = big_c * p * p * w_fac / (u**2 * big_g)
-        w = w_fac / (u**2 * big_g)
-    bad = ~np.isfinite(w_fac)
-    if np.any(bad):
-        raise WeightOverflowError(float(p[np.argmax(bad)]), params.tau)
-    return _p_space_sl(params.tau, grid, w_fac, q, w)
+# Both models build with `p_space_sl`; these names stay for existing callers.
+gup_oscillator_sl = swanson_sl = p_space_sl
 
 
 # Half-width of the normal-form box where the interval |x| < pi/(2 eps) is

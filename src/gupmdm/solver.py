@@ -393,7 +393,8 @@ def shooting_eigenvalue(
     rel_tol * max(1, |lam0|). Without a start, or when that search strays,
     stalls or returns an angle off by more than ANGLE_TOL, `Shooter.bracket`
     finds a bracket, from angles earlier levels on the same Shooter computed
-    where it can, and Brent's method polishes the root to `rel_tol`. Theta
+    where it can, and Brent's method polishes the root to about
+    rel_tol * (1 + |lam|), whatever the bracket's width. Theta
     has one root per level, so the start changes the cost, not the level
     found. A `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter
     for every level of a problem to share its sweeps.
@@ -414,8 +415,9 @@ def shooting_eigenvalue(
         lam = _seeded_root(shooter, target, lam0, phi, rel_tol * max(1.0, abs(lam0)))
     if lam is None or not abs(shooter.angle(lam) - target) <= ANGLE_TOL:
         lo, hi = shooter.bracket(target)
-        xtol = rel_tol * max(1.0, abs(lo), abs(hi))
-        lam = brentq(lambda x: shooter.angle(x) - target, lo, hi, xtol=xtol)
+        # brentq refuses an rtol below 4 eps, which no float root can beat.
+        lam = brentq(lambda x: shooter.angle(x) - target, lo, hi,
+                     xtol=rel_tol, rtol=max(rel_tol, 4 * np.finfo(float).eps))
     defect = abs(shooter.angle(lam) - target)
     if not defect <= ANGLE_TOL:
         raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "

@@ -206,7 +206,9 @@ class TestSolve:
           "--tau", "0.8"], "<= 0 at tau = 0.8"),
         (["--tau", "1e300"], "not finite at tau = 1e+300"),
         (["--tau", "inf"], "not finite at tau = inf"),
-    ], ids=["oscillatory-end", "huge-tau", "inf-tau"])
+        # G = omega^2 = 1e-320 is subnormal: a few bits, not a spectrum.
+        (["--model", "swanson", "--omega", "1e-160"], "subnormal at omega = 1e-160"),
+    ], ids=["oscillatory-end", "huge-tau", "inf-tau", "subnormal-g"])
     def test_no_normal_form_exit_2(self, argv, message, capsys):
         rc = main(["solve", *argv])
         captured = capsys.readouterr()

@@ -8,6 +8,7 @@ from gupmdm.core import make_grid, sample
 from gupmdm.models import (
     MODELS,
     GupOscillatorParams,
+    NormalForm,
     SwansonParams,
     WeightOverflowError,
     gup_oscillator_raw,
@@ -94,6 +95,14 @@ class TestGupOscillatorSl:
         assert at(slp.q, 1.0) == pytest.approx(0.5)
         assert at(slp.w, 1.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 1.0, 1e300])
+    def test_c_and_w_are_u_and_its_inverse(self, tau):
+        # The shared builder at (G, delta, C) = (1, 0, 1/omega^2): W = u exactly.
+        slp = gup_oscillator_sl(GupOscillatorParams(omega=0.7, tau=tau), GRID)
+        u = 1.0 + tau * GRID.points * GRID.points
+        assert np.array_equal(slp.c.values, u)
+        assert np.array_equal(slp.w.values, 1.0 / u)
+
     @pytest.mark.parametrize("shift", [0.0, 0.5, -1.2])
     def test_integrating_factor_identity(self, shift):
         # (1+tau p^2) * raw defect == SL defect pointwise to rounding.
@@ -140,7 +149,7 @@ class TestSwansonSl:
         with pytest.raises(WeightOverflowError) as err:
             swanson_sl(params, big)
         assert abs(err.value.p_at) > 0
-        assert "tau = 0" in str(err.value)
+        assert f"p = {err.value.p_at:g}, tau = 0" in str(err.value)
 
     def test_cross_solver_spectrum(self):
         # Deformed Swanson solved by two independent methods.
@@ -169,6 +178,14 @@ class TestNormalForm:
         for n in range(8):
             kmm = omega * ((n + 0.5) * (math.sqrt(1 + g * g / 4) + g / 2) + g * n * n / 2)
             assert params.exact_energy(n) == pytest.approx(kmm, rel=1e-14)
+
+    @pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (0.0, 0.37), (0.05, 1.0),
+                                            (0.1, 2.0), (1.0, 0.3), (0.01, 0.001)])
+    def test_oscillator_is_swanson_form_at_unit_g(self, tau, omega):
+        # S = G[C + G delta (delta+tau)], B = G delta, k^2 = tau G at
+        # (G, delta, C) = (1, 0, mu^2), to the last bit.
+        params = GupOscillatorParams(omega=omega, tau=tau)
+        assert params.normal_form() == NormalForm(params.mu * params.mu, 0.0, tau)
 
     def test_oscillator_eps_depends_on_tau_omega_only(self):
         a = GupOscillatorParams(omega=2.0, tau=0.1).normal_form().eps2

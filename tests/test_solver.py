@@ -149,6 +149,14 @@ class TestShooting:
             rep = shooting_eigenvalue(slp2, n)
             assert abs(lam - rep.eigenvalue) <= 1e-6 * max(1.0, abs(lam))
 
+    def test_tolerance_below_brent_floor(self):
+        # brentq rejects rtol < 4 eps; a tighter rel_tol still gets a root.
+        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, 401))
+        tight = shooting_eigenvalue(slp, 0, rel_tol=1e-16)
+        assert tight.eigenvalue == pytest.approx(shooting_eigenvalue(slp, 0).eigenvalue,
+                                                 rel=1e-10)
+        assert tight.mismatch <= ANGLE_TOL
+
     def test_rejects_negative_index(self):
         slp = laplace_problem(51)
         with pytest.raises(ValueError):
@@ -256,7 +264,10 @@ def _spy_brackets(monkeypatch):
 
 
 class TestSeededShooting:
-    @pytest.mark.parametrize("params", ACCEPTANCE_POINTS, ids=repr)
+    # Swanson at tau = 0.6 has eps^2 > 2, so q is large and negative at the
+    # ends and the unseeded bracket is wide; Brent's tolerance must not follow it.
+    @pytest.mark.parametrize("params", ACCEPTANCE_POINTS + [SwansonParams(2.0, 0.3, 0.1, 0.6)],
+                             ids=repr)
     def test_seeded_matches_unseeded(self, params):
         mus, slp, spec = _normal_form_solve(params)
         seeded, plain = Shooter(slp), Shooter(slp)
