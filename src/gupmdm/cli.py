@@ -2,7 +2,9 @@
 
 Outputs are deterministic: fixed float formatting (17 significant digits),
 fixed row order, no timestamps, so repeated runs with the same config are
-byte-identical.
+byte-identical. A CSV table follows two rules: a float cell is written as
+`.17g`, and any other cell as `str`, in double quotes (inner quotes doubled,
+RFC 4180) when it holds a comma, a double quote or a line break.
 
 `solve` and `sweep` solve each model in its Liouville normal form
 (`gupmdm.models.normal_form_sl`), so they take no box size; `profile` prints
@@ -18,8 +20,10 @@ import contextlib
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -160,14 +164,44 @@ def _parse_value(key: str, raw: str):
 # ---------------------------------------------------------------- output
 
 
+# Rows formatted per `%` in a CSV table; bounds the text held at once.
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_cell(v) -> str:
+    """A float as .17g; anything else as str, quoted if it holds , " or a line break."""
+    if isinstance(v, float):
+        return _fmt(v)
+    text = str(v)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_blocks(rows: list[list]) -> Iterator[str]:
+    """The CSV lines of `rows`, one string per CSV_BLOCK_ROWS rows.
+
+    When the first row holds only floats, a block whose cell types all match
+    it is formatted by one `%` on a repeated `%.17g` row template; any other
+    block goes cell by cell. Both give `_csv_cell`'s text.
+    """
+    types = list(map(type, rows[0]))
+    all_floats = all(issubclass(t, float) for t in types)
+    template = ",".join(["%.17g"] * len(types)) + "\n"
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        cells = tuple(chain.from_iterable(block))
+        if all_floats and list(map(type, cells)) == types * len(block):
+            yield (template * len(block)) % cells
+        else:
+            yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in block)
+
+
 def write_table(header: list[str], rows: list[list], cfg: RunConfig, dest) -> None:
     if cfg.format == "csv":
         dest.write(",".join(header) + "\n")
-        for row in rows:
-            dest.write(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+        if rows:
+            dest.writelines(_csv_blocks(rows))
     else:
         payload = {
             "meta": {"config": asdict(cfg), "version": __version__},
@@ -348,7 +382,7 @@ def cmd_profile(
         prof = slp.mass
     else:
         prof = slp.effective_potential(params.eigenvalue_from_energy(energy))
-    rows = [[float(p), float(v)] for p, v in zip(slp.grid.points, prof.values)]
+    rows = list(zip(slp.grid.points.tolist(), prof.values.tolist()))
     _emit(["p", "value"], rows, cfg)
     _plot(cfg, slp.grid.points, prof.values, f"{which} profile")
     return EXIT_OK
@@ -510,7 +544,9 @@ def cmd_verify(suite: str, out: str | None) -> int:
 # ---------------------------------------------------------------- parsing
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of `main`; parse_args leaves it unchanged, so it is built once."""
     parser = argparse.ArgumentParser(
         prog="gupmdm",
         description="Deformed-oscillator / Swanson eigenproblems as "

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +256,19 @@ class TestSweep:
                    for l in lines[:2])
         assert all(l.endswith(",") for l in lines[2:])
 
+    def test_error_cell_with_comma_is_quoted(self, capsys):
+        # The tau = 1e300 message holds commas; csv.reader must still see 7
+        # fields per row and get the message back.
+        rc = main(["sweep", "--param", "tau", "--start", "0", "--stop", "1e300",
+                   "--count", "2", "--n", "201", "--k", "2"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rc == 0
+        assert all(len(row) == 7 for row in rows)
+        with pytest.raises(ValueError) as exc:
+            RunConfig(tau=1e300).params().normal_form()
+        assert "," in str(exc.value)
+        assert [row[-1] for row in rows[1:]] == ["", "", str(exc.value), str(exc.value)]
+
     def test_count_one_rejected(self, capsys):
         rc = main(["sweep", "--param", "tau", "--start", "0", "--stop", "1",
                    "--count", "1", "--n", "201"])
@@ -329,6 +344,78 @@ class TestProfile:
                    "--pmax", "5", "--out", str(out), "--plot"])
         assert rc == 0
         assert (tmp_path / "mass.svg").read_text().startswith("<?xml")
+
+
+def _reference_csv(header, rows) -> str:
+    """The CSV text of write_table, cell by cell: _fmt for floats, str otherwise."""
+    lines = [",".join(header)]
+    lines += [",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1 / 3]
+_LONG = 2 * cli.CSV_BLOCK_ROWS + 3
+_WRITER_TABLES = {
+    "edge-values": (
+        ["i", "x", "np", "s"],
+        [[i, x, np.float64(x) * 3, f"s{i}"] for i, x in enumerate(_EDGE_FLOATS)],
+    ),
+    "header-only": (["p", "value"], []),
+    "blocks": (
+        ["p", "value"],
+        list(zip(np.linspace(-12.0, 12.0, _LONG).tolist(),
+                 np.exp(-np.linspace(0.0, 9.0, _LONG)).tolist())),
+    ),
+    # A later block whose types differ from the first row's.
+    "blocks-mixed-types": (
+        ["x", "y"],
+        [[j / 7, j / 3] for j in range(_LONG - 1)] + [[0.1, 10**20]],
+    ),
+    "sweep": (
+        ["tau", "index", "lambda", "energy", "energy_shooting", "abs_delta", "error"],
+        [[0.0, 0, 1.0000002031862414, 0.5, 0.50000006730820878, 3.4e-08, ""],
+         [0.4, 0, math.nan, math.nan, math.nan, math.nan, "Q <= 0 at tau = 0.4"],
+         [0.8, 1, 3.0000018328203688, 1.5, 1.5000010079503234, 9.2e-08, ""]],
+    ),
+}
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("name", sorted(_WRITER_TABLES))
+    def test_csv_matches_per_cell_reference(self, name):
+        header, rows = _WRITER_TABLES[name]
+        dest = io.StringIO()
+        cli.write_table(header, rows, RunConfig(), dest)
+        assert dest.getvalue() == _reference_csv(header, rows)
+
+    def test_string_cells_quoted(self):
+        texts = ["a,b", 'say "hi"', "two\nlines", "plain"]
+        dest = io.StringIO()
+        cli.write_table(["i", "text"], [[i, t] for i, t in enumerate(texts)],
+                        RunConfig(), dest)
+        rows = list(csv.reader(io.StringIO(dest.getvalue())))
+        assert rows == [["i", "text"], *([str(i), t] for i, t in enumerate(texts))]
+        assert dest.getvalue().endswith("\n3,plain\n")
+
+
+class TestParser:
+    def test_options_do_not_leak_between_calls(self, capsys):
+        assert main(["solve", "--n", "401", "--k", "3"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3
+        assert main(["solve", "--n", "401"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 6
+
+    def test_argparse_error_between_calls(self, capsys):
+        argv = ["solve", "--n", "201", "--k", "2", "--tau", "0.05"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--omega", "3", "--k", "two"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestVerify:
