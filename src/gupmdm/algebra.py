@@ -68,7 +68,12 @@ def apply_ladder_adjoint(rep: LadderRep, phi: SampledFunction) -> SampledFunctio
 def swanson_coefficients(
     rep: LadderRep, params: SwansonParams
 ) -> SwansonCoefficients:
-    """Coefficients of H~ = -D r~^2 D + s~ D + w~ for the Swanson Hamiltonian."""
+    """Coefficients of H~ = -D r~^2 D + s~ D + w~ for the Swanson Hamiltonian.
+
+    The leading coefficient of this ladder route is (omega - alpha - beta) r^2,
+    while the deformed momentum-space ODE carries omega (omega + alpha + beta);
+    the two are not reconciled.
+    """
     omega, alpha, beta = params.omega, params.alpha, params.beta
     omega_t = omega - alpha - beta
     if not omega_t > 0:
@@ -147,23 +152,3 @@ def untransformed_residual(
         return float(np.linalg.norm(defect.values[sl]))
     return float(np.linalg.norm(defect.values[sl])) / den
 
-
-def coefficient_match_report(
-    rep: LadderRep, params: SwansonParams
-) -> dict[str, float]:
-    """Mismatch between the ladder-built operator and the deformed ODE.
-
-    The leading coefficient of the ladder route is omega - alpha - beta
-    (times r^2), while the deformed momentum-space equation carries
-    omega*(omega+alpha+beta); the two routes are not reconciled here, only
-    reported.
-    """
-    lead_ladder = (params.omega - params.alpha - params.beta) * float(
-        np.max(rep.r.values**2)
-    )
-    lead_ode = params.omega * (params.omega + params.alpha + params.beta)
-    return {
-        "ladder_leading_coefficient": lead_ladder,
-        "ode_leading_coefficient": lead_ode,
-        "leading_coefficient_mismatch": abs(lead_ladder - lead_ode),
-    }

@@ -59,10 +59,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: str = "gup-oscillator"
@@ -96,21 +92,6 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         self.params()
         return self
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Flat key = value rendering; parse_config_text round-trips it."""
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = _fmt(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_config_text(text: str) -> dict:
@@ -171,7 +152,7 @@ CSV_BLOCK_ROWS = 4096
 def _csv_cell(v) -> str:
     """A float as .17g; anything else as str, quoted if it holds , " or a line break."""
     if isinstance(v, float):
-        return _fmt(v)
+        return f"{v:.17g}"
     text = str(v)
     if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -197,18 +178,31 @@ def _csv_blocks(rows: list[list]) -> Iterator[str]:
             yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in block)
 
 
+def _finite_or_null(v):
+    """v with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(v, dict):
+        return {key: _finite_or_null(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return list(map(_finite_or_null, v))
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _write_json(payload: dict, dest) -> None:
+    """payload as indented JSON with NaN and inf as null (RFC 8259), in one write."""
+    dest.write(json.dumps(_finite_or_null(payload), indent=2, default=float,
+                          allow_nan=False) + "\n")
+
+
 def write_table(header: list[str], rows: list[list], cfg: RunConfig, dest) -> None:
     if cfg.format == "csv":
         dest.write(",".join(header) + "\n")
         if rows:
             dest.writelines(_csv_blocks(rows))
     else:
-        payload = {
+        _write_json({
             "meta": {"config": asdict(cfg), "version": __version__},
             "rows": [dict(zip(header, row)) for row in rows],
-        }
-        json.dump(payload, dest, indent=2, default=float)
-        dest.write("\n")
+        }, dest)
 
 
 @contextlib.contextmanager
@@ -537,7 +531,7 @@ def cmd_verify(suite: str, out: str | None) -> int:
     passed = all(c["passed"] for c in checks)
     payload = {"suite": suite, "passed": passed, "checks": checks}
     with _output(out) as dest:
-        dest.write(json.dumps(payload, indent=2, default=float) + "\n")
+        _write_json(payload, dest)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 

@@ -212,8 +212,7 @@ def count_interior_sign_changes(values: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(signs)))
 
 
-def inner_slice(n: int, fraction: float = 0.8) -> slice:
-    """Index slice selecting the central `fraction` of n grid points."""
-    margin = int(round(n * (1.0 - fraction) / 2.0))
-    margin = max(margin, 1)
+def inner_slice(n: int) -> slice:
+    """Index slice selecting the central 80% of n grid points."""
+    margin = max(int(round(n * (1.0 - 0.8) / 2.0)), 1)
     return slice(margin, n - margin)

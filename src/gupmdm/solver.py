@@ -9,7 +9,7 @@ Started from a matrix eigenpair, the root search takes a Newton step with
 the slope of Theta read off the eigenfunction, then secant steps; without
 a start, or when those steps stray, it brackets the level from the angles
 already computed and polishes it with Brent's method. Richardson
-extrapolation and residual diagnostics round out the toolbox.
+extrapolation rounds out the toolbox.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from .core import (
     SampledFunction,
     Spectrum,
     SturmLiouvilleProblem,
-    inner_slice,
     require_same_grid,
     weighted_inner_product,
 )
-from .models import RawOdeCoefficients, raw_residual_values
 
 
 class SolverError(RuntimeError):
@@ -131,12 +129,6 @@ def solve_extrapolated(
     return richardson(coarse.eigenvalues, fine.eigenvalues), fine_slp, fine
 
 
-def residual(coeffs: RawOdeCoefficients, phi: SampledFunction, lam: float) -> float:
-    """Max-norm of the raw ODE defect on the inner 80% of the grid."""
-    r = raw_residual_values(coeffs, phi, lam)
-    return float(np.max(np.abs(r.values[inner_slice(phi.grid.n)])))
-
-
 @dataclass(frozen=True)
 class ShootingReport:
     """One shooting level.
@@ -150,6 +142,8 @@ class ShootingReport:
     iterations: int
 
 
+# Relative tolerance of a shooting root, for the seeded steps and for Brent.
+REL_TOL = 1e-10
 # Expansion steps a bracket search may take before it raises BracketError.
 MAX_BRACKET_STEPS = 60
 # Largest angle defect |Theta(lam) - (n+1) pi| accepted at a returned root.
@@ -381,7 +375,6 @@ def _seeded_root(shooter: Shooter, target: float, lam0: float,
 def shooting_eigenvalue(
     problem: SturmLiouvilleProblem | Shooter,
     n: int,
-    rel_tol: float = 1e-10,
     start: tuple[float, SampledFunction] | None = None,
 ) -> ShootingReport:
     """n-th eigenvalue by two-sided shooting on the Pruefer angle.
@@ -390,11 +383,11 @@ def shooting_eigenvalue(
     phi), a matrix estimate of level n and its eigenfunction, the search
     sweeps at lam0, takes a Newton step with `Shooter.eigen_slope(phi)` and
     then secant steps, and stops once a step is at most
-    rel_tol * max(1, |lam0|). Without a start, or when that search strays,
+    REL_TOL * max(1, |lam0|). Without a start, or when that search strays,
     stalls or returns an angle off by more than ANGLE_TOL, `Shooter.bracket`
     finds a bracket, from angles earlier levels on the same Shooter computed
     where it can, and Brent's method polishes the root to about
-    rel_tol * (1 + |lam|), whatever the bracket's width. Theta
+    REL_TOL * (1 + |lam|), whatever the bracket's width. Theta
     has one root per level, so the start changes the cost, not the level
     found. A `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter
     for every level of a problem to share its sweeps.
@@ -412,12 +405,11 @@ def shooting_eigenvalue(
     lam = None
     if start is not None:
         lam0, phi = start
-        lam = _seeded_root(shooter, target, lam0, phi, rel_tol * max(1.0, abs(lam0)))
+        lam = _seeded_root(shooter, target, lam0, phi, REL_TOL * max(1.0, abs(lam0)))
     if lam is None or not abs(shooter.angle(lam) - target) <= ANGLE_TOL:
         lo, hi = shooter.bracket(target)
-        # brentq refuses an rtol below 4 eps, which no float root can beat.
         lam = brentq(lambda x: shooter.angle(x) - target, lo, hi,
-                     xtol=rel_tol, rtol=max(rel_tol, 4 * np.finfo(float).eps))
+                     xtol=REL_TOL, rtol=REL_TOL)
     defect = abs(shooter.angle(lam) - target)
     if not defect <= ANGLE_TOL:
         raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "

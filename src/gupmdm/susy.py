@@ -2,8 +2,7 @@
 
 First-derivative intertwiner A = xi(p) d/dp + theta(p) with
 xi = sqrt(1+tau p^2), the superpotential theta extracted from a nodeless
-ground state, the factorized effective potential, its partner, and the
-zero-mode profile.
+ground state, the factorized effective potential and its partner.
 
 This module works on unweighted operators H = -D xi^2 D + V (w = 1); the
 deformation enters only through xi. The demonstration potential used by
@@ -71,10 +70,8 @@ def superpotential_from_ground_state(
     h = grid.h
     slope_l = (theta[lo + 1] - theta[lo]) / h
     slope_r = (theta[hi - 1] - theta[hi - 2]) / h
-    for i in range(lo - 1, -1, -1):
-        theta[i] = theta[lo] - slope_l * h * (lo - i)
-    for i in range(hi, grid.n):
-        theta[i] = theta[hi - 1] + slope_r * h * (i - hi + 1)
+    theta[:lo] = theta[lo] - slope_l * h * np.arange(lo, 0, -1)
+    theta[hi:] = theta[hi - 1] + slope_r * h * np.arange(1, grid.n - hi + 1)
     return SampledFunction(grid, theta)
 
 
@@ -104,16 +101,6 @@ def apply_intertwiner(fd: FactorizationData, phi: SampledFunction) -> SampledFun
     """A phi = xi phi' + theta phi."""
     require_same_grid(fd.xi, phi)
     return fd.xi * derivative(phi, 1) + fd.theta * phi
-
-
-def kappa_zero_mode(
-    eta_const: float, tau: float, grid: Grid, c0: float = 0.0
-) -> tuple[SampledFunction, float]:
-    """Zero-mode profile kappa = eta p / sqrt(1+tau p^2) and Lambda = c0 - eta."""
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    kappa = sample(grid, lambda p: eta_const * p / np.sqrt(1.0 + tau * p * p))
-    return kappa, c0 - eta_const
 
 
 def demo_potential(tau: float, grid: Grid) -> SampledFunction:

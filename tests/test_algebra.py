@@ -13,7 +13,6 @@ from gupmdm.algebra import (
     SwansonCoefficients,
     apply_ladder,
     apply_ladder_adjoint,
-    coefficient_match_report,
     hermitized_problem,
     ladder_commutator,
     similarity_weight,
@@ -192,9 +191,12 @@ class TestHermitized:
 
 class TestCoefficientMatch:
     def test_report_values(self):
+        # The ladder route's leading coefficient (omega - alpha - beta) r^2
+        # and the momentum-space ODE's omega (omega + alpha + beta) differ.
         g = make_grid(-2, 2, 41)
         params = SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.0)
-        report = coefficient_match_report(standard_rep(g), params)
-        assert report["ladder_leading_coefficient"] == pytest.approx(1.6, abs=1e-14)
-        assert report["ode_leading_coefficient"] == pytest.approx(4.8, abs=1e-14)
-        assert report["leading_coefficient_mismatch"] == pytest.approx(3.2, abs=1e-14)
+        coeffs = swanson_coefficients(standard_rep(g), params)
+        lead_ladder = float(np.max(coeffs.r_t.values**2))
+        assert lead_ladder == pytest.approx(1.6, abs=1e-14)
+        assert params.big_g == pytest.approx(4.8, abs=1e-14)
+        assert abs(lead_ladder - params.big_g) == pytest.approx(3.2, abs=1e-14)

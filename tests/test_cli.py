@@ -16,7 +16,6 @@ from gupmdm.cli import (
     ConfigError,
     RunConfig,
     config_from_sources,
-    emit_config,
     main,
     parse_config_text,
 )
@@ -29,10 +28,12 @@ FAST = ["--n", "201", "--k", "3"]
 
 class TestConfig:
     def test_round_trip(self):
+        text = ("model = swanson\nomega = 2\ntau = 0.050000000000000003\n"
+                "alpha = 0.29999999999999999\nbeta = 0.10000000000000001\n"
+                "n = 401\nk = 4\nformat = json\nplot = false\n")
         cfg = RunConfig(model="swanson", omega=2.0, alpha=0.3, beta=0.1,
                         tau=0.05, n=401, k=4, format="json")
-        parsed = config_from_sources(parse_config_text(emit_config(cfg)), {})
-        assert parsed == cfg
+        assert config_from_sources(parse_config_text(text), {}) == cfg
 
     def test_cli_flags_win_over_file(self):
         file_values = parse_config_text("omega = 2.0\nn = 301\n")
@@ -269,6 +270,33 @@ class TestSweep:
         assert "," in str(exc.value)
         assert [row[-1] for row in rows[1:]] == ["", "", str(exc.value), str(exc.value)]
 
+    @pytest.mark.parametrize("argv", [
+        ["--param", "tau", "--start", "0", "--stop", "1e300"],
+        ["--param", "omega", "--start", "1", "--stop", "2", "--tau", "nan"],
+    ], ids=["tau-1e300", "config-tau-nan"])
+    def test_json_writes_nonfinite_as_null(self, argv, capsys):
+        # NaN and Infinity are not JSON (RFC 8259); a strict parser must accept
+        # the document, with null in each failed row next to its message.
+        def strict(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        rc = main(["sweep", *argv, "--count", "2", "--n", "201", "--k", "2",
+                   "--format", "json"])
+        payload = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert rc == 0
+        failed = [row for row in payload["rows"] if row["error"]]
+        assert failed
+        for row in failed:
+            assert [row[key] for key in ("lambda", "energy", "energy_shooting",
+                                         "abs_delta")] == [None] * 4
+        if "nan" in argv:
+            assert payload["meta"]["config"]["tau"] is None
+            assert len(failed) == 4
+        else:
+            with pytest.raises(ValueError) as exc:
+                RunConfig(tau=1e300).params().normal_form()
+            assert [row["error"] for row in failed] == [str(exc.value)] * 2
+
     def test_count_one_rejected(self, capsys):
         rc = main(["sweep", "--param", "tau", "--start", "0", "--stop", "1",
                    "--count", "1", "--n", "201"])
@@ -347,9 +375,9 @@ class TestProfile:
 
 
 def _reference_csv(header, rows) -> str:
-    """The CSV text of write_table, cell by cell: _fmt for floats, str otherwise."""
+    """The CSV text of write_table, cell by cell: .17g for floats, str otherwise."""
     lines = [",".join(header)]
-    lines += [",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row)
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -429,6 +457,19 @@ class TestVerify:
         for check in payload["checks"]:
             assert set(check) >= {"name", "measured", "tolerance", "passed"}
             assert check["passed"] is True
+
+    def test_failed_check_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.VERIFY_SUITES, "reduction",
+                            lambda: [cli._check("too large", 2.0, 1.0)])
+        rc = main(["verify", "reduction"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == cli.EXIT_VERIFY_FAILED == 1
+        assert payload == {
+            "suite": "reduction",
+            "passed": False,
+            "checks": [{"name": "too large", "measured": 2.0, "tolerance": 1.0,
+                        "passed": False}],
+        }
 
     def test_vonroos_suite_passes(self, capsys):
         rc = main(["verify", "vonroos"])

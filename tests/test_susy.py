@@ -12,7 +12,6 @@ from gupmdm.susy import (
     apply_intertwiner,
     build_unweighted_problem,
     demo_potential,
-    kappa_zero_mode,
     partner_check,
     partner_potential,
     superpotential_from_ground_state,
@@ -77,6 +76,26 @@ class TestSuperpotential:
         scale = float(np.max(np.abs(phi0.values)))
         assert np.max(np.abs(out.values[sl])) / scale < 1e-6
 
+    @pytest.mark.parametrize("n", [301, 1202])
+    def test_linear_extension_outside_inner_region(self, n):
+        # Past the inner region theta continues the line through its first
+        # (last) two inner values, bit for bit as a per-index loop gives it.
+        g = make_grid(-7, 6, n)
+        xi = xi_gup(0.1, g)
+        phi0 = sample(g, lambda p: (1.0 + 0.1 * p * p) * np.exp(-0.5 * (p - 0.3) ** 2))
+        theta = superpotential_from_ground_state(xi, phi0).values
+        sl = inner_slice(g.n)
+        lo, hi, h = sl.start, sl.stop, g.h
+        slope_l = (theta[lo + 1] - theta[lo]) / h
+        slope_r = (theta[hi - 1] - theta[hi - 2]) / h
+        expected = theta.copy()
+        for i in range(lo):
+            expected[i] = theta[lo] - slope_l * h * (lo - i)
+        for i in range(hi, g.n):
+            expected[i] = theta[hi - 1] + slope_r * h * (i - hi + 1)
+        assert lo > 1 and hi < g.n - 1
+        assert np.array_equal(theta, expected)
+
     def test_sign_changing_state_rejected(self):
         g = make_grid(-6, 6, 601)
         xi = xi_gup(0.0, g)
@@ -129,27 +148,6 @@ class TestPartner:
         chk = partner_check(tau, p_max, 1501, k=4)
         assert np.max(chk.shift_defects) < 1e-6
         assert np.max(chk.mapped_residuals) < 1e-3
-
-
-class TestKappa:
-    def test_point_values(self):
-        g = make_grid(-2, 2, 5)
-        kappa, lam = kappa_zero_mode(1.5, 0.25, g, c0=0.5)
-        assert lam == -1.0
-        # p = 2: 1.5*2/sqrt(2)
-        assert kappa.values[-1] == pytest.approx(3.0 / math.sqrt(2.0), abs=1e-15)
-        assert kappa.values[2] == 0.0
-
-    def test_odd_profile(self):
-        g = make_grid(-6, 6, 121)
-        kappa, _ = kappa_zero_mode(0.7, 0.1, g)
-        assert np.allclose(kappa.values, -kappa.values[::-1], atol=0)
-
-    def test_tau_zero_limit_is_linear(self):
-        g = make_grid(-3, 3, 61)
-        kappa, lam = kappa_zero_mode(2.0, 0.0, g)
-        assert np.allclose(kappa.values, 2.0 * g.points, atol=0)
-        assert lam == -2.0
 
 
 class TestDemoProblem:
