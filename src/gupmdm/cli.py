@@ -73,15 +73,18 @@ class RunConfig:
     plot: bool = False
 
     def params(self):
+        """The model's params; ConfigError for a parameter the model does not have."""
         cls = MODELS.get(self.model)
         if cls is None:
-            raise ConfigError(
-                f"model must be one of {tuple(MODELS)}, got {self.model!r}"
-            )
-        try:
-            return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"model must be one of {tuple(MODELS)}, "
+                              f"got {self.model!r}")
+        names = [f.name for f in fields(cls)]
+        for other in MODELS.values():
+            for name in (f.name for f in fields(other) if f.name not in names):
+                if getattr(self, name) != getattr(RunConfig, name):
+                    raise ConfigError(f"model {self.model} has no parameter {name} "
+                                      f"(got {name} = {getattr(self, name)!r})")
+        return cls(**{name: getattr(self, name) for name in names})
 
     def validate(self) -> "RunConfig":
         if self.n < 5:

@@ -69,8 +69,7 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
 
     Symmetrized with B^(-1/2) and handed to a symmetric tridiagonal
     eigensolver; eigenfunctions are normalized to integral phi^2 w dp = 1
-    (trapezoid rule) with the largest-magnitude component made positive
-    after fixing the ground state's overall sign.
+    (trapezoid rule), each with its largest-magnitude component made positive.
     """
     m = pair.diag.size
     if not 1 <= k <= m:

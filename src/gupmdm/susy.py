@@ -108,13 +108,11 @@ def demo_potential(tau: float, grid: Grid) -> SampledFunction:
     return sample(grid, lambda p: p * p / (1.0 + tau * p * p))
 
 
-def build_unweighted_problem(
-    tau: float, grid: Grid, potential: SampledFunction | None = None
-) -> SturmLiouvilleProblem:
-    """H = -D (1+tau p^2) D + V with unit weight."""
+def build_unweighted_problem(tau: float, grid: Grid) -> SturmLiouvilleProblem:
+    """H = -D (1+tau p^2) D + V with unit weight and V the demo potential."""
     xi = xi_gup(tau, grid)
-    V = demo_potential(tau, grid) if potential is None else potential
-    return SturmLiouvilleProblem(c=xi * xi, q=V, w=constant(grid, 1.0))
+    return SturmLiouvilleProblem(c=xi * xi, q=demo_potential(tau, grid),
+                                 w=constant(grid, 1.0))
 
 
 @dataclass(frozen=True)

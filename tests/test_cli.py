@@ -65,6 +65,26 @@ class TestConfig:
         assert "unknown config key 'pmax'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, cfg_text, message", [
+        (["solve", "--alpha", "0.3", "--format", "json"], None, "alpha (got alpha = 0.3)"),
+        (["solve"], "beta = 0.1\n", "beta (got beta = 0.1)"),
+        (["sweep", "--param", "alpha", "--start", "0", "--stop", "0.5", "--count", "2"],
+         None, "alpha (got alpha = 0.5)"),
+    ], ids=["flag", "config-line", "sweep-point"])
+    def test_parameter_the_model_lacks_exit_2(self, argv, cfg_text, message, tmp_path,
+                                              capsys):
+        # The oscillator has no alpha or beta: set, they would leave its
+        # spectrum unchanged while the output claims otherwise.
+        if cfg_text is not None:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(cfg_text)
+            argv = [*argv, "--config", str(cfgfile)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: model gup-oscillator has no parameter {message}\n"
+        assert captured.out == ""
+
     def test_validate_rejects_small_n(self):
         with pytest.raises(ConfigError):
             RunConfig(n=3).validate()
@@ -503,7 +523,9 @@ def test_main_fuzz_exit_codes(command, spoiled, extreme, **values):
     """
     if spoiled is not None:
         values[spoiled] = extreme
-    names = ["model", "omega", "tau", "alpha", "beta", "n"]
+    names = ["model", "omega", "tau", "n"]
+    if values["model"] == "swanson":  # the oscillator has no alpha or beta
+        names += ["alpha", "beta"]
     names += {"solve": ["k"], "mass": ["pmax"], "veff": ["pmax", "energy"]}[command[-1]]
     argv = [*command] + [f"--{name}={values[name]}" for name in names
                          if values[name] is not None]

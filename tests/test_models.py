@@ -20,7 +20,7 @@ from gupmdm.models import (
     sl_residual_values,
     swanson_sl,
 )
-from gupmdm.solver import richardson, shooting_eigenvalue, solve_extrapolated, solve_sl
+from gupmdm.solver import shooting_eigenvalue, solve_extrapolated, solve_sl
 
 
 GRID = make_grid(-6, 6, 241)
@@ -154,14 +154,9 @@ class TestSwansonSl:
     def test_cross_solver_spectrum(self):
         # Deformed Swanson solved by two independent methods.
         params = SwansonParams(omega=1.0, alpha=0.2, beta=0.1, tau=0.05)
-        g1 = make_grid(-12, 12, 1201)
-        g2 = g1.refined()
-        s1 = solve_sl(swanson_sl(params, g1), 4)
-        slp2 = swanson_sl(params, g2)
-        s2 = solve_sl(slp2, 4)
-        for n in range(4):
-            lam = richardson(s1.eigenvalues[n], s2.eigenvalues[n])
-            shot = shooting_eigenvalue(slp2, n).eigenvalue
+        lams, fine_slp, _ = solve_extrapolated(params.sl, make_grid(-12, 12, 1201), 4)
+        for n, lam in enumerate(lams):
+            shot = shooting_eigenvalue(fine_slp, n).eigenvalue
             assert abs(lam - shot) <= 1e-6 * max(1.0, abs(shot))
 
 

@@ -140,14 +140,9 @@ class TestShooting:
 
     def test_cross_method_deformed(self):
         params = GupOscillatorParams(omega=1.0, tau=0.05)
-        g1 = make_grid(-12, 12, 1201)
-        g2 = g1.refined()
-        s1 = solve_sl(gup_oscillator_sl(params, g1), 6)
-        slp2 = gup_oscillator_sl(params, g2)
-        s2 = solve_sl(slp2, 6)
-        for n in range(6):
-            lam = richardson(s1.eigenvalues[n], s2.eigenvalues[n])
-            rep = shooting_eigenvalue(slp2, n)
+        lams, fine_slp, _ = solve_extrapolated(params.sl, make_grid(-12, 12, 1201), 6)
+        for n, lam in enumerate(lams):
+            rep = shooting_eigenvalue(fine_slp, n)
             assert abs(lam - rep.eigenvalue) <= 1e-6 * max(1.0, abs(lam))
 
     def test_rejects_negative_index(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gupmdm.core import constant, inner_slice, make_grid, sample
+from gupmdm.core import inner_slice, make_grid, sample
 from gupmdm.solver import solve_sl
 from gupmdm.susy import (
     FactorizationData,
@@ -162,9 +162,3 @@ class TestDemoProblem:
         slp = build_unweighted_problem(0.2, g)
         assert np.all(slp.w.values == 1.0)
         assert np.allclose(slp.c.values, 1.0 + 0.2 * g.points**2, atol=1e-15)
-
-    def test_custom_potential(self):
-        g = make_grid(-5, 5, 101)
-        v = constant(g, 3.0)
-        slp = build_unweighted_problem(0.0, g, potential=v)
-        assert np.all(slp.q.values == 3.0)
