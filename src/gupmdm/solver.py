@@ -4,7 +4,8 @@ Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
 RK4 shooting. Shooting finds level n as the root of the Pruefer angle sum
 Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized
-on a `Shooter`; each sweep applies 2x2 RK4 step matrices built with numpy.
+on a `Shooter`; each sweep builds its 2x2 RK4 step matrices with numpy and
+applies them in one banded triangular solve (LAPACK dtbtrs).
 Started from a matrix eigenpair, the root search takes a Newton step with
 the slope of Theta read off the eigenfunction, then secant steps; without
 a start, or when those steps stray, it brackets the level from the angles
@@ -21,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
 from .core import (
@@ -28,7 +30,6 @@ from .core import (
     SampledFunction,
     Spectrum,
     SturmLiouvilleProblem,
-    require_same_grid,
     weighted_inner_product,
 )
 
@@ -191,8 +192,8 @@ class Shooter:
     Integrates the first-order system (u, v) = (phi, c phi') with fixed-step
     RK4, coefficients cubic-spline interpolated to step midpoints. The system
     is linear, so for a given lambda each RK4 step is a 2x2 matrix; a sweep
-    builds all its step matrices at once with numpy and then only applies
-    them in a loop over Python floats.
+    builds all its step matrices at once with numpy and applies them as one
+    banded triangular solve in LAPACK.
 
     `angle(lam)` is the Pruefer angle sum Theta at the matching node, memoized
     per instance, so every level solved on one Shooter reuses the sweeps of
@@ -248,26 +249,35 @@ class Shooter:
 
         Returns (u, v, nodes): the final scaled state and the number of
         sign changes of u along the way.
+
+        State k+1 is M_k times state k, so the states (u_1, v_1, ..., u_m,
+        v_m) solve one unit lower-triangular system with -M_k at sub-diagonal
+        offsets 1-3, which LAPACK's dtbtrs solves in one call. When a state
+        passes _CAP, the solve restarts from it, scaled to |u| + |v| = 1.
         """
+        a, b, c, d = self.step_matrices(lam, start, stop)
+        m = a.size
+        band = np.zeros((4, 2 * m), order="F")   # band[:, 2k:] reaches LAPACK uncopied
+        band[2, :-2:2], band[3, :-2:2] = -a[1:], -c[1:]
+        band[1, 1:-2:2], band[2, 1:-2:2] = -b[1:], -d[1:]
         u, v = 0.0, (1.0 if stop > start else -1.0)
-        nodes = 0
-        negative = None          # sign of the last nonzero u, None before the first
-        cap, ncap = self._CAP, -self._CAP
-        for a, b, c, d in zip(*(m.tolist() for m in self.step_matrices(lam, start, stop))):
-            u, v = a * u + b * v, c * u + d * v
-            if u < 0.0:
-                if negative is False:
-                    nodes += 1
-                negative = True
-            elif u > 0.0:
-                if negative:
-                    nodes += 1
-                negative = False
-            if u > cap or u < ncap or v > cap or v < ncap:
+        u_all = np.empty(m)
+        k = 0                    # (u, v) is state k
+        while k < m:
+            rhs = np.zeros((2 * (m - k), 1))
+            rhs[0], rhs[1] = a[k] * u + b[k] * v, c[k] * u + d[k] * v
+            x = dtbtrs(band[:, 2 * k:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
+            over = np.flatnonzero(np.abs(x) > self._CAP)
+            j = over[0] // 2 + 1 if over.size else m - k    # states this solve keeps
+            u_all[k:k + j] = x[:2 * j:2]
+            u, v = x[2 * j - 2], x[2 * j - 1]
+            if over.size:
                 mag = abs(u) + abs(v)
-                u /= mag
-                v /= mag
-        return u, v, nodes
+                u, v = u / mag, v / mag
+            k += j
+        negative = np.signbit(u_all[u_all != 0.0])
+        nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
+        return float(u), float(v), nodes
 
     def _angle(self, lam: float) -> float:
         """Theta(lam) = theta_L + theta_R at the matching node, one full sweep.

@@ -10,7 +10,6 @@ from gupmdm.models import SwansonParams
 from gupmdm.solver import solve_sl
 from gupmdm.algebra import (
     LadderRep,
-    SwansonCoefficients,
     apply_ladder,
     apply_ladder_adjoint,
     hermitized_problem,

@@ -23,6 +23,7 @@ from gupmdm.models import (
     raw_residual_values,
     swanson_sl,
 )
+from gupmdm import solver
 from gupmdm.solver import (
     ANGLE_TOL,
     BracketError,
@@ -370,6 +371,70 @@ def test_step_matrix_matches_scalar_rk4(start, stop):
         got = (a * u + b * v, c * u + d * v)
         scale = max(abs(x) for x in expected)
         assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-14 * scale
+
+
+def _loop_sweep(shooter, lam, start, stop):
+    """Reference for `Shooter._sweep`: the step matrices applied one step at a
+    time to Python floats. Also returns how often the state was rescaled."""
+    u, v = 0.0, (1.0 if stop > start else -1.0)
+    nodes = rescales = 0
+    negative = None          # sign of the last nonzero u, None before the first
+    cap = Shooter._CAP
+    for a, b, c, d in zip(*(m.tolist() for m in shooter.step_matrices(lam, start, stop))):
+        u, v = a * u + b * v, c * u + d * v
+        if u < 0.0:
+            if negative is False:
+                nodes += 1
+            negative = True
+        elif u > 0.0:
+            if negative:
+                nodes += 1
+            negative = False
+        if u > cap or u < -cap or v > cap or v < -cap:
+            mag = abs(u) + abs(v)
+            u /= mag
+            v /= mag
+            rescales += 1
+    return u, v, nodes, rescales
+
+
+# (problem builder, whether a sweep must pass _CAP). At eps = 0.13,
+# kappa = 1/2 + 1/eps^2 is about 60 and the state grows past _CAP.
+SWEEP_PROBLEMS = (
+    [pytest.param(partial(normal_form_sl, eps, normal_form_grid(eps, n)), eps == 0.13,
+                  id=f"normal-form-eps{eps}-n{n}")
+     for eps in (0.0, 0.13, 0.45, 0.9) for n in (201, 2401)]
+    + [pytest.param(partial(gup_oscillator_sl, GupOscillatorParams(1.0, 0.05),
+                            make_grid(-12, 12, 1201)), False, id="oscillator"),
+       pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, 0.05),
+                            make_grid(-10, 10, 1201)), False, id="swanson")]
+)
+
+
+@pytest.mark.parametrize("build, must_restart", SWEEP_PROBLEMS)
+def test_sweep_matches_loop(build, must_restart, monkeypatch):
+    shooter = Shooter(build())
+    solves = []
+    dtbtrs = solver.dtbtrs
+    monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
+                        solves.append(args) or dtbtrs(*args, **kwargs))
+    rescales = 0
+    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5]
+    for lam in (shooter.qw_min + x for x in offsets):
+        for start in (0, shooter.n - 1):
+            solves.clear()
+            u, v, nodes = shooter._sweep(lam, start, shooter.match)
+            u_ref, v_ref, nodes_ref, restarts = _loop_sweep(shooter, lam, start, shooter.match)
+            assert nodes == nodes_ref
+            # The angle between the two final states, and their lengths: both
+            # were rescaled at the same steps.
+            assert abs(math.atan2(u * v_ref - v * u_ref, u * u_ref + v * v_ref)) <= 1e-12
+            assert math.hypot(u, v) == pytest.approx(math.hypot(u_ref, v_ref), rel=1e-12)
+            # One banded solve, and one more after each rescale.
+            assert len(solves) == 1 + restarts
+            rescales += restarts
+    if must_restart:
+        assert rescales > 0
 
 
 class TestRichardson:
