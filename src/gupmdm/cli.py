@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"need k >= 1 eigenvalues, got {self.k}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.plot and self.out in (None, "-"):
+            raise ConfigError("--plot needs a file --out; the plot is named after it")
         self.params()
         return self
 
@@ -224,11 +226,11 @@ def _emit(header: list[str], rows: list[list], cfg: RunConfig) -> None:
 
 
 def _plot(cfg: RunConfig, xs, ys, title: str) -> str | None:
-    """With --plot and a file --out, write <stem>.svg of ys against xs.
+    """With --plot, write <stem>.svg of ys against xs.
 
     stem is --out without its suffix; returns it, or None when there is no plot.
     """
-    if not cfg.plot or cfg.out in (None, "-"):
+    if not cfg.plot:
         return None
     stem = cfg.out.rsplit(".", 1)[0]
     with open(stem + ".svg", "w") as fh:
@@ -344,6 +346,8 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, count: int)
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
     if count < 2:
         raise ConfigError(f"sweep needs at least 2 points, got {count}")
+    if cfg.plot:
+        raise ConfigError("--plot: sweep draws no plot")
     values = np.linspace(start, stop, count).tolist()
     point_cfgs = [replace(cfg, **{param: v}).validate() for v in values]
     rows = []
@@ -367,13 +371,13 @@ def cmd_profile(
 ) -> int:
     """Mass M = 1/c or V_eff - Lambda = q - lam w of the model's SL problem.
 
-    On p in [-pmax, pmax]; pmax defaults to 12/sqrt(|omega|).
+    On p in [-pmax, pmax]; pmax defaults to 12/sqrt(omega).
     """
     if which == "veff" and energy is None:
         raise ConfigError("veff profile requires --energy")
     params = cfg.params()
     if pmax is None:
-        pmax = 12.0 / math.sqrt(abs(cfg.omega))
+        pmax = 12.0 / math.sqrt(cfg.omega)
     slp = params.sl(make_grid(-pmax, pmax, cfg.n))
     if which == "mass":
         prof = slp.mass

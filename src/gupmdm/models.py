@@ -99,8 +99,15 @@ def _normal_form(tau: float, s: float, b: float, k2: float) -> NormalForm:
 
 
 class ModelParams:
-    """Base of both models: a frozen dataclass with `tau`, constants `big_g`,
+    """Base of both models: a frozen dataclass with `omega` > 0, `tau` >= 0, `big_g`,
     `delta`, `big_c` and `energy_from_eigenvalue` / `eigenvalue_from_energy`."""
+
+    def __post_init__(self):
+        if not self.omega > 0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
+        if self.tau < 0:
+            raise ValueError(f"tau must be non-negative, got {self.tau}")
+        _check_square("omega", self.omega)
 
     def sl(self, grid: Grid) -> SturmLiouvilleProblem:
         return p_space_sl(self, grid)
@@ -132,11 +139,7 @@ class GupOscillatorParams(ModelParams):
     delta = 0.0
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
-        _check_square("omega", self.omega)
+        super().__post_init__()
         _check_square("1/omega", self.mu)
 
     @property
@@ -167,9 +170,7 @@ class SwansonParams(ModelParams):
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
-        _check_square("omega", self.omega)
+        super().__post_init__()
         bar2 = self.omega**2 - 4.0 * self.alpha * self.beta
         for name, x in (("omega^2 - 4*alpha*beta", bar2),
                         ("omega*(omega+alpha+beta)", self.big_g)):

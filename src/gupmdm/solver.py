@@ -5,12 +5,10 @@ solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
 RK4 shooting. Shooting finds level n as the root of the Pruefer angle sum
 Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized
 on a `Shooter`; each sweep builds its 2x2 RK4 step matrices with numpy and
-applies them in one banded triangular solve (LAPACK dtbtrs).
-Started from a matrix eigenpair, the root search takes a Newton step with
-the slope of Theta read off the eigenfunction, then secant steps; without
-a start, or when those steps stray, it brackets the level from the angles
-already computed and polishes it with Brent's method. Richardson
-extrapolation rounds out the toolbox.
+applies them in one banded triangular solve (LAPACK dtbtrs). The root
+search is one Newton-secant loop, started from a matrix eigenpair where
+there is one, that bisects when a step would leave the bracket of the
+angles already computed. Richardson extrapolation rounds out the toolbox.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
 
 from .core import (
     Grid,
@@ -39,7 +36,7 @@ class SolverError(RuntimeError):
 
 
 class BracketError(SolverError):
-    """Shooting found no bracket for a level, or its root misses the target angle."""
+    """Shooting's root search for a level failed, or its root misses the target angle."""
 
 
 @dataclass(frozen=True)
@@ -142,16 +139,13 @@ class ShootingReport:
     iterations: int
 
 
-# Relative tolerance of a shooting root, for the seeded steps and for Brent.
+# Relative tolerance of a shooting root: the search stops once a step, or
+# its bracket, is at most REL_TOL * max(1, |lam|).
 REL_TOL = 1e-10
-# Expansion steps a bracket search may take before it raises BracketError.
-MAX_BRACKET_STEPS = 60
 # Largest angle defect |Theta(lam) - (n+1) pi| accepted at a returned root.
 ANGLE_TOL = 1e-6
-# A secant expansion step aims this many times as far as the predicted root.
-_OVERSHOOT = 1.25
-# Newton and secant steps a seeded root search may take before it falls back.
-_SEED_STEPS = 6
+# Steps (one sweep each) a root search may take before it raises BracketError.
+MAX_STEPS = 100
 
 
 def _rk4_step(u, v, h, g0, gm, g1, ic0, icm, ic1):
@@ -313,72 +307,50 @@ class Shooter:
         r2 = float(y[m] ** 2 + (dy / self.ic_n[m]) ** 2)
         return norm / r2 if r2 > 0.0 else math.inf
 
-    def bracket(self, target: float) -> tuple[float, float]:
-        """(lo, hi) with Theta(lo) <= target < Theta(hi), from the memo if it can.
 
-        Theta(min q/w) < pi, since q - lam w >= 0 there keeps both solutions
-        from turning, so that point is always a lower end. While no memoized
-        angle lies above `target`, a secant through the two highest points
-        below it predicts the crossing and the next trial aims _OVERSHOOT
-        times as far. A trial reaches at most twice as far from min q/w as
-        the highest point below, plus one gap; with no rising secant it
-        takes that cap.
-        """
-        base = self.qw_min
-        if self.angle(base) > target:
-            raise BracketError(f"angle {self.angle(base):.6g} at min(q/w) = {base:g} "
-                               f"already exceeds the target {target:.6g}")
-        gap = max(1.0, abs(base) * 0.5)
-        for _ in range(MAX_BRACKET_STEPS):
-            hi = min((lam for lam, th in self._angles.items() if th > target),
-                     default=math.inf)
-            below = sorted((lam, th) for lam, th in self._angles.items()
-                           if th <= target and lam < hi)
-            lam2, th2 = below[-1]
-            if hi < math.inf:
-                return lam2, hi
-            trial = 2.0 * lam2 - base + gap
-            if len(below) > 1:
-                lam1, th1 = below[-2]
-                slope = (th2 - th1) / (lam2 - lam1)
-                if slope > 0.0:
-                    trial = min(trial, lam2 + _OVERSHOOT * (target - th2) / slope)
-            self.angle(trial)
-        raise BracketError(f"no angle above {target:.6g} in [{base:g}, {trial:g}] "
-                           f"after {MAX_BRACKET_STEPS} expansion steps")
+def _root(shooter: Shooter, target: float, lam: float, slope: float) -> float:
+    """Root of Theta = target by Newton-secant steps kept inside a bracket.
 
-
-def _seeded_root(shooter: Shooter, target: float, lam0: float,
-                 phi: SampledFunction, tol: float) -> float | None:
-    """Root of Theta - target by a Newton step from lam0, then secant steps.
-
-    The first slope is `Shooter.eigen_slope(phi)`, later ones the secant
-    through the last two angles. Returns the last lambda swept once a step
-    is at most `tol`, or None (fall back) when a slope is not positive and
-    finite, a step leaves the interval the memoized angles bracket, or
-    _SEED_STEPS steps do not converge.
+    Starts at lam with dTheta/dlambda = slope, or at (min q/w, nan) when lam
+    is not finite; later slopes are secants through the last two angles. A
+    step is taken while it lands strictly inside the bracket of the memoized
+    angles, whose lower end is min q/w (Theta < pi there, as q - lam w >= 0
+    keeps both solutions from turning) until an angle below the target is
+    known. Otherwise the search bisects the bracket, sweeps min q/w while no
+    angle lies below the target, or doubles the reach from min q/w (plus
+    one gap) while none lies above it. Returns lam once a step is at most
+    REL_TOL * max(1, |lam|) with the angle within ANGLE_TOL, or, once the
+    bracket is that narrow, the end whose angle is nearer the target.
     """
-    lam = float(lam0)
+    base, angles = shooter.qw_min, shooter._angles
+    gap = max(1.0, abs(base) * 0.5)
     if not math.isfinite(lam):
-        return None
+        lam, slope = base, math.nan
     theta = shooter.angle(lam)
-    slope = shooter.eigen_slope(phi)
-    for _ in range(_SEED_STEPS):
-        if not 0.0 < slope < math.inf:
-            return None
-        step = (target - theta) / slope
-        if abs(step) <= tol:
+    for _ in range(MAX_STEPS):
+        if angles.get(base, -math.inf) > target:
+            raise BracketError(f"angle {angles[base]:.6g} at min(q/w) = {base:g} "
+                               f"already exceeds the target {target:.6g}")
+        hi = min((x for x, th in angles.items() if th > target), default=math.inf)
+        lo = max((x for x, th in angles.items() if th <= target and x < hi), default=None)
+        tol = REL_TOL * max(1.0, abs(lam))
+        step = (target - theta) / slope if 0.0 < slope < math.inf else math.nan
+        if abs(step) <= tol and abs(theta - target) <= ANGLE_TOL:
             return lam
-        memo = shooter._angles.items()
-        lo = max((x for x, th in memo if th <= target), default=-math.inf)
-        hi = min((x for x, th in memo if th > target), default=math.inf)
+        if lo is not None and hi - lo <= tol:
+            return min((lo, hi), key=lambda x: abs(angles[x] - target))
+        low = base if lo is None else lo
+        top = hi if hi < math.inf else 2.0 * low - base + gap
         new = lam + step
-        if not lo < new < hi:
-            return None
+        if not low < new < top:
+            new = low if lo is None else top if hi == math.inf else 0.5 * (low + top)
         theta_new = shooter.angle(new)
-        slope = (theta_new - theta) / (new - lam)
+        slope = (theta_new - theta) / (new - lam) if new != lam else math.nan
         lam, theta = new, theta_new
-    return None
+    if all(th <= target for th in angles.values()):
+        raise BracketError(f"no angle above {target:.6g} in [{base:g}, {max(angles):g}] "
+                           f"after {MAX_STEPS} steps")
+    raise BracketError(f"no root of Theta = {target:.6g} after {MAX_STEPS} steps")
 
 
 def shooting_eigenvalue(
@@ -388,37 +360,29 @@ def shooting_eigenvalue(
 ) -> ShootingReport:
     """n-th eigenvalue by two-sided shooting on the Pruefer angle.
 
-    Level n is the root of Theta(lam) = (n + 1) pi. With `start` = (lam0,
-    phi), a matrix estimate of level n and its eigenfunction, the search
-    sweeps at lam0, takes a Newton step with `Shooter.eigen_slope(phi)` and
-    then secant steps, and stops once a step is at most
-    REL_TOL * max(1, |lam0|). Without a start, or when that search strays,
-    stalls or returns an angle off by more than ANGLE_TOL, `Shooter.bracket`
-    finds a bracket, from angles earlier levels on the same Shooter computed
-    where it can, and Brent's method polishes the root to about
-    REL_TOL * (1 + |lam|), whatever the bracket's width. Theta
-    has one root per level, so the start changes the cost, not the level
-    found. A `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter
-    for every level of a problem to share its sweeps.
+    Level n is the root of Theta(lam) = (n + 1) pi, found by `_root`. With
+    `start` = (lam0, phi), a matrix estimate of level n and its
+    eigenfunction, the search starts at lam0 with the slope
+    `Shooter.eigen_slope(phi)`; without one, at min q/w. Theta has one root
+    per level, so the start changes the cost, not the level found. A
+    `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter for every
+    level of a problem to share its sweeps, which also bracket later levels.
 
-    Raises BracketError when no bracket is found or the root misses the
-    target angle by more than ANGLE_TOL (a jump in Theta, as on a grid too
-    coarse for the level). `iterations` counts the full-grid sweeps this
-    call made.
+    Raises BracketError when the angle at min q/w already exceeds the
+    target, MAX_STEPS steps find no angle above it or no root, or the root
+    misses the target angle by more than ANGLE_TOL (a jump in Theta, as on a
+    grid too coarse for the level). `iterations` counts the full-grid sweeps
+    this call made.
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")
     shooter = problem if isinstance(problem, Shooter) else Shooter(problem)
     sweeps = shooter.sweeps
     target = (n + 1) * math.pi
-    lam = None
-    if start is not None:
-        lam0, phi = start
-        lam = _seeded_root(shooter, target, lam0, phi, REL_TOL * max(1.0, abs(lam0)))
-    if lam is None or not abs(shooter.angle(lam) - target) <= ANGLE_TOL:
-        lo, hi = shooter.bracket(target)
-        lam = brentq(lambda x: shooter.angle(x) - target, lo, hi,
-                     xtol=REL_TOL, rtol=REL_TOL)
+    if start is None:
+        lam = _root(shooter, target, math.nan, math.nan)
+    else:
+        lam = _root(shooter, target, float(start[0]), shooter.eigen_slope(start[1]))
     defect = abs(shooter.angle(lam) - target)
     if not defect <= ANGLE_TOL:
         raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "

@@ -135,6 +135,30 @@ class TestSolve:
         assert funcs[0] == "x,y0,y1,y2"
         assert len(funcs) == 402  # header + refined grid (2n-1 points)
 
+    @pytest.mark.parametrize("argv, config", [
+        (["solve", *FAST, "--plot"], ""),
+        (["solve", *FAST, "--out", "-", "--plot"], ""),
+        (["solve", *FAST], "plot = true\n"),
+        (["profile", "mass", "--n", "51", "--plot"], ""),
+        (["sweep", "--param", "tau", "--start", "0", "--stop", "0.1", "--count", "2",
+          *FAST, "--out", "{tmp}/s.csv", "--plot"], ""),
+        (["sweep", "--param", "tau", "--start", "0", "--stop", "0.1", "--count", "2",
+          *FAST, "--out", "{tmp}/s.csv"], "plot = on\n"),
+    ], ids=["solve-stdout", "solve-dash", "solve-config", "profile-stdout",
+            "sweep", "sweep-config"])
+    def test_plot_that_writes_nothing_exit_2(self, argv, config, tmp_path, capsys):
+        # Only solve and profile plot, and only next to a file --out.
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--plot" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
     def test_invalid_model_params_exit_2(self, capsys):
         rc = main(["solve", "--omega", "-1.0", *FAST])
         assert rc == 2
@@ -231,7 +255,10 @@ class TestSolve:
         (["--tau", "inf"], "not finite at tau = inf"),
         # G = omega^2 = 1e-320 is subnormal: a few bits, not a spectrum.
         (["--model", "swanson", "--omega", "1e-160"], "subnormal at omega = 1e-160"),
-    ], ids=["oscillatory-end", "huge-tau", "inf-tau", "subnormal-g"])
+        # omega (a^dagger a + 1/2) at omega < 0 has no lowest level; G = omega
+        # (omega + alpha + beta) > 0 must not hide the sign.
+        (["--model", "swanson", "--omega", "-2"], "omega must be positive, got -2"),
+    ], ids=["oscillatory-end", "huge-tau", "inf-tau", "subnormal-g", "negative-omega"])
     def test_no_normal_form_exit_2(self, argv, message, capsys):
         rc = main(["solve", *argv])
         captured = capsys.readouterr()

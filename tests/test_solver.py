@@ -214,6 +214,15 @@ class TestShooting:
         with pytest.raises(BracketError, match=message):
             shooting_eigenvalue(slp, 1)
 
+    def test_step_cap(self, monkeypatch):
+        # Theta = pi + atan(lam - 1.3) is bracketed by the second step, but
+        # MAX_STEPS = 2 ends the search before it converges.
+        monkeypatch.setattr(Shooter, "_angle",
+                            lambda self, lam: math.pi + math.atan(lam - 1.3))
+        monkeypatch.setattr(solver, "MAX_STEPS", 2)
+        with pytest.raises(BracketError, match="no root of Theta = 3.14159 after 2 steps"):
+            shooting_eigenvalue(laplace_problem(51), 0)
+
     @pytest.mark.parametrize("tau, omega", [(0.05, 1.0), (0.1, 2.0)])
     def test_closed_form_on_wide_box(self, tau, omega):
         # Kempf-Mangano-Mann: E_n = omega[(n+1/2)(sqrt(1+g^2/4)+g/2) + g n^2/2],
@@ -243,18 +252,9 @@ ACCEPTANCE_POINTS = (
 )
 
 
-def _spy_brackets(monkeypatch):
-    """List that records the target of every `Shooter.bracket` call."""
-    targets = []
-    bracket = Shooter.bracket
-    monkeypatch.setattr(Shooter, "bracket", lambda self, target:
-                        targets.append(target) or bracket(self, target))
-    return targets
-
-
 class TestSeededShooting:
     # Swanson at tau = 0.6 has eps^2 > 2, so q is large and negative at the
-    # ends and the unseeded bracket is wide; Brent's tolerance must not follow it.
+    # ends and the unseeded bracket is wide; the tolerance must not follow it.
     @pytest.mark.parametrize("params", ACCEPTANCE_POINTS + [SwansonParams(2.0, 0.3, 0.1, 0.6)],
                              ids=repr)
     def test_seeded_matches_unseeded(self, params):
@@ -288,11 +288,11 @@ class TestSeededShooting:
 
     @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-phi", "steep-slope",
                                      "negative-slope", "nan-slope"])
-    def test_bad_start_falls_back(self, bad, monkeypatch):
+    def test_bad_start_recovers(self, bad, monkeypatch):
         # Level 2 at (0.05, 1) from a start that is wrong in one way each.
         mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=4)
         n = 2
-        ref = shooting_eigenvalue(slp, n).eigenvalue
+        ref = shooting_eigenvalue(slp, n)
         lam0, phi = mus[n], spec.eigenfunctions[n]
         slope = {"steep-slope": 1e12, "negative-slope": -1.0, "nan-slope": math.nan}.get(bad)
         if slope is not None:
@@ -304,17 +304,16 @@ class TestSeededShooting:
         elif bad == "zero-phi":
             phi = phi * 0.0                                    # slope inf
         elif bad == "steep-slope":
-            # The first step is tiny, so the search stops at lam0, off the
-            # root; only the angle check sends it on to Brent.
+            # The first step is tiny, so only the angle check keeps the
+            # search from stopping at lam0, off the root.
             lam0 = mus[n] * (1 + 1e-5)
-        brackets = _spy_brackets(monkeypatch)
         rep = shooting_eigenvalue(slp, n, start=(lam0, phi))
-        assert rep.eigenvalue == pytest.approx(ref, rel=2e-10, abs=0)
+        assert rep.eigenvalue == pytest.approx(ref.eigenvalue, rel=2e-10, abs=0)
         assert rep.mismatch <= ANGLE_TOL
-        if bad not in ("next-level", "floor"):     # these may also converge seeded
-            assert brackets == [(n + 1) * math.pi]
+        # No worse than no start at all.
+        assert rep.iterations <= ref.iterations
 
-    def test_step_out_of_bracket_falls_back(self, monkeypatch):
+    def test_step_out_of_bracket_bisects(self, monkeypatch):
         # Theta = pi + atan(lam - 1) with angles known at 0.9 and 1.1: from
         # 1.05, a slope far too shallow sends the Newton step out of (0.9, 1.1).
         monkeypatch.setattr(Shooter, "_angle",
@@ -323,11 +322,12 @@ class TestSeededShooting:
         slp = laplace_problem(51)
         shooter = Shooter(slp)
         shooter.angle(0.9), shooter.angle(1.1)
-        brackets = _spy_brackets(monkeypatch)
         rep = shooting_eigenvalue(shooter, 0, start=(1.05, slp.w))
-        assert brackets == [math.pi]
+        swept = list(shooter._angles)
+        # The step after 1.05 bisects its bracket (0.9, 1.05).
+        assert swept[2:4] == [1.05, pytest.approx(0.975)]
         # Nothing swept outside (0.9, 1.1) but the bracket's base, min q/w = 0.
-        assert all(0.9 <= lam <= 1.1 for lam in shooter._angles if lam != 0.0)
+        assert all(0.9 <= lam <= 1.1 for lam in swept if lam != 0.0)
         assert rep.eigenvalue == pytest.approx(1.0, abs=1e-9)
 
     def test_bracket_error_when_seeded(self, monkeypatch):
