@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
@@ -212,12 +213,17 @@ def write_table(header: list[str], rows: list[list], cfg: RunConfig, dest) -> No
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    """The file `out`, or stdout when it is unset or "-"."""
+    """The file `out`, or stdout when it is unset or "-"; a file that cannot be
+    opened is a ConfigError naming --out."""
     if out in (None, "-"):
         yield sys.stdout
-    else:
-        with open(out, "w") as dest:
-            yield dest
+        return
+    try:
+        dest = open(out, "w")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out!r}: {exc.strerror}") from exc
+    with dest:
+        yield dest
 
 
 def _emit(header: list[str], rows: list[list], cfg: RunConfig) -> None:
@@ -232,8 +238,8 @@ def _plot(cfg: RunConfig, xs, ys, title: str) -> str | None:
     """
     if not cfg.plot:
         return None
-    stem = cfg.out.rsplit(".", 1)[0]
-    with open(stem + ".svg", "w") as fh:
+    stem = os.path.splitext(cfg.out)[0]
+    with _output(stem + ".svg") as fh:
         fh.write(svg_polyline(xs, ys, title))
     return stem
 
@@ -332,7 +338,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     stem = _plot(cfg, x, ys[0], "ground state y0(x)")
     if stem is not None:
         header = ["x", *(f"y{j}" for j in range(len(ys)))]
-        with open(stem + "_eigenfunctions.csv", "w") as fh:
+        with _output(stem + "_eigenfunctions.csv") as fh:
             write_table(header, np.column_stack([x, *ys]).tolist(),
                         replace(cfg, format="csv"), fh)
     return EXIT_OK

@@ -4,10 +4,10 @@ Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
 RK4 shooting. Shooting finds level n as the root of the Pruefer angle sum
 Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized
-on a `Shooter`; each sweep builds its 2x2 RK4 step matrices with numpy and
-applies them in one banded triangular solve (LAPACK dtbtrs). The root
-search is one Newton-secant loop, started from a matrix eigenpair where
-there is one, that bisects when a step would leave the bracket of the
+on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed form
+with numpy and applies them in one banded triangular solve (LAPACK dtbtrs).
+The root search is one Newton-secant loop, started from a matrix eigenpair
+where there is one, that bisects when a step would leave the bracket of the
 angles already computed. Richardson extrapolation rounds out the toolbox.
 """
 
@@ -148,25 +148,6 @@ ANGLE_TOL = 1e-6
 MAX_STEPS = 100
 
 
-def _rk4_step(u, v, h, g0, gm, g1, ic0, icm, ic1):
-    """One classical RK4 step of u' = v/c, v' = g u with g = q - lam w.
-
-    Works on floats and on arrays of steps; 0, m, 1 mark start, midpoint, end.
-    """
-    h2 = 0.5 * h
-    k1u = v * ic0
-    k1v = g0 * u
-    k2u = (v + h2 * k1v) * icm
-    k2v = gm * (u + h2 * k1u)
-    k3u = (v + h2 * k2v) * icm
-    k3v = gm * (u + h2 * k2u)
-    k4u = (v + h * k3v) * ic1
-    k4v = g1 * (u + h * k3u)
-    h6 = h / 6.0
-    return (u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
-            v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
-
-
 def _half_angle(u: float, v: float, nodes: int) -> float:
     """Continuous angle of (u, v) after `nodes` sign changes of u, from u = 0+.
 
@@ -185,9 +166,9 @@ class Shooter:
 
     Integrates the first-order system (u, v) = (phi, c phi') with fixed-step
     RK4, coefficients cubic-spline interpolated to step midpoints. The system
-    is linear, so for a given lambda each RK4 step is a 2x2 matrix; a sweep
-    builds all its step matrices at once with numpy and applies them as one
-    banded triangular solve in LAPACK.
+    is linear, so for a given lambda each RK4 step is a 2x2 matrix with a
+    closed form (`step_matrices`); a sweep writes all its step matrices at once
+    with numpy and applies them as one banded triangular solve in LAPACK.
 
     `angle(lam)` is the Pruefer angle sum Theta at the matching node, memoized
     per instance, so every level solved on one Shooter reuses the sweeps of
@@ -224,19 +205,31 @@ class Shooter:
         return len(self._angles)
 
     def step_matrices(self, lam: float, start: int, stop: int):
-        """Entries (a, b, c, d) of the step matrices [[a, b], [c, d]] that
-        carry (u, v) from node `start` to node `stop`, in stepping order."""
-        g = self.q_n - lam * self.w_n
+        """Entries (a, b, c, d) of the RK4 step matrices [[a, b], [c, d]] that
+        carry (u, v) from node `start` to node `stop`, in stepping order.
+
+        With al = 1/c, g = q - lam w and s = al_m g_m (0, m, 1 marking a
+        step's start, midpoint and end), A = [[0, al], [g, 0]] has A_m^2 = s I,
+        so RK4's matrix polynomial in A_0, A_m, A_1 has the closed form
+          a = 1 + h^2/6 (al_m g_0 + s + al_1 g_m) + h^4/24 s al_1 g_0
+          b = h/6 (al_0 + 4 al_m + al_1) + h^3/12 s (al_0 + al_1)
+          c = h/6 (g_0 + 4 g_m + g_1) + h^3/12 s (g_0 + g_1)
+          d = 1 + h^2/6 (g_m al_0 + s + g_1 al_m) + h^4/24 s g_1 al_0.
+        A leftward sweep swaps 0 and 1 and negates h.
+        """
         lo, hi = sorted((start, stop))
-        mid, i0, i1, h = slice(lo, hi), slice(lo, hi), slice(lo + 1, hi + 1), self.h
+        nodes, mids, h = slice(lo, hi + 1), slice(lo, hi), self.h
+        g, al = self.q_n[nodes] - lam * self.w_n[nodes], self.ic_n[nodes]
+        g_m, al_m = self.q_m[mids] - lam * self.w_m[mids], self.ic_m[mids]
         if stop < start:
-            i0, i1, h = i1, i0, -h
-        # Stepping the basis states (1, 0) and (0, 1) gives the two columns.
-        uu, vv = _rk4_step(*np.eye(2)[:, :, None], h,
-                           g[i0], self.q_m[mid] - lam * self.w_m[mid], g[i1],
-                           self.ic_n[i0], self.ic_m[mid], self.ic_n[i1])
-        order = slice(None, None, 1 if h > 0 else -1)
-        return uu[0, order], uu[1, order], vv[0, order], vv[1, order]
+            g, al, g_m, al_m, h = g[::-1], al[::-1], g_m[::-1], al_m[::-1], -h
+        g0, g1, al0, al1 = g[:-1], g[1:], al[:-1], al[1:]
+        s = al_m * g_m
+        h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * s, h**4 / 24.0 * s
+        return (1.0 + h2 * (al_m * g0 + s + al1 * g_m) + h4 * al1 * g0,
+                h / 6.0 * (al0 + 4.0 * al_m + al1) + h3 * (al0 + al1),
+                h / 6.0 * (g0 + 4.0 * g_m + g1) + h3 * (g0 + g1),
+                1.0 + h2 * (g_m * al0 + s + g1 * al_m) + h4 * g1 * al0)
 
     def _sweep(self, lam: float, start: int, stop: int):
         """Integrate from node `start` to node `stop` (either direction).

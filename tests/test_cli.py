@@ -135,6 +135,33 @@ class TestSolve:
         assert funcs[0] == "x,y0,y1,y2"
         assert len(funcs) == 402  # header + refined grid (2n-1 points)
 
+    @pytest.mark.parametrize("out, stem", [("./run", "run"), ("res.d/prof", "res.d/prof"),
+                                           ("res.d/prof.csv", "res.d/prof")])
+    def test_plot_named_after_out(self, out, stem, tmp_path, monkeypatch):
+        # Only the file name's extension goes, never a dot in a directory name.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "res.d").mkdir()
+        assert main(["solve", *FAST, "--out", out, "--plot"]) == 0
+        made = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert made == sorted([out.removeprefix("./"), stem + ".svg",
+                               stem + "_eigenfunctions.csv"])
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", *FAST, "--out", "{tmp}"],
+        ["solve", *FAST, "--out", "{tmp}/missing/run.csv"],
+        ["profile", "mass", "--n", "51", "--out", "{tmp}"],
+        ["verify", "reduction", "--out", "{tmp}"],
+        ["verify", "reduction", "--out", "{tmp}/missing/x.json"],
+    ], ids=["solve-dir", "solve-missing-dir", "profile-dir", "verify-dir",
+            "verify-missing-dir"])
+    def test_unwritable_out_exit_2(self, argv, tmp_path, capsys):
+        rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--out" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, config", [
         (["solve", *FAST, "--plot"], ""),
         (["solve", *FAST, "--out", "-", "--plot"], ""),

@@ -373,6 +373,23 @@ def test_step_matrix_matches_scalar_rk4(start, stop):
         assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("eps", [0.13, 0.9])   # at 0.9 the grid ends are the singular points
+@pytest.mark.parametrize("backward", [False, True])
+def test_step_matrix_matches_scalar_rk4_normal_form(eps, backward):
+    shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, 2401)))
+    start, stop = (shooter.n - 1, 0) if backward else (0, shooter.n - 1)
+    step = 1 if stop > start else -1
+    for lam in (shooter.qw_min + x for x in (-10.0, 3.0, 1e3, 1e5)):
+        mats = shooter.step_matrices(lam, start, stop)
+        assert all(m.size == shooter.n - 1 for m in mats)
+        for k, (a, b, c, d) in enumerate(zip(*(m.tolist() for m in mats))):
+            i = start + k * step
+            (u, v), (u1, v1) = _scalar_rk4_step(shooter, lam, i, i + step)
+            # Each component against the size of the terms that make it up.
+            assert abs(a * u + b * v - u1) <= 1e-12 * (abs(a * u) + abs(b * v))
+            assert abs(c * u + d * v - v1) <= 1e-12 * (abs(c * u) + abs(d * v))
+
+
 def _loop_sweep(shooter, lam, start, stop):
     """Reference for `Shooter._sweep`: the step matrices applied one step at a
     time to Python floats. Also returns how often the state was rescaled."""
