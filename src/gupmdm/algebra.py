@@ -19,7 +19,7 @@ from .core import (
     SturmLiouvilleProblem,
     constant,
     derivative,
-    inner_slice,
+    inner_relative_norm,
     require_same_grid,
 )
 from .models import SwansonParams
@@ -133,22 +133,13 @@ def untransformed_residual(
 
     phi should be an eigenfunction of the Hermitized problem with eigenvalue
     lam; the similarity maps it to an eigenfunction of
-    H~ = -D r~^2 D + s~ D + w~, which is verified here by direct
-    finite-difference application (L2 norms on the inner 80% of the grid).
+    H~ = -D r~^2 D + s~ D + w~. Its defect H~ psi - lam psi is s~ psi' minus
+    the residual of the SL problem (c, q, w) = (r~^2, w~, 1), taken as an L2
+    ratio on the inner 80% of the grid.
     """
     require_same_grid(coeffs.r_t, rho, phi)
     psi = phi / rho
-    c = coeffs.r_t * coeffs.r_t
-    h_psi = (
-        -c * derivative(psi, 2)
-        - derivative(c, 1) * derivative(psi, 1)
-        + coeffs.s_t * derivative(psi, 1)
-        + coeffs.w_t * psi
-    )
-    defect = h_psi - lam * psi
-    sl = inner_slice(phi.grid.n)
-    den = float(np.linalg.norm(psi.values[sl]))
-    if den == 0.0:
-        return float(np.linalg.norm(defect.values[sl]))
-    return float(np.linalg.norm(defect.values[sl])) / den
-
+    slp = SturmLiouvilleProblem(c=coeffs.r_t * coeffs.r_t, q=coeffs.w_t,
+                                w=constant(phi.grid, 1.0))
+    defect = coeffs.s_t * derivative(psi, 1) - slp.residual(psi, lam)
+    return inner_relative_norm(defect, psi)

@@ -39,7 +39,6 @@ from .models import (
     normal_form_grid,
     normal_form_sl,
     raw_residual_values,
-    sl_residual_values,
 )
 from .solver import (
     Shooter,
@@ -377,8 +376,13 @@ def cmd_profile(
 ) -> int:
     """Mass M = 1/c or V_eff - Lambda = q - lam w of the model's SL problem.
 
-    On p in [-pmax, pmax]; pmax defaults to 12/sqrt(omega).
+    On p in [-pmax, pmax]; pmax defaults to 12/sqrt(omega). A profile has no
+    k and a mass profile no energy, so setting either is a ConfigError.
     """
+    if cfg.k != RunConfig.k:
+        raise ConfigError(f"profile has no parameter k (got k = {cfg.k!r})")
+    if which == "mass" and energy is not None:
+        raise ConfigError(f"profile mass has no parameter energy (got energy = {energy!r})")
     if which == "veff" and energy is None:
         raise ConfigError("veff profile requires --energy")
     params = cfg.params()
@@ -459,7 +463,7 @@ def verify_reduction() -> list[dict]:
     params = GupOscillatorParams(omega=omega, tau=tau)
     raw = gup_oscillator_raw(params, grid)
     slp = gup_oscillator_sl(params, grid)
-    u = sample(grid, lambda p: 1.0 + tau * p * p)
+    u = slp.c   # the integrating factor 1 + tau p^2
     checks = []
     for j, (amp, width, shift) in enumerate(
         [(1.0, 1.0, 0.0), (0.7, 1.3, 0.5), (1.2, 0.8, -0.4), (0.5, 2.0, 1.0),
@@ -470,7 +474,7 @@ def verify_reduction() -> list[dict]:
         )
         lam = 1.0 + 0.1 * j
         lhs = u * raw_residual_values(raw, phi, lam)
-        rhs = sl_residual_values(slp, phi, lam)
+        rhs = slp.residual(phi, lam)
         defect = float(np.max(np.abs(lhs.values - rhs.values)))
         checks.append(_check(f"integrating_factor_identity gaussian {j}", defect, 1e-12))
     return checks

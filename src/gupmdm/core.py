@@ -150,6 +150,19 @@ class SturmLiouvilleProblem:
         """V_eff - Lambda = q - lam w, the potential at spectral parameter lam."""
         return self.q - lam * self.w
 
+    def residual(self, phi: SampledFunction, lam: float) -> SampledFunction:
+        """Pointwise defect (c phi')' - (q - lam w) phi at spectral parameter lam.
+
+        The product rule is expanded as c phi'' + c' phi' with the `derivative`
+        stencils, so for polynomial c the defect is the raw ODE's defect
+        (`models.raw_residual_values`) times the integrating factor, to rounding.
+        """
+        require_same_grid(self.c, phi)
+        d1 = derivative(phi, 1)
+        d2 = derivative(phi, 2)
+        dc = derivative(self.c, 1)
+        return self.c * d2 + dc * d1 - (self.q - lam * self.w) * phi
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -216,3 +229,11 @@ def inner_slice(n: int) -> slice:
     """Index slice selecting the central 80% of n grid points."""
     margin = max(int(round(n * (1.0 - 0.8) / 2.0)), 1)
     return slice(margin, n - margin)
+
+
+def inner_relative_norm(defect: SampledFunction, f: SampledFunction) -> float:
+    """L2 ratio ||defect|| / ||f|| over `inner_slice`; ||defect|| where f vanishes there."""
+    sl = inner_slice(require_same_grid(defect, f).n)
+    num = float(np.linalg.norm(defect.values[sl]))
+    den = float(np.linalg.norm(f.values[sl]))
+    return num / den if den else num

@@ -331,19 +331,3 @@ def raw_residual_values(
         + coeffs.a1 * d1
         - (coeffs.a0P - lam * coeffs.a0E) * phi
     )
-
-
-def sl_residual_values(
-    slp: SturmLiouvilleProblem, phi: SampledFunction, lam: float
-) -> SampledFunction:
-    """Pointwise SL defect (c phi')' - (q - lam w) phi.
-
-    The product rule is expanded with the same finite-difference operator
-    used by raw_residual_values, so for polynomial c the two defects obey
-    the integrating-factor identity to rounding.
-    """
-    require_same_grid(slp.c, phi)
-    d1 = derivative(phi, 1)
-    d2 = derivative(phi, 2)
-    dc = derivative(slp.c, 1)
-    return slp.c * d2 + dc * d1 - (slp.q - lam * slp.w) * phi

@@ -66,15 +66,25 @@ class TestConfig:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, cfg_text, message", [
-        (["solve", "--alpha", "0.3", "--format", "json"], None, "alpha (got alpha = 0.3)"),
-        (["solve"], "beta = 0.1\n", "beta (got beta = 0.1)"),
+        (["solve", "--alpha", "0.3", "--format", "json"], None,
+         "model gup-oscillator has no parameter alpha (got alpha = 0.3)"),
+        (["solve"], "beta = 0.1\n",
+         "model gup-oscillator has no parameter beta (got beta = 0.1)"),
         (["sweep", "--param", "alpha", "--start", "0", "--stop", "0.5", "--count", "2"],
-         None, "alpha (got alpha = 0.5)"),
-    ], ids=["flag", "config-line", "sweep-point"])
+         None, "model gup-oscillator has no parameter alpha (got alpha = 0.5)"),
+        (["profile", "mass", "--energy", "3", "--out", "{tmp}/p.csv"], None,
+         "profile mass has no parameter energy (got energy = 3.0)"),
+        (["profile", "mass", "--k", "3"], None, "profile has no parameter k (got k = 3)"),
+        (["profile", "veff", "--energy", "1", "--out", "{tmp}/p.csv"], "k = 3\n",
+         "profile has no parameter k (got k = 3)"),
+    ], ids=["flag", "config-line", "sweep-point", "profile-mass-energy", "profile-k",
+            "profile-k-config-line"])
     def test_parameter_the_model_lacks_exit_2(self, argv, cfg_text, message, tmp_path,
                                               capsys):
-        # The oscillator has no alpha or beta: set, they would leave its
-        # spectrum unchanged while the output claims otherwise.
+        # The oscillator has no alpha or beta, a profile no k and a mass profile
+        # no energy: set, they would leave the output unchanged while the
+        # command line claims otherwise.
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         if cfg_text is not None:
             cfgfile = tmp_path / "run.cfg"
             cfgfile.write_text(cfg_text)
@@ -82,8 +92,9 @@ class TestConfig:
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == f"error: model gup-oscillator has no parameter {message}\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if cfg_text else [])
 
     def test_validate_rejects_small_n(self):
         with pytest.raises(ConfigError):

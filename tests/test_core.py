@@ -10,6 +10,8 @@ from gupmdm.core import (
     constant,
     count_interior_sign_changes,
     derivative,
+    inner_relative_norm,
+    inner_slice,
     make_grid,
     sample,
     weighted_inner_product,
@@ -169,3 +171,32 @@ def test_sl_problem_mass_and_effective_potential():
     assert np.array_equal(slp.mass.values, 1.0 / (1.0 + p * p))
     assert np.allclose(slp.effective_potential(1.5).values, p**4 - 1.5 * (3.0 + p),
                        rtol=0, atol=1e-15)
+
+
+def test_sl_problem_residual_exact_on_quadratics():
+    # (c phi')' - (q - lam w) phi with c and phi quadratic: the stencils are exact.
+    g = make_grid(-2, 2, 9)
+    p = g.points
+    slp = SturmLiouvilleProblem(c=sample(g, lambda p: 1.0 + p * p),
+                                q=sample(g, lambda p: p**4),
+                                w=sample(g, lambda p: 3.0 + p))
+    res = slp.residual(sample(g, lambda p: 2.0 - p * p), 1.5)
+    exact = -2.0 * (1.0 + p * p) - 4.0 * p * p - (p**4 - 1.5 * (3.0 + p)) * (2.0 - p * p)
+    assert np.allclose(res.values, exact, rtol=0, atol=1e-12)
+
+
+def test_inner_relative_norm():
+    g = make_grid(0, 1, 21)
+    inner = inner_slice(g.n)
+    f = sample(g, lambda p: 1.0 + p)
+    defect = sample(g, lambda p: p**3)
+    ratio = np.linalg.norm(defect.values[inner]) / np.linalg.norm(f.values[inner])
+    assert inner_relative_norm(defect, f) == ratio
+    # Only the inner 80% counts, and a vanishing f leaves ||defect||.
+    spiked = f.values.copy()
+    spiked[0] = spiked[-1] = 1e6
+    assert inner_relative_norm(defect, SampledFunction(g, spiked)) == ratio
+    assert inner_relative_norm(defect, constant(g, 0.0)) == np.linalg.norm(
+        defect.values[inner])
+    with pytest.raises(GridMismatchError):
+        inner_relative_norm(defect, constant(make_grid(0, 1, 11), 1.0))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gupmdm.core import make_grid, sample
+from gupmdm.core import inner_slice, make_grid, sample
 from gupmdm.models import (
     MODELS,
     GupOscillatorParams,
@@ -17,7 +17,6 @@ from gupmdm.models import (
     normal_form_grid,
     normal_form_sl,
     raw_residual_values,
-    sl_residual_values,
     swanson_sl,
 )
 from gupmdm.solver import shooting_eigenvalue, solve_extrapolated, solve_sl
@@ -112,7 +111,7 @@ class TestGupOscillatorSl:
         phi = sample(GRID, lambda p: np.exp(-0.5 * (p - shift) ** 2))
         u = sample(GRID, lambda p: 1.0 + 0.1 * p * p)
         lhs = u * raw_residual_values(raw, phi, 1.3)
-        rhs = sl_residual_values(slp, phi, 1.3)
+        rhs = slp.residual(phi, 1.3)
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
 
 
@@ -245,6 +244,28 @@ class TestNormalForm:
         grid = normal_form_grid(0.05, 201)
         q = normal_form_sl(0.05, grid).q.values
         assert q[0] > q[1]
+
+    @pytest.mark.parametrize("params", [
+        GupOscillatorParams(1.0, 0.05), GupOscillatorParams(2.0, 0.1),
+        GupOscillatorParams(0.7, 0.3), SwansonParams(2.0, 0.3, 0.1, 0.05),
+    ], ids=["osc-1-0.05", "osc-2-0.1", "osc-0.7-0.3", "swanson-0.05"])
+    def test_closed_form_ground_state_residual_is_second_order(self, params):
+        # The p-space ground state is phi0 = u^(-kappa/2 - delta/(2 tau)),
+        # u = 1 + tau p^2, kappa = 1/2 + 1/eps^2, at lam0 = exact_eigenvalue(0).
+        # Its SL residual (c non-constant) is the stencil error alone: O(h^2).
+        form = params.normal_form()
+        power = -0.5 * (0.5 + 1.0 / form.eps2) - 0.5 * params.delta / params.tau
+        lam0, lam1 = form.exact_eigenvalue(0), form.exact_eigenvalue(1)
+        defects = []
+        for n in (401, 801, 1601):
+            grid = make_grid(-10.0, 10.0, n)
+            phi0 = sample(grid, lambda p: (1.0 + params.tau * p * p) ** power)
+            slp, inner = params.sl(grid), inner_slice(n)
+            defects.append(np.max(np.abs(slp.residual(phi0, lam0).values[inner])))
+        for coarse, fine in zip(defects, defects[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.02)
+        # The next level's eigenvalue leaves an O(1) defect.
+        assert np.max(np.abs(slp.residual(phi0, lam1).values[inner])) > 1e3 * defects[-1]
 
 
 class TestMassProfiles:
