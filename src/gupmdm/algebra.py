@@ -1,7 +1,8 @@
 """Generalized ladder representation and Hermitization of the Swanson operator.
 
 The annihilation operator is taken in the general first-order form
-eta = r(p) D + s(p) with real r, s. From it: the deformed commutator
+eta = r(p) D + s(p) with real r, s; `susy` uses the same operator, with
+(r, s) = (xi, theta), as its intertwiner. From it: the deformed commutator
 [eta, eta+] = 2 r s' - r r'', the second-order Swanson differential operator
 coefficients (r~, s~, w~), the similarity weight rho removing the
 first-derivative term, and the resulting Hermitian Sturm-Liouville problem.
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import (
     SampledFunction,
@@ -101,8 +101,9 @@ def similarity_weight(coeffs: SwansonCoefficients) -> SampledFunction:
     """
     grid = coeffs.r_t.grid
     p = grid.points
-    integrand = coeffs.s_t.values / coeffs.r_t.values**2
-    integral = cumulative_trapezoid(integrand, p, initial=0.0)
+    f = coeffs.s_t.values / coeffs.r_t.values**2
+    # Cumulative trapezoid in scipy's operation order, without importing scipy.integrate.
+    integral = np.concatenate(([0.0], np.cumsum(np.diff(p) * (f[1:] + f[:-1]) / 2.0)))
     integral -= np.interp(0.0, p, integral)
     with np.errstate(over="raise"):
         try:

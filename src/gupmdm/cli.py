@@ -353,6 +353,10 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, count: int)
         raise ConfigError(f"sweep needs at least 2 points, got {count}")
     if cfg.plot:
         raise ConfigError("--plot: sweep draws no plot")
+    fixed = getattr(cfg, param)
+    if fixed != getattr(RunConfig, param):
+        raise ConfigError(f"sweep sets {param} at each point, so a fixed "
+                          f"{param} = {fixed!r} would be ignored")
     values = np.linspace(start, stop, count).tolist()
     point_cfgs = [replace(cfg, **{param: v}).validate() for v in values]
     rows = []
@@ -392,7 +396,12 @@ def cmd_profile(
     if which == "mass":
         prof = slp.mass
     else:
-        prof = slp.effective_potential(params.eigenvalue_from_energy(energy))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                prof = slp.effective_potential(params.eigenvalue_from_energy(energy))
+        except (FloatingPointError, ValueError) as exc:
+            raise ConfigError(f"--energy: V_eff - Lambda is not finite at "
+                              f"energy = {energy!r}") from exc
     rows = list(zip(slp.grid.points.tolist(), prof.values.tolist()))
     _emit(["p", "value"], rows, cfg)
     _plot(cfg, slp.grid.points, prof.values, f"{which} profile")

@@ -41,8 +41,8 @@ class Grid:
 
 
 def make_grid(p_min: float, p_max: float, n: int) -> Grid:
-    if not (math.isfinite(p_min) and math.isfinite(p_max)):
-        raise ValueError("grid bounds must be finite")
+    if not math.isfinite(p_max - p_min):
+        raise ValueError(f"grid bounds and their span must be finite, got [{p_min}, {p_max}]")
     if not p_min < p_max:
         raise ValueError(f"need p_min < p_max, got [{p_min}, {p_max}]")
     if n < 3:

@@ -1,8 +1,10 @@
 """Factorization / intertwining machinery for the deformed problems.
 
-First-derivative intertwiner A = xi(p) d/dp + theta(p) with
-xi = sqrt(1+tau p^2), the superpotential theta extracted from a nodeless
-ground state, the factorized effective potential and its partner.
+The intertwiner A = xi(p) d/dp + theta(p) is the `algebra` ladder operator
+with (r, s) = (xi, theta): xi = sqrt(1+tau p^2), and the superpotential theta
+is extracted from a nodeless ground state so that A phi0 = 0. The partner
+potential is V_1 = V + [A, A+], the `algebra.ladder_commutator` of that
+operator, from the factorization identity A A+ = A+ A + [A, A+].
 
 This module works on unweighted operators H = -D xi^2 D + V (w = 1); the
 deformation enters only through xi. The demonstration potential used by
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import LadderRep, apply_ladder, ladder_commutator
 from .core import (
     Grid,
     SampledFunction,
@@ -28,18 +31,6 @@ from .core import (
     sample,
 )
 from .solver import richardson, solve_sl
-
-
-@dataclass(frozen=True)
-class FactorizationData:
-    xi: SampledFunction
-    theta: SampledFunction
-    c0: float
-
-    def __post_init__(self):
-        require_same_grid(self.xi, self.theta)
-        if np.any(self.xi.values <= 0):
-            raise ValueError("xi must be positive everywhere")
 
 
 def xi_gup(tau: float, grid: Grid) -> SampledFunction:
@@ -76,32 +67,9 @@ def superpotential_from_ground_state(
     return SampledFunction(grid, theta)
 
 
-def veff_from_factorization(fd: FactorizationData) -> SampledFunction:
-    """V_eff = c0 + theta^2 - (xi theta)'."""
-    return fd.c0 + fd.theta * fd.theta - derivative(fd.xi * fd.theta, 1)
-
-
-def partner_potential(
-    fd: FactorizationData, veff: SampledFunction
-) -> SampledFunction:
-    """Partner V_1 = V_eff + 2 xi theta' - xi xi''.
-
-    The last term comes out of the operator algebra A A-dagger =
-    -D xi^2 D + theta^2 - (xi theta)' + 2 xi theta' - xi xi''.
-    """
-    require_same_grid(fd.xi, veff)
-    d_theta = derivative(fd.theta, 1)
-    d2_xi = derivative(fd.xi * fd.xi, 2)
-    # xi*xi'' = ((xi^2)'' - 2 xi'^2)/2; using xi^2 keeps polynomial xi^2 exact.
-    d_xi = derivative(fd.xi, 1)
-    xi_xipp = 0.5 * d2_xi - d_xi * d_xi
-    return veff + 2.0 * fd.xi * d_theta - xi_xipp
-
-
-def apply_intertwiner(fd: FactorizationData, phi: SampledFunction) -> SampledFunction:
-    """A phi = xi phi' + theta phi."""
-    require_same_grid(fd.xi, phi)
-    return fd.xi * derivative(phi, 1) + fd.theta * phi
+def veff_from_factorization(rep: LadderRep, c0: float) -> SampledFunction:
+    """V_eff = c0 + theta^2 - (xi theta)', with (xi, theta) = (rep.r, rep.s)."""
+    return c0 + rep.s * rep.s - derivative(rep.r * rep.s, 1)
 
 
 def demo_potential(tau: float, grid: Grid) -> SampledFunction:
@@ -132,11 +100,10 @@ def _partner_spectrum_on_grid(tau: float, grid: Grid, k: int):
     spec = solve_sl(slp, k + 1)
     xi = xi_gup(tau, grid)
     theta = superpotential_from_ground_state(xi, spec.eigenfunctions[0])
-    fd = FactorizationData(xi=xi, theta=theta, c0=float(spec.eigenvalues[0]))
-    v1 = partner_potential(fd, slp.q)
-    slp1 = SturmLiouvilleProblem(c=slp.c, q=v1, w=slp.w)
+    rep = LadderRep(r=xi, s=theta)
+    slp1 = SturmLiouvilleProblem(c=slp.c, q=slp.q + ladder_commutator(rep), w=slp.w)
     spec1 = solve_sl(slp1, k)
-    return slp, spec, fd, slp1, spec1
+    return spec, rep, slp1, spec1
 
 
 def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
@@ -149,8 +116,8 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
     """
     g1 = make_grid(-p_max, p_max, n)
     g2 = g1.refined()
-    _, spec_c, _, _, spec1_c = _partner_spectrum_on_grid(tau, g1, k)
-    slp_f, spec_f, fd_f, slp1_f, spec1_f = _partner_spectrum_on_grid(tau, g2, k)
+    spec_c, _, _, spec1_c = _partner_spectrum_on_grid(tau, g1, k)
+    spec_f, rep_f, slp1_f, spec1_f = _partner_spectrum_on_grid(tau, g2, k)
 
     lam = richardson(spec_c.eigenvalues, spec_f.eigenvalues)
     lam1 = richardson(spec1_c.eigenvalues, spec1_f.eigenvalues)
@@ -159,7 +126,7 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
     # Mapped-eigenfunction residual on the fine grid, inner 80%.
     residuals = []
     for m in range(k):
-        psi = apply_intertwiner(fd_f, spec_f.eigenfunctions[m + 1])
+        psi = apply_ladder(rep_f, spec_f.eigenfunctions[m + 1])
         defect = slp1_f.residual(psi, float(spec_f.eigenvalues[m + 1]))
         residuals.append(inner_relative_norm(defect, psi))
     return PartnerCheck(

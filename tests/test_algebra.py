@@ -1,10 +1,15 @@
 """Tests of the ladder representation and Hermitization machinery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gupmdm
 from gupmdm.core import constant, inner_slice, make_grid, sample
 from gupmdm.models import SwansonParams
 from gupmdm.solver import solve_sl
@@ -134,6 +139,23 @@ class TestSimilarityWeight:
         rho = similarity_weight(coeffs)
         assert np.allclose(rho.values, 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("grid_args, r, s", [
+        ((-10.0, 10.0, 8001), lambda p: np.ones_like(p), lambda p: p),
+        ((-4.0, 5.0, 977), lambda p: 1.0 + 0.1 * p + 0.3 * p * p,
+         lambda p: p + 0.2 * np.sin(p)),
+    ], ids=["hermitize-suite", "non-symmetric"])
+    def test_matches_scipy_cumulative_trapezoid(self, grid_args, r, s):
+        # The numpy trapezoid is scipy's, bit for bit.
+        from scipy.integrate import cumulative_trapezoid
+
+        g = make_grid(*grid_args)
+        coeffs = swanson_coefficients(LadderRep(r=sample(g, r), s=sample(g, s)),
+                                      self.PARAMS)
+        integral = cumulative_trapezoid(coeffs.s_t.values / coeffs.r_t.values**2,
+                                        g.points, initial=0.0)
+        integral -= np.interp(0.0, g.points, integral)
+        assert np.array_equal(similarity_weight(coeffs).values, np.exp(-0.5 * integral))
+
     def test_overflow_raises(self):
         # alpha < beta flips the sign of s~, so rho = exp(+p^2/16) and the
         # weight overflows once p^2/16 exceeds the double-precision range.
@@ -199,3 +221,13 @@ class TestCoefficientMatch:
         assert lead_ladder == pytest.approx(1.6, abs=1e-14)
         assert params.big_g == pytest.approx(4.8, abs=1e-14)
         assert abs(lead_ladder - params.big_g) == pytest.approx(3.2, abs=1e-14)
+
+
+def test_imports_leave_out_scipy_integrate():
+    # The CLI, the ladder algebra and the SUSY pipeline load without scipy.integrate.
+    code = ("import sys, gupmdm.cli, gupmdm.algebra, gupmdm.susy; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    src = str(Path(gupmdm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -77,13 +77,19 @@ class TestConfig:
         (["profile", "mass", "--k", "3"], None, "profile has no parameter k (got k = 3)"),
         (["profile", "veff", "--energy", "1", "--out", "{tmp}/p.csv"], "k = 3\n",
          "profile has no parameter k (got k = 3)"),
+        (["sweep", "--param", "tau", "--tau", "0.3", "--start", "0", "--stop", "0.1",
+          "--count", "2"], None,
+         "sweep sets tau at each point, so a fixed tau = 0.3 would be ignored"),
+        (["sweep", "--param", "tau", "--start", "0", "--stop", "0.1", "--count", "2"],
+         "tau = 0.3\n", "sweep sets tau at each point, so a fixed tau = 0.3 would be ignored"),
     ], ids=["flag", "config-line", "sweep-point", "profile-mass-energy", "profile-k",
-            "profile-k-config-line"])
+            "profile-k-config-line", "sweep-fixed-param", "sweep-fixed-param-config-line"])
     def test_parameter_the_model_lacks_exit_2(self, argv, cfg_text, message, tmp_path,
                                               capsys):
-        # The oscillator has no alpha or beta, a profile no k and a mass profile
-        # no energy: set, they would leave the output unchanged while the
-        # command line claims otherwise.
+        # The oscillator has no alpha or beta, a profile no k, a mass profile
+        # no energy and a sweep no fixed value of the swept parameter: set,
+        # they would leave the output unchanged while the command line claims
+        # otherwise.
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         if cfg_text is not None:
             cfgfile = tmp_path / "run.cfg"
@@ -410,6 +416,23 @@ class TestProfile:
         if rc == 2:
             assert f"tau = {float(tau):g}" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["mass", "--pmax", "1e308"],
+         "grid bounds and their span must be finite, got [-1e+308, 1e+308]"),
+        (["veff", "--energy", "nan"], "--energy: V_eff - Lambda is not finite at energy = nan"),
+        (["veff", "--energy", "1e308"],
+         "--energy: V_eff - Lambda is not finite at energy = 1e+308"),
+    ], ids=["pmax-span-overflows", "energy-nan", "energy-overflows"])
+    def test_non_finite_input_exit_2(self, argv, message, capsys):
+        # A box whose width overflows, or an energy whose V_eff - Lambda is not
+        # finite: exit 2 naming the input, with no numpy RuntimeWarning.
+        rc = main(["profile", *argv, "--n", "11"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_profile_without_normal_form(self, capsys):
         # Q <= 0 rules out a solve, not the p-space profile.

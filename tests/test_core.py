@@ -36,7 +36,8 @@ class TestMakeGrid:
         assert np.min(np.abs(g.points)) == 0.0
 
     @pytest.mark.parametrize(
-        "args", [(-1, 1, 2), (1, -1, 11), (0, 0, 11), (np.inf, 1, 11), (0, np.nan, 11)]
+        "args", [(-1, 1, 2), (1, -1, 11), (0, 0, 11), (np.inf, 1, 11), (0, np.nan, 11),
+                 (-1e308, 1e308, 11)]
     )
     def test_rejects_bad_input(self, args):
         with pytest.raises(ValueError):

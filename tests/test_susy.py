@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from gupmdm.algebra import LadderRep, apply_ladder, ladder_commutator
 from gupmdm.core import inner_slice, make_grid, sample
 from gupmdm.solver import solve_sl
 from gupmdm.susy import (
-    FactorizationData,
-    apply_intertwiner,
     build_unweighted_problem,
     demo_potential,
     partner_check,
-    partner_potential,
     superpotential_from_ground_state,
     veff_from_factorization,
     xi_gup,
@@ -70,8 +68,7 @@ class TestSuperpotential:
         xi = xi_gup(tau, g)
         phi0 = spec.eigenfunctions[0]
         theta = superpotential_from_ground_state(xi, phi0)
-        fd = FactorizationData(xi=xi, theta=theta, c0=float(spec.eigenvalues[0]))
-        out = apply_intertwiner(fd, phi0)
+        out = apply_ladder(LadderRep(r=xi, s=theta), phi0)
         sl = inner_slice(g.n)
         scale = float(np.max(np.abs(phi0.values)))
         assert np.max(np.abs(out.values[sl])) / scale < 1e-6
@@ -114,8 +111,7 @@ class TestVeffReconstruction:
         spec = solve_sl(slp, 1)
         xi = xi_gup(tau, g)
         theta = superpotential_from_ground_state(xi, spec.eigenfunctions[0])
-        fd = FactorizationData(xi=xi, theta=theta, c0=float(spec.eigenvalues[0]))
-        veff = veff_from_factorization(fd)
+        veff = veff_from_factorization(LadderRep(r=xi, s=theta), float(spec.eigenvalues[0]))
         sl = inner_slice(g.n)
         dev = np.abs(veff.values[sl] - slp.q.values[sl])
         assert np.max(dev) < 5e-4
@@ -126,8 +122,7 @@ class TestVeffReconstruction:
         g = make_grid(-5, 5, 501)
         xi = xi_gup(0.0, g)
         theta = sample(g, lambda p: p)
-        fd = FactorizationData(xi=xi, theta=theta, c0=1.0)
-        veff = veff_from_factorization(fd)
+        veff = veff_from_factorization(LadderRep(r=xi, s=theta), 1.0)
         assert np.allclose(veff.values, g.points**2, atol=1e-12)
 
 
@@ -137,9 +132,9 @@ class TestPartner:
         g = make_grid(-5, 5, 501)
         xi = xi_gup(0.0, g)
         theta = sample(g, lambda p: p)
-        fd = FactorizationData(xi=xi, theta=theta, c0=1.0)
-        veff = veff_from_factorization(fd)
-        v1 = partner_potential(fd, veff)
+        rep = LadderRep(r=xi, s=theta)
+        veff = veff_from_factorization(rep, 1.0)
+        v1 = veff + ladder_commutator(rep)
         assert np.allclose(v1.values, g.points**2 + 2.0, atol=1e-12)
 
     @pytest.mark.parametrize("tau", [0.0, 0.05])
