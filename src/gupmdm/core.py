@@ -1,14 +1,18 @@
 """Grids, sampled functions, Sturm-Liouville problems and weighted inner products.
 
-Everything in here is immutable after construction; operations are pure
-functions, so values can be shared freely across threads.
+Everything in here is immutable after construction, and operations are pure
+functions. The one deferred value is `Spectrum.eigenfunctions`: computed on
+first read, then cached, so a caller that reads only the eigenvalues never
+pays for the eigenvectors. Its computation is deterministic, so values can
+still be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,21 +170,30 @@ class SturmLiouvilleProblem:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with weight-normalized eigenfunctions."""
+    """Ascending eigenvalues with weight-normalized eigenfunctions.
+
+    The eigenvalues are checked at construction. `compute_eigenfunctions`
+    runs on the first read of `eigenfunctions`, whose result is cached.
+    """
 
     eigenvalues: np.ndarray
-    eigenfunctions: tuple[SampledFunction, ...]
+    compute_eigenfunctions: Callable[[], Sequence[SampledFunction]] = field(
+        repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
-        if len(self.eigenfunctions) != vals.size:
-            raise ValueError("one eigenfunction per eigenvalue required")
         if vals.size > 1 and np.any(np.diff(vals) <= 0):
             raise ValueError("eigenvalues must be strictly ascending")
+
+    @cached_property
+    def eigenfunctions(self) -> tuple[SampledFunction, ...]:
+        funcs = tuple(self.compute_eigenfunctions())
+        if len(funcs) != self.eigenvalues.size:
+            raise ValueError("one eigenfunction per eigenvalue required")
+        return funcs
 
 
 def weighted_inner_product(

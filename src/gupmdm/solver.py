@@ -1,11 +1,12 @@
 """Eigensolvers for Sturm-Liouville problems.
 
 Two independent routes: a conservative finite-difference discretization
-solved as a symmetric tridiagonal generalized eigenproblem, and two-sided
-RK4 shooting. Shooting finds level n as the root of the Pruefer angle sum
-Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized
-on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed form
-with numpy and applies them in one banded triangular solve (LAPACK dtbtrs).
+solved as a symmetric tridiagonal generalized eigenproblem (bisection for the
+eigenvalues, inverse iteration for the eigenvectors when they are first read),
+and two-sided RK4 shooting. Shooting finds level n as the root of the Pruefer
+angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
+memoized on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed
+form with numpy and applies them in one banded triangular solve (LAPACK dtbtrs).
 The root search is one Newton-secant loop, started from a matrix eigenpair
 where there is one, that bisects when a step would leave the bracket of the
 angles already computed. Richardson extrapolation rounds out the toolbox.
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dstebz, dstein, dtbtrs
 
 from .core import (
     Grid,
@@ -65,39 +66,52 @@ def discretize(slp: SturmLiouvilleProblem) -> DiscretizedPair:
 def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     """Lowest k generalized eigenpairs of A phi = lam B phi.
 
-    Symmetrized with B^(-1/2) and handed to a symmetric tridiagonal
-    eigensolver; eigenfunctions are normalized to integral phi^2 w dp = 1
-    (trapezoid rule), each with its largest-magnitude component made positive.
+    Symmetrized with B^(-1/2). LAPACK dstebz bisects for the k lowest
+    eigenvalues to full accuracy (abstol 0), in split-block order; dstein's
+    inverse iteration computes their eigenvectors only when the spectrum's
+    `eigenfunctions` are first read, as in `eigh_tridiagonal(select="i")`.
+    Eigenfunctions are normalized to integral phi^2 w dp = 1 (trapezoid
+    rule), each with its largest-magnitude component made positive.
     """
     m = pair.diag.size
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}, got {k}")
     s = 1.0 / np.sqrt(pair.b_diag)
-    diag_t = pair.diag * s * s
-    off_t = pair.offdiag * s[:-1] * s[1:]
+    diag_t = np.asarray_chkfinite(pair.diag * s * s)
+    # The LAPACK wrappers want an off-diagonal of length >= 1; at m = 1 they read none.
+    off_t = np.asarray_chkfinite(pair.offdiag * s[:-1] * s[1:]) if m > 1 else np.zeros(1)
+    # range 2 ("I") selects the eigenvalues of indices 1..k.
+    found, vals, iblock, isplit, info = dstebz(diag_t, off_t, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info != 0 or found < k:
+        raise SolverError(f"tridiagonal bisection found {found} of {k} eigenvalues "
+                          f"(dstebz info {info})")
+    vals = vals[:k]
+    order = np.argsort(vals)
+    vectors = partial(_eigenfunctions, pair.problem.grid, s, diag_t, off_t,
+                      vals, iblock, isplit, order)
     try:
-        vals, vecs = eigh_tridiagonal(
-            diag_t, off_t, select="i", select_range=(0, k - 1)
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+        return Spectrum(eigenvalues=vals[order], compute_eigenfunctions=vectors)
+    except ValueError as exc:  # a grid too coarse to resolve the lowest levels
+        raise SolverError(str(exc)) from exc
 
-    slp = pair.problem
-    h = slp.grid.h
+
+def _eigenfunctions(grid: Grid, s, diag_t, off_t, vals, iblock, isplit, order):
+    """`eigen_solve`'s eigenfunctions: dstein on its dstebz output, then B^(-1/2)."""
+    vecs, info = dstein(diag_t, off_t, vals, iblock, isplit)
+    if info != 0:
+        raise SolverError(f"{info} of {vals.size} eigenvectors failed to converge "
+                          f"(dstein info {info})")
     funcs = []
-    for j in range(k):
-        phi = np.zeros(slp.grid.n)
+    for j in order:
+        phi = np.zeros(grid.n)
         phi[1:-1] = s * vecs[:, j]
         # vecs columns are unit vectors, so trapz(phi^2 w) = h exactly.
-        phi /= math.sqrt(h)
+        phi /= math.sqrt(grid.h)
         i_max = 1 + int(np.argmax(np.abs(phi[1:-1])))
         if phi[i_max] < 0:
             phi = -phi
-        funcs.append(SampledFunction(slp.grid, phi))
-    try:
-        return Spectrum(eigenvalues=vals, eigenfunctions=tuple(funcs))
-    except ValueError as exc:  # a grid too coarse to resolve the lowest levels
-        raise SolverError(str(exc)) from exc
+        funcs.append(SampledFunction(grid, phi))
+    return funcs
 
 
 def solve_sl(slp: SturmLiouvilleProblem, k: int) -> Spectrum:

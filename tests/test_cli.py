@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupmdm import cli
+from gupmdm import cli, solver
 from gupmdm.cli import (
     ConfigError,
     RunConfig,
@@ -232,6 +232,19 @@ class TestSolve:
         captured = capsys.readouterr()
         assert rc == 3
         assert "solver error" in captured.err
+        assert captured.out == ""
+
+    def test_eigenvector_failure_exit_3(self, monkeypatch, capsys):
+        # dstein runs on the first read of the eigenfunctions, inside
+        # shooting's start; its failure is still a solver error.
+        monkeypatch.setattr(solver, "dstein",
+                            lambda d, e, w, *_: (np.zeros((d.size, w.size)), 2))
+        rc = main(["solve", *FAST])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "solver error" in captured.err
+        assert "2 of 3 eigenvectors failed to converge" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_small_omega_shooting_levels_distinct(self, capsys):

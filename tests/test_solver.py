@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from gupmdm.core import (
     SturmLiouvilleProblem,
@@ -122,6 +123,91 @@ class TestEigenSolve:
             g = make_grid(-pmax, pmax, int(200 * pmax) + 1)
             e.append(solve_sl(gup_oscillator_sl(params, g), 6).eigenvalues)
         assert np.max(np.abs(e[1] - e[0])) < 1e-8
+
+
+def eigh_tridiagonal_reference(pair, k):
+    """eigen_solve's eigenpairs from scipy's eigh_tridiagonal, post-processed alike."""
+    s = 1.0 / np.sqrt(pair.b_diag)
+    vals, vecs = eigh_tridiagonal(pair.diag * s * s, pair.offdiag * s[:-1] * s[1:],
+                                  select="i", select_range=(0, k - 1))
+    grid = pair.problem.grid
+    funcs = []
+    for j in range(k):
+        phi = np.zeros(grid.n)
+        phi[1:-1] = s * vecs[:, j]
+        phi /= math.sqrt(grid.h)
+        i_max = 1 + int(np.argmax(np.abs(phi[1:-1])))
+        funcs.append(-phi if phi[i_max] < 0 else phi)
+    return vals, funcs
+
+
+def count_dstein(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = solver.dstein
+    monkeypatch.setattr(solver, "dstein", counted)
+    return calls
+
+
+NORMAL_FORM_EPS = GupOscillatorParams(omega=1.0, tau=0.05).normal_form().eps
+
+
+class TestLazyEigenvectors:
+    @pytest.mark.parametrize("slp, k", [
+        (normal_form_sl(NORMAL_FORM_EPS, normal_form_grid(NORMAL_FORM_EPS, 1201)), 6),
+        (gup_oscillator_sl(GupOscillatorParams(omega=2.0, tau=0.1),
+                           make_grid(-50, 50, 4801)), 10),
+        (swanson_sl(SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05),
+                    make_grid(-15, 15, 2401)), 10),
+        # eigh_tridiagonal solves a 1x1 pencil without LAPACK.
+        (laplace_problem(3), 1),
+    ], ids=["normal-form", "p-space-box-50", "swanson", "1x1-pencil"])
+    def test_bit_identical_to_eigh_tridiagonal(self, slp, k):
+        pair = discretize(slp)
+        vals, funcs = eigh_tridiagonal_reference(pair, k)
+        spec = eigen_solve(pair, k)
+        assert np.array_equal(spec.eigenvalues, vals)
+        assert len(spec.eigenfunctions) == k
+        for phi, ref in zip(spec.eigenfunctions, funcs):
+            assert np.array_equal(phi.values, ref)
+
+    def test_eigenvalues_alone_compute_no_vectors(self, monkeypatch):
+        calls = count_dstein(monkeypatch)
+        params = GupOscillatorParams(omega=1.0, tau=0.05)
+        g = make_grid(-10, 10, 401)
+        assert solve_sl(params.sl(g), 4).eigenvalues.size == 4
+        lams, _, fine = solve_extrapolated(params.sl, g, 4)
+        assert lams.size == fine.eigenvalues.size == 4
+        assert calls == []
+
+    def test_eigenfunctions_computed_once(self, monkeypatch):
+        calls = count_dstein(monkeypatch)
+        spec = solve_sl(laplace_problem(), 3)
+        first = spec.eigenfunctions
+        assert spec.eigenfunctions is first
+        assert len(calls) == 1
+
+    def test_dstein_failure_is_solver_error_on_read(self, monkeypatch):
+        monkeypatch.setattr(solver, "dstein", lambda d, e, w, *_: (np.zeros((d.size, w.size)), 2))
+        spec = solve_sl(laplace_problem(), 3)
+        with pytest.raises(solver.SolverError, match="2 of 3 eigenvectors failed"):
+            spec.eigenfunctions
+
+    @pytest.mark.parametrize("found, info", [(2, 0), (3, 1)])
+    def test_dstebz_failure_is_solver_error(self, monkeypatch, found, info):
+        real = solver.dstebz
+
+        def failing(*args):
+            _, w, iblock, isplit, _ = real(*args)
+            return found, w, iblock, isplit, info
+
+        monkeypatch.setattr(solver, "dstebz", failing)
+        with pytest.raises(solver.SolverError, match=f"found {found} of 3 eigenvalues"):
+            solve_sl(laplace_problem(), 3)
 
 
 class TestShooting:
