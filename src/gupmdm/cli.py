@@ -315,9 +315,8 @@ def _solve_rows(cfg: RunConfig):
     for idx, mu in enumerate(mus.tolist()):
         lam = form.eigenvalue(mu)
         energy = params.energy_from_eigenvalue(lam)
-        # The matrix eigenpair only saves sweeps: Theta has one root per level.
-        rep = shooting_eigenvalue(shooter, idx,
-                                  start=(mu, fine_spec.eigenfunctions[idx]))
+        # The matrix eigenvalue only saves sweeps: Theta has one root per level.
+        rep = shooting_eigenvalue(shooter, idx, start=mu)
         e_shoot = params.energy_from_eigenvalue(form.eigenvalue(rep.eigenvalue))
         delta = abs(energy - e_shoot)
         if not delta <= AGREE_RTOL * abs(energy):
@@ -331,11 +330,13 @@ def _solve_rows(cfg: RunConfig):
 
 def cmd_solve(cfg: RunConfig) -> int:
     rows, spec = _solve_rows(cfg)
+    # Only --plot reads the eigenfunctions (their first read runs dstein), and
+    # before any file is written, so a solver failure there leaves none.
+    funcs = spec.eigenfunctions if cfg.plot else []
     _emit(["index", "lambda", "energy", "energy_shooting", "abs_delta"], rows, cfg)
-    ys = [f.values for f in spec.eigenfunctions]
-    x = spec.eigenfunctions[0].grid.points
-    stem = _plot(cfg, x, ys[0], "ground state y0(x)")
-    if stem is not None:
+    if funcs:
+        x, ys = funcs[0].grid.points, [f.values for f in funcs]
+        stem = _plot(cfg, x, ys[0], "ground state y0(x)")
         header = ["x", *(f"y{j}" for j in range(len(ys)))]
         with _output(stem + "_eigenfunctions.csv") as fh:
             write_table(header, np.column_stack([x, *ys]).tolist(),
@@ -353,6 +354,9 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, count: int)
         raise ConfigError(f"sweep needs at least 2 points, got {count}")
     if cfg.plot:
         raise ConfigError("--plot: sweep draws no plot")
+    for flag, value in (("--start", start), ("--stop", stop)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     fixed = getattr(cfg, param)
     if fixed != getattr(RunConfig, param):
         raise ConfigError(f"sweep sets {param} at each point, so a fixed "
@@ -642,8 +646,8 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:   # MemoryError: an n or count too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -6,10 +6,12 @@ eigenvalues, inverse iteration for the eigenvectors when they are first read),
 and two-sided RK4 shooting. Shooting finds level n as the root of the Pruefer
 angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
 memoized on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed
-form with numpy and applies them in one banded triangular solve (LAPACK dtbtrs).
-The root search is one Newton-secant loop, started from a matrix eigenpair
-where there is one, that bisects when a step would leave the bracket of the
-angles already computed. Richardson extrapolation rounds out the toolbox.
+form with numpy and applies them in one banded triangular solve (LAPACK dtbtrs),
+and returns dTheta/dlambda with Theta by Pruefer's identity. The root search is
+safeguarded Newton (as in Numerical Recipes' rtsafe), started from a matrix
+eigenvalue alone where there is one, that falls back to the bisection and the
+false position of the bracket of the angles already computed when a step would
+leave it. Richardson extrapolation rounds out the toolbox.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dstebz, dstein, dtbtrs
 
-from .core import (
-    Grid,
-    SampledFunction,
-    Spectrum,
-    SturmLiouvilleProblem,
-    weighted_inner_product,
-)
+from .core import Grid, SampledFunction, Spectrum, SturmLiouvilleProblem
 
 
 class SolverError(RuntimeError):
@@ -185,8 +181,8 @@ class Shooter:
     with numpy and applies them as one banded triangular solve in LAPACK.
 
     `angle(lam)` is the Pruefer angle sum Theta at the matching node, memoized
-    per instance, so every level solved on one Shooter reuses the sweeps of
-    the levels before it.
+    per instance with its slope dTheta/dlambda, so every level solved on one
+    Shooter reuses the sweeps of the levels before it.
     """
 
     _CAP = 1e100
@@ -205,13 +201,12 @@ class Shooter:
         self.ic_m = 1.0 / c_m
         self.q_n = q
         self.w_n = w
-        self.weight = slp.w
         qw = q / w
         self.qw_min = float(np.min(qw))
         # Matching index: near the potential minimum, clamped to the middle half.
         i_min = int(np.argmin(qw))
         self.match = min(max(i_min, self.n // 4), 3 * self.n // 4)
-        self._angles: dict[float, float] = {}
+        self._angles: dict[float, tuple[float, float]] = {}
 
     @property
     def sweeps(self) -> int:
@@ -248,113 +243,114 @@ class Shooter:
     def _sweep(self, lam: float, start: int, stop: int):
         """Integrate from node `start` to node `stop` (either direction).
 
-        Returns (u, v, nodes): the final scaled state and the number of
-        sign changes of u along the way.
+        Returns (u, v, nodes, norm): the final scaled state, the number of
+        sign changes of u along the way, and the integral of w u^2 over the
+        sweep in the final state's scale (trapezoid rule; u = 0 at `start`).
 
         State k+1 is M_k times state k, so the states (u_1, v_1, ..., u_m,
         v_m) solve one unit lower-triangular system with -M_k at sub-diagonal
         offsets 1-3, which LAPACK's dtbtrs solves in one call. When a state
-        passes _CAP, the solve restarts from it, scaled to |u| + |v| = 1.
+        passes _CAP, the solve restarts from it, scaled to |u| + |v| = 1, and
+        the sum of w u^2 so far is scaled by the same factor squared.
         """
         a, b, c, d = self.step_matrices(lam, start, stop)
         m = a.size
+        w = self.w_n[start + 1:stop + 1] if stop > start else self.w_n[stop:start][::-1]
         band = np.zeros((4, 2 * m), order="F")   # band[:, 2k:] reaches LAPACK uncopied
         band[2, :-2:2], band[3, :-2:2] = -a[1:], -c[1:]
         band[1, 1:-2:2], band[2, 1:-2:2] = -b[1:], -d[1:]
         u, v = 0.0, (1.0 if stop > start else -1.0)
         u_all = np.empty(m)
-        k = 0                    # (u, v) is state k
+        k, norm = 0, 0.0         # (u, v) is state k
         while k < m:
             rhs = np.zeros((2 * (m - k), 1))
             rhs[0], rhs[1] = a[k] * u + b[k] * v, c[k] * u + d[k] * v
             x = dtbtrs(band[:, 2 * k:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
             over = np.flatnonzero(np.abs(x) > self._CAP)
             j = over[0] // 2 + 1 if over.size else m - k    # states this solve keeps
-            u_all[k:k + j] = x[:2 * j:2]
+            kept = u_all[k:k + j] = x[:2 * j:2]
+            norm += float(np.dot(w[k:k + j] * kept, kept))
             u, v = x[2 * j - 2], x[2 * j - 1]
             if over.size:
                 mag = abs(u) + abs(v)
-                u, v = u / mag, v / mag
+                u, v, norm = u / mag, v / mag, norm / mag / mag
             k += j
         negative = np.signbit(u_all[u_all != 0.0])
         nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
-        return float(u), float(v), nodes
+        norm = self.h * (norm - 0.5 * w[-1] * u * u)      # the last node has half weight
+        return float(u), float(v), nodes, float(norm)
 
-    def _angle(self, lam: float) -> float:
-        """Theta(lam) = theta_L + theta_R at the matching node, one full sweep.
+    def _angle(self, lam: float) -> tuple[float, float]:
+        """(Theta, dTheta/dlambda) at lam, theta_L + theta_R at the matching
+        node, from one full sweep.
 
         theta_L is the Pruefer angle atan2(u, v) of the left solution, theta_R
         that of the right solution mirrored in v, atan2(u, -v); both are 0 at
         their own end. Theta is continuous and increasing in lambda, and
-        Theta(lambda_n) = (n + 1) pi.
+        Theta(lambda_n) = (n + 1) pi. Pruefer's identity gives each side's
+        dtheta/dlambda = int w u^2 / (u^2 + v^2) at any lambda, the integral
+        over that side and (u, v) its state at the matching node.
         """
-        u_l, v_l, n_l = self._sweep(lam, 0, self.match)
-        u_r, v_r, n_r = self._sweep(lam, self.n - 1, self.match)
-        return _half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r)
+        u_l, v_l, n_l, s_l = self._sweep(lam, 0, self.match)
+        u_r, v_r, n_r, s_r = self._sweep(lam, self.n - 1, self.match)
+        return (_half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r),
+                s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r))
 
     def angle(self, lam: float) -> float:
-        """Theta(lam), memoized: a repeated lambda costs no sweep."""
-        theta = self._angles.get(lam)
-        if theta is None:
-            theta = self._angles[lam] = self._angle(lam)
-        return theta
-
-    def eigen_slope(self, phi: SampledFunction) -> float:
-        """dTheta/dlambda at an eigenvalue, from its eigenfunction phi.
-
-        Pruefer's identity gives dtheta/dlambda = (1/r^2) int w u^2 on each
-        side of the matching node m, with r^2 = u^2 + (c u')^2 at m. At an
-        eigenvalue both sides are phi, so the sum is
-        int w phi^2 / (phi_m^2 + (c_m phi'_m)^2) at any scale of phi, with
-        phi'_m a central difference; inf where phi and phi' vanish at m.
-        """
-        norm = weighted_inner_product(phi, phi, self.weight)
-        m, y = self.match, phi.values
-        dy = (y[m + 1] - y[m - 1]) / (2.0 * self.h)
-        r2 = float(y[m] ** 2 + (dy / self.ic_n[m]) ** 2)
-        return norm / r2 if r2 > 0.0 else math.inf
+        """Theta(lam), memoized with its slope in `_angles`: a repeated lambda
+        costs no sweep."""
+        pair = self._angles.get(lam)
+        if pair is None:
+            pair = self._angles[lam] = self._angle(lam)
+        return pair[0]
 
 
-def _root(shooter: Shooter, target: float, lam: float, slope: float) -> float:
-    """Root of Theta = target by Newton-secant steps kept inside a bracket.
+def _root(shooter: Shooter, target: float, lam: float) -> float:
+    """Root of Theta = target by Newton steps kept inside a bracket (rtsafe).
 
-    Starts at lam with dTheta/dlambda = slope, or at (min q/w, nan) when lam
-    is not finite; later slopes are secants through the last two angles. A
+    Starts at lam, or at min q/w when lam is not finite; each step is
+    Newton's, from the slope dTheta/dlambda that came with the angle. A
     step is taken while it lands strictly inside the bracket of the memoized
     angles, whose lower end is min q/w (Theta < pi there, as q - lam w >= 0
     keeps both solutions from turning) until an angle below the target is
-    known. Otherwise the search bisects the bracket, sweeps min q/w while no
-    angle lies below the target, or doubles the reach from min q/w (plus
-    one gap) while none lies above it. Returns lam once a step is at most
+    known. Otherwise the search sweeps min q/w while no angle lies below the
+    target, doubles the reach from min q/w (plus one gap) while none lies
+    above it, or else takes the bracket's midpoint and false-position point
+    by turns (Newton overshoots a root that sits next to an end, and
+    bisection nears it one halving a step). Returns lam once a step is at most
     REL_TOL * max(1, |lam|) with the angle within ANGLE_TOL, or, once the
     bracket is that narrow, the end whose angle is nearer the target.
     """
     base, angles = shooter.qw_min, shooter._angles
     gap = max(1.0, abs(base) * 0.5)
     if not math.isfinite(lam):
-        lam, slope = base, math.nan
-    theta = shooter.angle(lam)
+        lam = base
+    theta, slope = shooter.angle(lam), angles[lam][1]
+    false_position = False
     for _ in range(MAX_STEPS):
-        if angles.get(base, -math.inf) > target:
-            raise BracketError(f"angle {angles[base]:.6g} at min(q/w) = {base:g} "
+        if base in angles and angles[base][0] > target:
+            raise BracketError(f"angle {angles[base][0]:.6g} at min(q/w) = {base:g} "
                                f"already exceeds the target {target:.6g}")
-        hi = min((x for x, th in angles.items() if th > target), default=math.inf)
-        lo = max((x for x, th in angles.items() if th <= target and x < hi), default=None)
+        hi = min((x for x, a in angles.items() if a[0] > target), default=math.inf)
+        lo = max((x for x, a in angles.items() if a[0] <= target and x < hi), default=None)
         tol = REL_TOL * max(1.0, abs(lam))
         step = (target - theta) / slope if 0.0 < slope < math.inf else math.nan
         if abs(step) <= tol and abs(theta - target) <= ANGLE_TOL:
             return lam
         if lo is not None and hi - lo <= tol:
-            return min((lo, hi), key=lambda x: abs(angles[x] - target))
+            return min((lo, hi), key=lambda x: abs(angles[x][0] - target))
         low = base if lo is None else lo
         top = hi if hi < math.inf else 2.0 * low - base + gap
         new = lam + step
         if not low < new < top:
-            new = low if lo is None else top if hi == math.inf else 0.5 * (low + top)
-        theta_new = shooter.angle(new)
-        slope = (theta_new - theta) / (new - lam) if new != lam else math.nan
-        lam, theta = new, theta_new
-    if all(th <= target for th in angles.values()):
+            if lo is None or hi == math.inf:
+                new = low if lo is None else top
+            else:
+                d_lo, d_hi = angles[lo][0] - target, angles[hi][0] - target
+                new = lo - d_lo * (hi - lo) / (d_hi - d_lo) if false_position else 0.5 * (lo + hi)
+                false_position = not false_position
+        lam, theta, slope = new, shooter.angle(new), angles[new][1]
+    if all(th <= target for th, _ in angles.values()):
         raise BracketError(f"no angle above {target:.6g} in [{base:g}, {max(angles):g}] "
                            f"after {MAX_STEPS} steps")
     raise BracketError(f"no root of Theta = {target:.6g} after {MAX_STEPS} steps")
@@ -363,17 +359,16 @@ def _root(shooter: Shooter, target: float, lam: float, slope: float) -> float:
 def shooting_eigenvalue(
     problem: SturmLiouvilleProblem | Shooter,
     n: int,
-    start: tuple[float, SampledFunction] | None = None,
+    start: float | None = None,
 ) -> ShootingReport:
     """n-th eigenvalue by two-sided shooting on the Pruefer angle.
 
-    Level n is the root of Theta(lam) = (n + 1) pi, found by `_root`. With
-    `start` = (lam0, phi), a matrix estimate of level n and its
-    eigenfunction, the search starts at lam0 with the slope
-    `Shooter.eigen_slope(phi)`; without one, at min q/w. Theta has one root
-    per level, so the start changes the cost, not the level found. A
-    `SturmLiouvilleProblem` gets a fresh Shooter; pass one Shooter for every
-    level of a problem to share its sweeps, which also bracket later levels.
+    Level n is the root of Theta(lam) = (n + 1) pi, found by `_root`. The
+    search starts at `start`, say a matrix estimate of level n, or without
+    one at min q/w. Theta has one root per level, so the start changes the
+    cost, not the level found. A `SturmLiouvilleProblem` gets a fresh
+    Shooter; pass one Shooter for every level of a problem to share its
+    sweeps, which also bracket later levels.
 
     Raises BracketError when the angle at min q/w already exceeds the
     target, MAX_STEPS steps find no angle above it or no root, or the root
@@ -386,10 +381,7 @@ def shooting_eigenvalue(
     shooter = problem if isinstance(problem, Shooter) else Shooter(problem)
     sweeps = shooter.sweeps
     target = (n + 1) * math.pi
-    if start is None:
-        lam = _root(shooter, target, math.nan, math.nan)
-    else:
-        lam = _root(shooter, target, float(start[0]), shooter.eigen_slope(start[1]))
+    lam = _root(shooter, target, math.nan if start is None else float(start))
     defect = abs(shooter.angle(lam) - target)
     if not defect <= ANGLE_TOL:
         raise BracketError(f"level {n}: angle misses {n + 1} pi by {defect:.3g} at "

@@ -227,24 +227,54 @@ class TestSolve:
 
     def test_bracket_failure_exit_3(self, monkeypatch, capsys):
         # An angle that never reaches the target: shooting finds no bracket.
-        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: 0.5)
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (0.5, 0.0))
         rc = main(["solve", *FAST])
         captured = capsys.readouterr()
         assert rc == 3
         assert "solver error" in captured.err
         assert captured.out == ""
 
-    def test_eigenvector_failure_exit_3(self, monkeypatch, capsys):
-        # dstein runs on the first read of the eigenfunctions, inside
-        # shooting's start; its failure is still a solver error.
+    def test_eigenvector_failure_exit_3(self, monkeypatch, capsys, tmp_path):
+        # dstein runs on the first read of the eigenfunctions, which only
+        # --plot makes; its failure is a solver error, and no file is written.
         monkeypatch.setattr(solver, "dstein",
                             lambda d, e, w, *_: (np.zeros((d.size, w.size)), 2))
-        rc = main(["solve", *FAST])
+        rc = main(["solve", *FAST, "--plot", "--out", str(tmp_path / "run.csv")])
         captured = capsys.readouterr()
         assert rc == 3
         assert "solver error" in captured.err
         assert "2 of 3 eigenvectors failed to converge" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("plot, calls", [(False, 0), (True, 1)])
+    def test_dstein_runs_only_for_plot(self, plot, calls, dstein_calls, tmp_path):
+        # Shooting starts from the matrix eigenvalues alone, so only the
+        # --plot table reads the eigenvectors.
+        argv = ["solve", *FAST, "--out", str(tmp_path / "run.csv")]
+        assert main(argv + ["--plot"] * plot) == 0
+        assert len(dstein_calls) == calls
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "1000000000000"],
+        ["sweep", "--param", "tau", "--start", "0", "--stop", "0.1",
+         "--count", "1000000000000"],
+    ], ids=["solve-n", "sweep-count"])
+    def test_too_large_to_allocate_exit_2(self, argv, monkeypatch, capsys):
+        # The grid's points (np.arange) or the sweep's values (np.linspace)
+        # are the first allocation of that size. It is refused here rather
+        # than tried: an overcommitting host may grant it and then be killed.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Unable to allocate 7.28 TiB" in captured.err
         assert captured.out == ""
 
     def test_small_omega_shooting_levels_distinct(self, capsys):
@@ -400,6 +430,17 @@ class TestSweep:
             with pytest.raises(ValueError) as exc:
                 RunConfig(tau=1e300).params().normal_form()
             assert [row["error"] for row in failed] == [str(exc.value)] * 2
+
+    @pytest.mark.parametrize("flag", ["--start", "--stop"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_range_exit_2(self, flag, value, capsys):
+        bounds = {"--start": "0", "--stop": "0.1", flag: value}   # "=": -inf is no option
+        rc = main(["sweep", "--param", "tau", *(f"{k}={v}" for k, v in bounds.items()),
+                   "--count", "3", "--n", "201", "--k", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{flag} must be finite" in captured.err
+        assert captured.out == ""
 
     def test_count_one_rejected(self, capsys):
         rc = main(["sweep", "--param", "tau", "--start", "0", "--stop", "1",

@@ -141,18 +141,6 @@ def eigh_tridiagonal_reference(pair, k):
     return vals, funcs
 
 
-def count_dstein(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    real = solver.dstein
-    monkeypatch.setattr(solver, "dstein", counted)
-    return calls
-
-
 NORMAL_FORM_EPS = GupOscillatorParams(omega=1.0, tau=0.05).normal_form().eps
 
 
@@ -175,21 +163,19 @@ class TestLazyEigenvectors:
         for phi, ref in zip(spec.eigenfunctions, funcs):
             assert np.array_equal(phi.values, ref)
 
-    def test_eigenvalues_alone_compute_no_vectors(self, monkeypatch):
-        calls = count_dstein(monkeypatch)
+    def test_eigenvalues_alone_compute_no_vectors(self, dstein_calls):
         params = GupOscillatorParams(omega=1.0, tau=0.05)
         g = make_grid(-10, 10, 401)
         assert solve_sl(params.sl(g), 4).eigenvalues.size == 4
         lams, _, fine = solve_extrapolated(params.sl, g, 4)
         assert lams.size == fine.eigenvalues.size == 4
-        assert calls == []
+        assert dstein_calls == []
 
-    def test_eigenfunctions_computed_once(self, monkeypatch):
-        calls = count_dstein(monkeypatch)
+    def test_eigenfunctions_computed_once(self, dstein_calls):
         spec = solve_sl(laplace_problem(), 3)
         first = spec.eigenfunctions
         assert spec.eigenfunctions is first
-        assert len(calls) == 1
+        assert len(dstein_calls) == 1
 
     def test_dstein_failure_is_solver_error_on_read(self, monkeypatch):
         monkeypatch.setattr(solver, "dstein", lambda d, e, w, *_: (np.zeros((d.size, w.size)), 2))
@@ -295,7 +281,8 @@ class TestShooting:
         (lambda lam: 10.0, "already exceeds"),                 # above it at min(q/w)
     ], ids=["no-bracket", "jump", "above-at-base"])
     def test_bracket_error(self, monkeypatch, angle, message):
-        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: angle(lam))
+        # Flat pieces have slope 0, so no step is Newton's.
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (angle(lam), 0.0))
         slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, 201))
         with pytest.raises(BracketError, match=message):
             shooting_eigenvalue(slp, 1)
@@ -303,8 +290,8 @@ class TestShooting:
     def test_step_cap(self, monkeypatch):
         # Theta = pi + atan(lam - 1.3) is bracketed by the second step, but
         # MAX_STEPS = 2 ends the search before it converges.
-        monkeypatch.setattr(Shooter, "_angle",
-                            lambda self, lam: math.pi + math.atan(lam - 1.3))
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam:
+                            (math.pi + math.atan(lam - 1.3), 1.0 / (1.0 + (lam - 1.3) ** 2)))
         monkeypatch.setattr(solver, "MAX_STEPS", 2)
         with pytest.raises(BracketError, match="no root of Theta = 3.14159 after 2 steps"):
             shooting_eigenvalue(laplace_problem(51), 0)
@@ -344,56 +331,68 @@ class TestSeededShooting:
     @pytest.mark.parametrize("params", ACCEPTANCE_POINTS + [SwansonParams(2.0, 0.3, 0.1, 0.6)],
                              ids=repr)
     def test_seeded_matches_unseeded(self, params):
-        mus, slp, spec = _normal_form_solve(params)
+        mus, slp, _ = _normal_form_solve(params)
         seeded, plain = Shooter(slp), Shooter(slp)
         for n, mu in enumerate(mus.tolist()):
-            rep = shooting_eigenvalue(seeded, n, start=(mu, spec.eigenfunctions[n]))
+            rep = shooting_eigenvalue(seeded, n, start=mu)
             ref = shooting_eigenvalue(plain, n).eigenvalue
             assert rep.eigenvalue == pytest.approx(ref, rel=2e-10, abs=0)
             assert rep.mismatch <= ANGLE_TOL
 
     def test_sweep_budget(self):
-        # Six levels at (tau, omega) = (0.05, 1) on the default grid: 42 sweeps
-        # unseeded, about 11 from the matrix eigenpairs.
-        mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05))
+        # Six levels at (tau, omega) = (0.05, 1) on the default grid: 34 sweeps
+        # unseeded, 11 from the matrix eigenvalues.
+        mus, slp, _ = _normal_form_solve(GupOscillatorParams(1.0, 0.05))
         shooter = Shooter(slp)
-        total = sum(shooting_eigenvalue(shooter, n, start=(mu, spec.eigenfunctions[n]))
-                    .iterations for n, mu in enumerate(mus.tolist()))
+        total = sum(shooting_eigenvalue(shooter, n, start=mu).iterations
+                    for n, mu in enumerate(mus.tolist()))
         assert total == shooter.sweeps <= 14
 
-    def test_eigen_slope_matches_angle(self):
-        # dTheta/dlambda from the eigenfunction against a difference of Theta.
-        mus, slp, spec = _normal_form_solve(SwansonParams(2.0, 0.3, 0.1, 0.05), k=3)
+    @pytest.mark.parametrize("params, n, restarts", [
+        (SwansonParams(2.0, 0.3, 0.1, 0.05), 1201, False),
+        (GupOscillatorParams(1.0, 1.2), 1201, False),
+        # eps ~ 0.13: the state passes _CAP, so each sweep restarts.
+        (GupOscillatorParams(1.0, 0.017), 4801, True),
+    ], ids=repr)
+    def test_sweep_slope_matches_angle(self, params, n, restarts, monkeypatch):
+        # The sweep's dTheta/dlambda (Pruefer's identity) against a central
+        # difference of Theta, at the eigenvalues and between them.
+        eps = params.normal_form().eps
+        mus, slp, _ = solve_extrapolated(partial(normal_form_sl, eps),
+                                         normal_form_grid(eps, n), 3)
         shooter = Shooter(slp)
-        for n, mu in enumerate(mus.tolist()):
-            d = 1e-6 * mu
-            fd = (shooter.angle(mu + d) - shooter.angle(mu - d)) / (2 * d)
-            phi = spec.eigenfunctions[n]
-            assert shooter.eigen_slope(phi) == pytest.approx(fd, rel=1e-3)
-            assert shooter.eigen_slope(phi * 3.0) == pytest.approx(fd, rel=1e-3)
+        solves = []
+        dtbtrs = solver.dtbtrs
+        monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
+                            solves.append(args) or dtbtrs(*args, **kwargs))
+        for lam in [*mus.tolist(), *(1.03 * mu + 0.1 for mu in mus.tolist())]:
+            d = 1e-6 * lam
+            fd = (shooter.angle(lam + d) - shooter.angle(lam - d)) / (2 * d)
+            shooter.angle(lam)                         # memoizes (Theta, slope)
+            assert shooter._angles[lam][1] == pytest.approx(fd, rel=1e-4)
+        # Two banded solves per angle, one per side, unless a sweep restarts.
+        assert (len(solves) > 2 * shooter.sweeps) == restarts
 
-    @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-phi", "steep-slope",
-                                     "negative-slope", "nan-slope"])
+    @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-slope", "inf-slope",
+                                     "steep-slope", "negative-slope", "nan-slope"])
     def test_bad_start_recovers(self, bad, monkeypatch):
-        # Level 2 at (0.05, 1) from a start that is wrong in one way each.
-        mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=4)
+        # Level 2 at (0.05, 1) from a start that is wrong in one way each:
+        # another level's eigenvalue, min q/w, or a sweep at the start that
+        # reports a wrong slope.
+        mus, slp, _ = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=4)
         n = 2
         ref = shooting_eigenvalue(slp, n)
-        lam0, phi = mus[n], spec.eigenfunctions[n]
-        slope = {"steep-slope": 1e12, "negative-slope": -1.0, "nan-slope": math.nan}.get(bad)
+        # At steep-slope the first step is tiny, so only the angle check keeps
+        # the search from stopping at lam0, off the root.
+        lam0 = {"next-level": mus[n + 1], "floor": Shooter(slp).qw_min,
+                "steep-slope": mus[n] * (1 + 1e-5)}.get(bad, mus[n])
+        slope = {"zero-slope": 0.0, "inf-slope": math.inf, "steep-slope": 1e12,
+                 "negative-slope": -1.0, "nan-slope": math.nan}.get(bad)
         if slope is not None:
-            monkeypatch.setattr(Shooter, "eigen_slope", lambda self, phi: slope)
-        if bad == "next-level":
-            lam0, phi = mus[n + 1], spec.eigenfunctions[n + 1]
-        elif bad == "floor":
-            lam0 = Shooter(slp).qw_min
-        elif bad == "zero-phi":
-            phi = phi * 0.0                                    # slope inf
-        elif bad == "steep-slope":
-            # The first step is tiny, so only the angle check keeps the
-            # search from stopping at lam0, off the root.
-            lam0 = mus[n] * (1 + 1e-5)
-        rep = shooting_eigenvalue(slp, n, start=(lam0, phi))
+            angle = Shooter._angle
+            monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (
+                (angle(self, lam)[0], slope) if lam == lam0 else angle(self, lam)))
+        rep = shooting_eigenvalue(slp, n, start=lam0)
         assert rep.eigenvalue == pytest.approx(ref.eigenvalue, rel=2e-10, abs=0)
         assert rep.mismatch <= ANGLE_TOL
         # No worse than no start at all.
@@ -402,13 +401,12 @@ class TestSeededShooting:
     def test_step_out_of_bracket_bisects(self, monkeypatch):
         # Theta = pi + atan(lam - 1) with angles known at 0.9 and 1.1: from
         # 1.05, a slope far too shallow sends the Newton step out of (0.9, 1.1).
-        monkeypatch.setattr(Shooter, "_angle",
-                            lambda self, lam: math.pi + math.atan(lam - 1.0))
-        monkeypatch.setattr(Shooter, "eigen_slope", lambda self, phi: 1e-3)
-        slp = laplace_problem(51)
-        shooter = Shooter(slp)
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (
+            math.pi + math.atan(lam - 1.0),
+            1e-3 if lam == 1.05 else 1.0 / (1.0 + (lam - 1.0) ** 2)))
+        shooter = Shooter(laplace_problem(51))
         shooter.angle(0.9), shooter.angle(1.1)
-        rep = shooting_eigenvalue(shooter, 0, start=(1.05, slp.w))
+        rep = shooting_eigenvalue(shooter, 0, start=1.05)
         swept = list(shooter._angles)
         # The step after 1.05 bisects its bracket (0.9, 1.05).
         assert swept[2:4] == [1.05, pytest.approx(0.975)]
@@ -419,10 +417,10 @@ class TestSeededShooting:
     def test_bracket_error_when_seeded(self, monkeypatch):
         # Theta never reaches the target: the seeded search stalls, and the
         # fallback raises as it does unseeded.
-        mus, slp, spec = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=2)
-        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: 0.5)
+        mus, slp, _ = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=2)
+        monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (0.5, 0.0))
         with pytest.raises(BracketError, match="no angle above"):
-            shooting_eigenvalue(slp, 1, start=(mus[1], spec.eigenfunctions[1]))
+            shooting_eigenvalue(slp, 1, start=mus[1])
 
 
 def _scalar_rk4_step(integ, lam, i, j):
@@ -478,13 +476,18 @@ def test_step_matrix_matches_scalar_rk4_normal_form(eps, backward):
 
 def _loop_sweep(shooter, lam, start, stop):
     """Reference for `Shooter._sweep`: the step matrices applied one step at a
-    time to Python floats. Also returns how often the state was rescaled."""
-    u, v = 0.0, (1.0 if stop > start else -1.0)
+    time to Python floats, with w u^2 summed node by node (the last node at
+    half weight). Also returns how often the state was rescaled."""
+    step = 1 if stop > start else -1
+    u, v = 0.0, float(step)
     nodes = rescales = 0
+    norm = 0.0
     negative = None          # sign of the last nonzero u, None before the first
     cap = Shooter._CAP
-    for a, b, c, d in zip(*(m.tolist() for m in shooter.step_matrices(lam, start, stop))):
+    mats = zip(*(m.tolist() for m in shooter.step_matrices(lam, start, stop)))
+    for i, (a, b, c, d) in zip(range(start + step, stop + step, step), mats):
         u, v = a * u + b * v, c * u + d * v
+        norm += shooter.w_n[i] * u * u * (0.5 if i == stop else 1.0)
         if u < 0.0:
             if negative is False:
                 nodes += 1
@@ -497,8 +500,9 @@ def _loop_sweep(shooter, lam, start, stop):
             mag = abs(u) + abs(v)
             u /= mag
             v /= mag
+            norm /= mag * mag
             rescales += 1
-    return u, v, nodes, rescales
+    return u, v, nodes, shooter.h * norm, rescales
 
 
 # (problem builder, whether a sweep must pass _CAP). At eps = 0.13,
@@ -526,9 +530,11 @@ def test_sweep_matches_loop(build, must_restart, monkeypatch):
     for lam in (shooter.qw_min + x for x in offsets):
         for start in (0, shooter.n - 1):
             solves.clear()
-            u, v, nodes = shooter._sweep(lam, start, shooter.match)
-            u_ref, v_ref, nodes_ref, restarts = _loop_sweep(shooter, lam, start, shooter.match)
+            u, v, nodes, norm = shooter._sweep(lam, start, shooter.match)
+            u_ref, v_ref, nodes_ref, norm_ref, restarts = _loop_sweep(
+                shooter, lam, start, shooter.match)
             assert nodes == nodes_ref
+            assert norm == pytest.approx(norm_ref, rel=1e-12)
             # The angle between the two final states, and their lengths: both
             # were rescaled at the same steps.
             assert abs(math.atan2(u * v_ref - v * u_ref, u * u_ref + v * v_ref)) <= 1e-12
