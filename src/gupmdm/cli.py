@@ -34,11 +34,9 @@ from .models import (
     MODELS,
     GupOscillatorParams,
     SwansonParams,
-    gup_oscillator_raw,
     gup_oscillator_sl,
     normal_form_grid,
     normal_form_sl,
-    raw_residual_values,
 )
 from .solver import (
     Shooter,
@@ -95,6 +93,9 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.plot and self.out in (None, "-"):
             raise ConfigError("--plot needs a file --out; the plot is named after it")
+        if self.plot and os.path.splitext(self.out)[0] + ".svg" == self.out:
+            raise ConfigError(f"--plot would write its plot over --out {self.out!r}; "
+                              "give the table another extension")
         self.params()
         return self
 
@@ -448,9 +449,7 @@ def verify_vonroos() -> list[dict]:
         devs = []
         for n in (401, 801, 1601):
             grid = make_grid(-6.0, 6.0, n)
-            mass = MassFunction.from_profile(
-                sample(grid, lambda p: 1.0 / (1.0 + tau * p * p))
-            )
+            mass = MassFunction.from_profile(GupOscillatorParams(1.0, tau).sl(grid).mass)
             V = sample(grid, lambda p: p * p)
             phi = sample(grid, lambda p: np.exp(-0.5 * p * p))
             lhs = vonroos_apply(mass, amb, phi) + V * phi
@@ -474,7 +473,6 @@ def verify_reduction() -> list[dict]:
     tau, omega = 0.1, 1.0
     grid = make_grid(-8.0, 8.0, 801)
     params = GupOscillatorParams(omega=omega, tau=tau)
-    raw = gup_oscillator_raw(params, grid)
     slp = gup_oscillator_sl(params, grid)
     u = slp.c   # the integrating factor 1 + tau p^2
     checks = []
@@ -486,7 +484,7 @@ def verify_reduction() -> list[dict]:
             grid, lambda p: amp * np.exp(-0.5 * ((p - shift) / width) ** 2)
         )
         lam = 1.0 + 0.1 * j
-        lhs = u * raw_residual_values(raw, phi, lam)
+        lhs = u * params.raw_residual(phi, lam)
         rhs = slp.residual(phi, lam)
         defect = float(np.max(np.abs(lhs.values - rhs.values)))
         checks.append(_check(f"integrating_factor_identity gaussian {j}", defect, 1e-12))

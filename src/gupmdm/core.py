@@ -159,7 +159,8 @@ class SturmLiouvilleProblem:
 
         The product rule is expanded as c phi'' + c' phi' with the `derivative`
         stencils, so for polynomial c the defect is the raw ODE's defect
-        (`models.raw_residual_values`) times the integrating factor, to rounding.
+        (`models.ModelParams.raw_residual`) times the integrating factor, to
+        rounding.
         """
         require_same_grid(self.c, phi)
         d1 = derivative(phi, 1)
@@ -228,14 +229,10 @@ def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     return SampledFunction(f.grid, out)
 
 
-def count_interior_sign_changes(values: np.ndarray) -> int:
-    """Number of sign changes among the nonzero interior samples."""
-    interior = values[1:-1]
-    signs = np.sign(interior)
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(signs)))
+def count_sign_changes(values: np.ndarray) -> int:
+    """Number of sign changes among the nonzero values."""
+    negative = np.signbit(values[values != 0.0])
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def inner_slice(n: int) -> slice:

@@ -9,7 +9,8 @@ the generalized eigenvalue lam. With u = 1 + tau p^2 and W = u^(1 + delta/tau)
 Swanson has G = omega (omega+alpha+beta), delta = (alpha-beta)/G and
 C = (omega-alpha-beta)/omega - (omega+alpha-beta) tau; the deformed oscillator
 is (G, delta, C) = (1, 0, 1/omega^2). The mass and the effective potential are
-read off the SL problem (`SturmLiouvilleProblem.mass`, `.effective_potential`).
+read off the SL problem (`SturmLiouvilleProblem.mass`, `.effective_potential`);
+the equation divided by W is the raw ODE (`ModelParams.raw_residual`).
 
 The constants also give one Liouville normal form (`normal_form`,
 `normal_form_sl`): with (S, B, k^2) = (G[C + G delta (delta+tau)], G delta,
@@ -38,7 +39,6 @@ from .core import (
     constant,
     derivative,
     make_grid,
-    require_same_grid,
 )
 
 
@@ -111,6 +111,23 @@ class ModelParams:
 
     def sl(self, grid: Grid) -> SturmLiouvilleProblem:
         return p_space_sl(self, grid)
+
+    def raw_residual(self, phi: SampledFunction, lam: float) -> SampledFunction:
+        """Pointwise defect phi'' + a1 phi' - (a0P - lam a0E) phi of the raw ODE.
+
+        a1 = 2 (tau + delta) p/u = W'/W, a0E = 1/(u^2 G) and a0P = C p^2/(u^2 G):
+        the SL equation divided by W, so W times this defect is `sl(grid).residual`
+        up to the stencil error of W' there (to rounding for the oscillator's
+        W = u). For the oscillator it is Kempf-Mangano-Mann's
+        phi'' + 2 tau p/u phi' = (mu^2 p^2 - lam)/u^2 phi.
+        """
+        p = phi.grid.points
+        u = 1.0 + self.tau * p * p
+        a1 = 2.0 * (self.tau + self.delta) * p / u
+        a0E = 1.0 / u**2 / self.big_g
+        a0P = self.big_c * p * p / u**2 / self.big_g
+        d1, d2 = derivative(phi, 1).values, derivative(phi, 2).values
+        return SampledFunction(phi.grid, d2 + a1 * d1 - (a0P - lam * a0E) * phi.values)
 
     def normal_form(self) -> NormalForm:
         """S = G[C + G delta (delta + tau)], B = G delta, k^2 = tau G.
@@ -215,37 +232,6 @@ class SwansonParams(ModelParams):
 MODELS = {"gup-oscillator": GupOscillatorParams, "swanson": SwansonParams}
 
 
-@dataclass(frozen=True)
-class RawOdeCoefficients:
-    """a2 phi'' + a1 phi' = (a0P - lam*a0E) phi, lam the raw spectral parameter."""
-
-    a2: SampledFunction
-    a1: SampledFunction
-    a0E: SampledFunction
-    a0P: SampledFunction
-
-    def __post_init__(self):
-        require_same_grid(self.a2, self.a1, self.a0E, self.a0P)
-        if np.any(self.a2.values <= 0):
-            raise ValueError("leading coefficient a2 must be positive")
-
-
-def gup_oscillator_raw(params: GupOscillatorParams, grid: Grid) -> RawOdeCoefficients:
-    """Raw ODE of the deformed oscillator in momentum space.
-
-    phi'' + 2 tau p/(1+tau p^2) phi' = [mu^2 p^2 - lam]/(1+tau p^2)^2 phi,
-    with lam = 2E/omega^2.
-    """
-    p = grid.points
-    u = 1.0 + params.tau * p * p
-    return RawOdeCoefficients(
-        a2=constant(grid, 1.0),
-        a1=SampledFunction(grid, 2.0 * params.tau * p / u),
-        a0E=SampledFunction(grid, 1.0 / u**2),
-        a0P=SampledFunction(grid, params.mu**2 * p * p / u**2),
-    )
-
-
 class WeightOverflowError(ValueError):
     """A p-space coefficient c = W, q or w is not finite on the grid."""
 
@@ -316,18 +302,4 @@ def normal_form_sl(eps: float, grid: Grid) -> SturmLiouvilleProblem:
         q[0], q[-1] = q[1], q[-2]
     return SturmLiouvilleProblem(
         c=constant(grid, 1.0), q=SampledFunction(grid, q), w=constant(grid, 1.0)
-    )
-
-
-def raw_residual_values(
-    coeffs: RawOdeCoefficients, phi: SampledFunction, lam: float
-) -> SampledFunction:
-    """Pointwise raw-ODE defect a2 phi'' + a1 phi' - (a0P - lam a0E) phi."""
-    require_same_grid(coeffs.a2, phi)
-    d1 = derivative(phi, 1)
-    d2 = derivative(phi, 2)
-    return (
-        coeffs.a2 * d2
-        + coeffs.a1 * d1
-        - (coeffs.a0P - lam * coeffs.a0E) * phi
     )

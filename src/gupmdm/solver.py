@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dstebz, dstein, dtbtrs
 
-from .core import Grid, SampledFunction, Spectrum, SturmLiouvilleProblem
+from .core import Grid, SampledFunction, Spectrum, SturmLiouvilleProblem, count_sign_changes
 
 
 class SolverError(RuntimeError):
@@ -275,10 +275,8 @@ class Shooter:
                 mag = abs(u) + abs(v)
                 u, v, norm = u / mag, v / mag, norm / mag / mag
             k += j
-        negative = np.signbit(u_all[u_all != 0.0])
-        nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
         norm = self.h * (norm - 0.5 * w[-1] * u * u)      # the last node has half weight
-        return float(u), float(v), nodes, float(norm)
+        return float(u), float(v), count_sign_changes(u_all), float(norm)
 
     def _angle(self, lam: float) -> tuple[float, float]:
         """(Theta, dTheta/dlambda) at lam, theta_L + theta_R at the matching

@@ -203,6 +203,17 @@ class TestSolve:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
 
+    @pytest.mark.parametrize("argv", [["solve", *FAST], ["profile", "mass", "--n", "51"]],
+                             ids=["solve", "profile"])
+    def test_plot_over_svg_out_exit_2(self, argv, tmp_path, capsys):
+        # The plot is <stem>.svg; an --out of that name would lose the table to it.
+        rc = main([*argv, "--out", str(tmp_path / "run.svg"), "--plot"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--plot" in captured.err and "run.svg" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_model_params_exit_2(self, capsys):
         rc = main(["solve", "--omega", "-1.0", *FAST])
         assert rc == 2

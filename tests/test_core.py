@@ -8,7 +8,7 @@ from gupmdm.core import (
     SampledFunction,
     SturmLiouvilleProblem,
     constant,
-    count_interior_sign_changes,
+    count_sign_changes,
     derivative,
     inner_relative_norm,
     inner_slice,
@@ -155,10 +155,13 @@ class TestDerivative:
             derivative(constant(make_grid(0, 1, 9), 1.0), 3)
 
 
-def test_count_interior_sign_changes():
-    assert count_interior_sign_changes(np.array([0, 1, 2, 1, 0.0])) == 0
-    assert count_interior_sign_changes(np.array([0, 1, -1, 1, 0.0])) == 2
-    assert count_interior_sign_changes(np.array([0, 1, 0, -1, 0.0])) == 1
+def test_count_sign_changes():
+    assert count_sign_changes(np.array([0, 1, 2, 1, 0.0])) == 0
+    assert count_sign_changes(np.array([0, 1, -1, 1, 0.0])) == 2
+    assert count_sign_changes(np.array([0, 1, 0, -1, 0.0])) == 1
+    # Zeros of either sign are skipped; the end values count like any other.
+    assert count_sign_changes(np.array([-1, -0.0, 1, 0.0, 2, -3.0])) == 2
+    assert count_sign_changes(np.array([0.0, -0.0])) == 0
 
 
 def test_sl_problem_mass_and_effective_potential():

@@ -4,19 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from gupmdm.core import inner_slice, make_grid, sample
+from gupmdm.core import constant, derivative, inner_slice, make_grid, sample
 from gupmdm.models import (
     MODELS,
     GupOscillatorParams,
     NormalForm,
     SwansonParams,
     WeightOverflowError,
-    gup_oscillator_raw,
     NORMAL_FORM_HALF_WIDTH,
     gup_oscillator_sl,
     normal_form_grid,
     normal_form_sl,
-    raw_residual_values,
     swanson_sl,
 )
 from gupmdm.solver import shooting_eigenvalue, solve_extrapolated, solve_sl
@@ -63,22 +61,49 @@ class TestParams:
                 pytest.approx(1.2, rel=1e-15))
 
 
+def raw_coefficients(params, grid):
+    """(a1, a0E, a0P) of phi'' + a1 phi' = (a0P - lam a0E) phi, read off
+    `raw_residual` on phi = 1 and phi = p, whose stencil derivatives are exact."""
+    one, p = constant(grid, 1.0), sample(grid, lambda p: p)
+    a0P = -params.raw_residual(one, 0.0)              # -(a0P - 0 a0E)
+    a0E = params.raw_residual(one, 1.0) + a0P         # -(a0P - a0E) + a0P
+    a1 = params.raw_residual(p, 0.0) + a0P * p        # a1 - a0P p + a0P p
+    return a1, a0E, a0P
+
+
 class TestGupOscillatorRaw:
     def test_tau_zero_is_plain_oscillator(self):
-        raw = gup_oscillator_raw(GupOscillatorParams(omega=1.0, tau=0.0), GRID)
-        assert np.allclose(raw.a1.values, 0.0)
-        assert np.allclose(raw.a0E.values, 1.0)
-        assert np.allclose(raw.a0P.values, GRID.points**2)
+        params = GupOscillatorParams(omega=1.0, tau=0.0)
+        a1, a0E, a0P = raw_coefficients(params, GRID)
+        assert np.allclose(a1.values, 0.0)
+        assert np.allclose(a0E.values, 1.0)
+        assert np.allclose(a0P.values, GRID.points**2)
+        # The written-out equation phi'' = (p^2 - lam) phi on a Gaussian.
+        phi = sample(GRID, lambda p: np.exp(-0.5 * (p - 0.3) ** 2))
+        written = derivative(phi, 2) - phi * (GRID.points**2 - 1.7)
+        assert np.array_equal(params.raw_residual(phi, 1.7).values, written.values)
 
     def test_point_values_tau_one(self):
-        raw = gup_oscillator_raw(GupOscillatorParams(omega=1.0, tau=1.0), GRID)
-        assert at(raw.a1, 1.0) == pytest.approx(1.0)
-        assert at(raw.a0E, 1.0) == pytest.approx(0.25)
-        assert at(raw.a0P, 1.0) == pytest.approx(0.25)
+        a1, a0E, a0P = raw_coefficients(GupOscillatorParams(omega=1.0, tau=1.0), GRID)
+        assert at(a1, 1.0) == pytest.approx(1.0)
+        assert at(a0E, 1.0) == pytest.approx(0.25)
+        assert at(a0P, 1.0) == pytest.approx(0.25)
 
     def test_a1_value(self):
-        raw = gup_oscillator_raw(GupOscillatorParams(omega=1.0, tau=0.1), GRID)
-        assert at(raw.a1, 3.0) == pytest.approx(0.6 / 1.9)
+        a1, _, _ = raw_coefficients(GupOscillatorParams(omega=1.0, tau=0.1), GRID)
+        assert at(a1, 3.0) == pytest.approx(0.6 / 1.9)
+
+    @pytest.mark.parametrize("omega, tau", [(1.0, 0.1), (0.7, 0.3), (2.0, 0.0)])
+    def test_written_out_kmm_equation(self, omega, tau):
+        # phi'' + 2 tau p/u phi' = (mu^2 p^2 - lam)/u^2 phi, u = 1 + tau p^2.
+        params = GupOscillatorParams(omega, tau)
+        p = GRID.points
+        u = 1.0 + tau * p * p
+        phi = sample(GRID, lambda p: np.exp(-0.5 * (p + 0.4) ** 2))
+        written = (derivative(phi, 2) + derivative(phi, 1) * (2 * tau * p / u)
+                   - phi * ((p * p / omega**2 - 1.3) / u**2))
+        assert np.allclose(params.raw_residual(phi, 1.3).values, written.values,
+                           rtol=0, atol=1e-13)
 
 
 class TestGupOscillatorSl:
@@ -106,11 +131,10 @@ class TestGupOscillatorSl:
     def test_integrating_factor_identity(self, shift):
         # (1+tau p^2) * raw defect == SL defect pointwise to rounding.
         params = GupOscillatorParams(omega=1.0, tau=0.1)
-        raw = gup_oscillator_raw(params, GRID)
         slp = gup_oscillator_sl(params, GRID)
         phi = sample(GRID, lambda p: np.exp(-0.5 * (p - shift) ** 2))
         u = sample(GRID, lambda p: 1.0 + 0.1 * p * p)
-        lhs = u * raw_residual_values(raw, phi, 1.3)
+        lhs = u * params.raw_residual(phi, 1.3)
         rhs = slp.residual(phi, 1.3)
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
 
@@ -149,6 +173,21 @@ class TestSwansonSl:
             swanson_sl(params, big)
         assert abs(err.value.p_at) > 0
         assert f"p = {err.value.p_at:g}, tau = 0" in str(err.value)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05])
+    def test_raw_residual_times_weight_is_sl_residual(self, tau):
+        # W raw = c phi'' + c (W'/W) phi' while `residual` takes c' by stencil,
+        # and W = exp(delta p^2) or u^(1 + delta/tau) is not polynomial: the
+        # two defects part by O(h^2), a factor 4 per halving of h.
+        params = SwansonParams(2.0, 0.3, 0.1, tau)
+        gaps = []
+        for n in (401, 801, 1601):
+            slp = params.sl(make_grid(-6, 6, n))
+            phi = sample(slp.grid, lambda p: np.exp(-0.5 * (p - 0.5) ** 2))
+            gap = slp.c * params.raw_residual(phi, 1.3) - slp.residual(phi, 1.3)
+            gaps.append(float(np.max(np.abs(gap.values))))
+        assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.05)
+        assert gaps[1] / gaps[2] == pytest.approx(4.0, abs=0.05)
 
     def test_cross_solver_spectrum(self):
         # Deformed Swanson solved by two independent methods.

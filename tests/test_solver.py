@@ -8,7 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from gupmdm.core import (
     SturmLiouvilleProblem,
     constant,
-    count_interior_sign_changes,
+    count_sign_changes,
     inner_slice,
     make_grid,
     sample,
@@ -17,11 +17,9 @@ from gupmdm.core import (
 from gupmdm.models import (
     GupOscillatorParams,
     SwansonParams,
-    gup_oscillator_raw,
     gup_oscillator_sl,
     normal_form_grid,
     normal_form_sl,
-    raw_residual_values,
     swanson_sl,
 )
 from gupmdm import solver
@@ -109,7 +107,7 @@ class TestEigenSolve:
         for n, phi in enumerate(spec.eigenfunctions):
             sig = phi.values.copy()
             sig[np.abs(sig) < 1e-9 * np.max(np.abs(sig))] = 0.0
-            assert count_interior_sign_changes(sig) == n
+            assert count_sign_changes(sig) == n
 
     def test_k_out_of_range(self):
         pair = discretize(laplace_problem(51))
@@ -580,35 +578,32 @@ class TestRichardson:
         ]
 
 
-def max_inner_residual(raw, phi, lam):
-    # The largest |residual| on the inner region, as `verify reduction` reads it.
-    r = raw_residual_values(raw, phi, lam)
+def max_inner_residual(params, phi, lam):
+    # The largest |raw residual| on the inner region.
+    r = params.raw_residual(phi, lam)
     return float(np.max(np.abs(r.values[inner_slice(phi.grid.n)])))
 
 
 class TestResidual:
     def test_zero_function(self):
         g = make_grid(-6, 6, 201)
-        raw = gup_oscillator_raw(GupOscillatorParams(1.0, 0.1), g)
         phi = constant(g, 0.0)
-        assert max_inner_residual(raw, phi, 1.0) == 0.0
+        assert max_inner_residual(GupOscillatorParams(1.0, 0.1), phi, 1.0) == 0.0
 
     def test_exact_eigenpair_converges(self):
         params = GupOscillatorParams(omega=1.0, tau=0.0)
         res = []
         for n in (401, 801):
             g = make_grid(-10, 10, n)
-            raw = gup_oscillator_raw(params, g)
             phi = sample(g, lambda p: np.exp(-0.5 * p * p))
-            res.append(max_inner_residual(raw, phi, 1.0))
+            res.append(max_inner_residual(params, phi, 1.0))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.1)
 
     def test_random_pair_positive(self):
         g = make_grid(-6, 6, 201)
-        raw = gup_oscillator_raw(GupOscillatorParams(1.0, 0.1), g)
         rng = np.random.default_rng(7)
         phi = sample(g, lambda p: 0 * p) + rng.standard_normal(g.n)
-        assert max_inner_residual(raw, phi, 0.37) > 1e-2
+        assert max_inner_residual(GupOscillatorParams(1.0, 0.1), phi, 0.37) > 1e-2
 
 
 def test_order_of_accuracy_slope():
