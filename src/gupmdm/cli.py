@@ -435,38 +435,26 @@ def _interval_check(name: str, measured: float, lo: float, hi: float) -> dict:
 
 
 def verify_vonroos() -> list[dict]:
-    from .vonroos import (
-        AmbiguityParams,
-        MassFunction,
-        reduced_form_apply,
-        vonroos_apply,
-    )
+    from .vonroos import AmbiguityParams, reduced_problem, vonroos_apply
 
-    tau = 0.1
-    checks = []
-    for a, b in ((0.0, -1.0), (-0.5, 0.0), (0.0, 0.0), (-1.0, 0.0)):
-        amb = AmbiguityParams(a, b)
-        devs = []
-        for n in (401, 801, 1601):
-            grid = make_grid(-6.0, 6.0, n)
-            mass = MassFunction.from_profile(GupOscillatorParams(1.0, tau).sl(grid).mass)
-            V = sample(grid, lambda p: p * p)
-            phi = sample(grid, lambda p: np.exp(-0.5 * p * p))
-            lhs = vonroos_apply(mass, amb, phi) + V * phi
-            rhs = reduced_form_apply(mass, amb, V, phi)
-            sl = inner_slice(n)
-            devs.append(float(np.max(np.abs(lhs.values[sl] - rhs.values[sl]))))
-        for i in range(len(devs) - 1):
-            name = f"identity_convergence a={a} b={b} refine {i}"
-            if devs[i + 1] < 1e-11:
-                # Orderings where both application paths coincide leave only
-                # rounding noise; no h^2 trend to measure.
-                checks.append(_check(name + " (rounding floor)", devs[i + 1], 1e-11))
-            else:
-                checks.append(
-                    _interval_check(name, devs[i] / devs[i + 1], 3.6, 4.4)
-                )
-    return checks
+    orderings = [AmbiguityParams(a, b)
+                 for a, b in ((0.0, -1.0), (-0.5, 0.0), (0.0, 0.0), (-1.0, 0.0))]
+    devs = {amb: [] for amb in orderings}
+    for n in (401, 801, 1601):
+        grid = make_grid(-6.0, 6.0, n)
+        M = GupOscillatorParams(1.0, 0.1).sl(grid).mass
+        V = sample(grid, lambda p: p * p)
+        phi = sample(grid, lambda p: np.exp(-0.5 * p * p))
+        sl = inner_slice(n)
+        for amb in orderings:
+            lhs = vonroos_apply(M, amb, phi) + V * phi
+            rhs = -reduced_problem(M, V, amb).residual(phi, 0.0)
+            devs[amb].append(float(np.max(np.abs(lhs.values[sl] - rhs.values[sl]))))
+    return [
+        _interval_check(f"identity_convergence a={amb.a} b={amb.b} refine {i}",
+                        d[i] / d[i + 1], 3.6, 4.4)
+        for amb, d in devs.items() for i in range(len(d) - 1)
+    ]
 
 
 def verify_reduction() -> list[dict]:
@@ -523,7 +511,9 @@ def verify_hermitize() -> list[dict]:
 
     params = SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.0)
     grid = make_grid(-10.0, 10.0, 8001)
-    rep = LadderRep(r=constant(grid, 1.0), s=sample(grid, lambda p: p))
+    # The momentum-space annihilation operator (D + p)/sqrt(2), so [eta, eta+] = 1.
+    rep = LadderRep(r=constant(grid, math.sqrt(0.5)),
+                    s=sample(grid, lambda p: p * math.sqrt(0.5)))
     coeffs = swanson_coefficients(rep, params)
     rho = similarity_weight(coeffs)
     spec = solve_sl(hermitized_problem(coeffs), 5)
@@ -533,6 +523,11 @@ def verify_hermitize() -> list[dict]:
             coeffs, rho, spec.eigenfunctions[n], float(spec.eigenvalues[n])
         )
         checks.append(_check(f"rho_mapped_residual n={n}", res, 1e-4))
+    # Swanson's closed-form levels at tau = 0.
+    omega_bar = math.sqrt(params.omega**2 - 4.0 * params.alpha * params.beta)
+    exact = (np.arange(5) + 0.5) * omega_bar
+    checks.append(_check("hermitized_spectrum",
+                         float(np.max(np.abs(spec.eigenvalues - exact) / exact)), 1e-5))
     herm = SwansonParams(omega=2.0, alpha=0.2, beta=0.2, tau=0.0)
     coeffs_h = swanson_coefficients(rep, herm)
     rho_h = similarity_weight(coeffs_h)

@@ -2,9 +2,11 @@
 
 Implements the two-parameter symmetrized kinetic operator
 -1/2 [M^a D M^b D M^c + M^c D M^b D M^a] (units with 2*m0 = 1, so constant
-mass gives -d^2/dp^2), the ambiguity-dependent effective potential, and the
-reduced conservative form -D (1/M) D + V_eff, for numerical verification of
-the operator identity relating them.
+mass gives -d^2/dp^2) of von Roos (Phys. Rev. B 27, 7547 (1983)). Every
+ordering reduces to -D (1/M) D + V_eff, which is the package's one operator:
+`reduced_problem` returns it as the Sturm-Liouville problem c = 1/M,
+q = V_eff, w = 1, whose `residual` the `verify vonroos` identity check
+evaluates against `vonroos_apply`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledFunction, derivative, require_same_grid
+from .core import (
+    SampledFunction,
+    SturmLiouvilleProblem,
+    constant,
+    derivative,
+    require_same_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -28,66 +36,46 @@ class AmbiguityParams:
         return -1.0 - self.a - self.b
 
 
-@dataclass(frozen=True)
-class MassFunction:
-    """Dimensionless positive mass profile with precomputed derivatives."""
-
-    M: SampledFunction
-    dM: SampledFunction
-    d2M: SampledFunction
-
-    def __post_init__(self):
-        require_same_grid(self.M, self.dM, self.d2M)
-        if np.any(self.M.values <= 0):
-            raise ValueError("mass function must be positive everywhere")
-
-    @classmethod
-    def from_profile(cls, M: SampledFunction) -> "MassFunction":
-        return cls(M=M, dM=derivative(M, 1), d2M=derivative(M, 2))
+def _require_positive(M: SampledFunction) -> None:
+    if np.any(M.values <= 0):
+        raise ValueError("mass function must be positive everywhere")
 
 
 def _power(M: SampledFunction, expo: float) -> SampledFunction:
-    # M > 0 is guaranteed, so fractional powers via exp(expo*log M) are safe.
+    # M > 0 is checked by the caller, so fractional powers via exp(expo*log M) are safe.
     return SampledFunction(M.grid, np.exp(expo * np.log(M.values)))
 
 
 def vonroos_apply(
-    mass: MassFunction, amb: AmbiguityParams, phi: SampledFunction
+    M: SampledFunction, amb: AmbiguityParams, phi: SampledFunction
 ) -> SampledFunction:
     """Apply -1/2 [M^a D M^b D M^c + M^c D M^b D M^a] to phi."""
-    require_same_grid(mass.M, phi)
+    require_same_grid(M, phi)
+    _require_positive(M)
 
     def ordered(e1: float, e2: float, e3: float) -> SampledFunction:
-        inner = derivative(_power(mass.M, e3) * phi, 1)
-        return _power(mass.M, e1) * derivative(_power(mass.M, e2) * inner, 1)
+        inner = derivative(_power(M, e3) * phi, 1)
+        return _power(M, e1) * derivative(_power(M, e2) * inner, 1)
 
     t1 = ordered(amb.a, amb.b, amb.c)
     t2 = ordered(amb.c, amb.b, amb.a)
     return -0.5 * (t1 + t2)
 
 
-def effective_potential_vonroos(
-    mass: MassFunction, V: SampledFunction, amb: AmbiguityParams
-) -> SampledFunction:
-    """V + (b+1)/2 * M''/M^2 - [a(a+b+1)+b+1] * M'^2/M^3."""
-    require_same_grid(mass.M, V)
+def reduced_problem(
+    M: SampledFunction, V: SampledFunction, amb: AmbiguityParams
+) -> SturmLiouvilleProblem:
+    """-D (1/M) D + V_eff as the SL problem (c, q, w) = (1/M, V_eff, 1).
+
+    V_eff = V + (b+1)/2 * M''/M^2 - [a(a+b+1)+b+1] * M'^2/M^3.
+    """
+    require_same_grid(M, V)
+    _require_positive(M)
     a, b = amb.a, amb.b
-    m, dm, d2m = mass.M, mass.dM, mass.d2M
-    return (
+    dm, d2m = derivative(M, 1), derivative(M, 2)
+    veff = (
         V
-        + 0.5 * (b + 1.0) * d2m / (m * m)
-        - (a * (a + b + 1.0) + b + 1.0) * dm * dm / (m * m * m)
+        + 0.5 * (b + 1.0) * d2m / (M * M)
+        - (a * (a + b + 1.0) + b + 1.0) * dm * dm / (M * M * M)
     )
-
-
-def reduced_form_apply(
-    mass: MassFunction,
-    amb: AmbiguityParams,
-    V: SampledFunction,
-    phi: SampledFunction,
-) -> SampledFunction:
-    """Apply -D (1/M) D + V_eff to phi (conservative reduced form)."""
-    require_same_grid(mass.M, V, phi)
-    flux = derivative(phi, 1) / mass.M
-    veff = effective_potential_vonroos(mass, V, amb)
-    return -derivative(flux, 1) + veff * phi
+    return SturmLiouvilleProblem(c=1.0 / M, q=veff, w=constant(M.grid, 1.0))
