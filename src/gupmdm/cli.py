@@ -10,6 +10,11 @@ RFC 4180) when it holds a comma, a double quote or a line break.
 (`gupmdm.models.normal_form_sl`), so they take no box size; `profile` prints
 the momentum-space problem on [-pmax, pmax].
 
+Only the commands that eigensolve (`solve`, `sweep`, `verify susy` and
+`verify hermitize`) import `gupmdm.solver`, and with it scipy; they do so
+when they run, so `profile`, `verify reduction` and `verify vonroos` start
+without scipy.
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid config, 3 solver failure.
 """
 
@@ -29,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .core import constant, inner_slice, make_grid, sample
+from .core import SolverError, constant, inner_slice, make_grid, sample
 from .models import (
     MODELS,
     GupOscillatorParams,
@@ -37,13 +42,6 @@ from .models import (
     gup_oscillator_sl,
     normal_form_grid,
     normal_form_sl,
-)
-from .solver import (
-    Shooter,
-    SolverError,
-    shooting_eigenvalue,
-    solve_extrapolated,
-    solve_sl,
 )
 
 
@@ -306,6 +304,8 @@ def _solve_rows(cfg: RunConfig):
     ValueError (naming tau) where the model has no usable normal form;
     SolverError when matrix and shooting disagree.
     """
+    from .solver import Shooter, shooting_eigenvalue, solve_extrapolated
+
     params = cfg.params()
     form = params.normal_form()
     mus, fine_slp, fine_spec = solve_extrapolated(
@@ -508,6 +508,7 @@ def verify_hermitize() -> list[dict]:
         swanson_coefficients,
         untransformed_residual,
     )
+    from .solver import solve_sl
 
     params = SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.0)
     grid = make_grid(-10.0, 10.0, 8001)

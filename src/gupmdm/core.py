@@ -21,6 +21,10 @@ class GridMismatchError(ValueError):
     """Two sampled functions do not live on the same grid."""
 
 
+class SolverError(RuntimeError):
+    """An eigensolver failed; `gupmdm.solver` raises it, `gupmdm.cli` maps it to exit 3."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform momentum lattice p_i = p_min + i*h, i = 0..n-1."""

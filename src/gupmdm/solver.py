@@ -22,14 +22,16 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dstebz, dstein, dtbtrs
+from scipy.linalg.lapack import dgtsv, dstebz, dstein, dtbtrs
 
-from .core import Grid, SampledFunction, Spectrum, SturmLiouvilleProblem, count_sign_changes
-
-
-class SolverError(RuntimeError):
-    pass
+from .core import (
+    Grid,
+    SampledFunction,
+    SolverError,
+    Spectrum,
+    SturmLiouvilleProblem,
+    count_sign_changes,
+)
 
 
 class BracketError(SolverError):
@@ -158,6 +160,37 @@ ANGLE_TOL = 1e-6
 MAX_STEPS = 100
 
 
+def _midpoint_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline of the columns of y (x.size >= 4 rows) at the
+    midpoints of x.
+
+    The arithmetic of scipy's `CubicSpline(x, y)(mids)`, bit for bit: its
+    slope system, solved by LAPACK dgtsv as `solve_banded((1, 1), ...)` does,
+    then each interval's Hermite cubic in `PPoly`'s order of terms. It saves
+    importing scipy.interpolate (and with it scipy.optimize and scipy.special).
+    """
+    dx = np.diff(x)
+    dxc = dx[:, None]                     # dx against the columns of y
+    slope = np.diff(y, axis=0) / dxc
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    # Row 0 < i < n-1 is dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
+    # the not-a-knot end rows make the third derivative continuous at x_1, x_{n-2}.
+    b = np.empty_like(y)
+    b[0] = ((dxc[0] + 2 * d0) * dxc[1] * slope[0] + dxc[0] * dxc[0] * slope[1]) / d0
+    b[1:-1] = 3 * (dxc[1:] * slope[:-1] + dxc[:-1] * slope[1:])
+    b[-1] = (dxc[-1] * dxc[-1] * slope[-2] + (2 * d1 + dxc[-1]) * dxc[-2] * slope[-1]) / d1
+    diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
+    *_, s, info = dgtsv(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), b)
+    if info != 0:
+        raise SolverError(f"spline slope system is singular (dgtsv info {info})")
+    # On [x_i, x_i+1], y_i + s_i z + c1 z^2 + c0 z^3 with c1 = (slope_i - s_i)/dx_i - t
+    # and c0 = t/dx_i, summed in that order as PPoly does.
+    t = (s[:-1] + s[1:] - 2 * slope) / dxc
+    z = (0.5 * (x[:-1] + x[1:]) - x[:-1])[:, None]
+    z2 = z * z
+    return y[:-1] + s[:-1] * z + ((slope - s[:-1]) / dxc - t) * z2 + t / dxc * (z2 * z)
+
+
 def _half_angle(u: float, v: float, nodes: int) -> float:
     """Continuous angle of (u, v) after `nodes` sign changes of u, from u = 0+.
 
@@ -175,7 +208,8 @@ class Shooter:
     """Two-sided RK4 shooting on one Sturm-Liouville problem.
 
     Integrates the first-order system (u, v) = (phi, c phi') with fixed-step
-    RK4, coefficients cubic-spline interpolated to step midpoints. The system
+    RK4, coefficients interpolated to step midpoints by a not-a-knot cubic
+    spline (`_midpoint_spline`). The grid needs at least 4 points. The system
     is linear, so for a given lambda each RK4 step is a 2x2 matrix with a
     closed form (`step_matrices`); a sweep writes all its step matrices at once
     with numpy and applies them as one banded triangular solve in LAPACK.
@@ -189,14 +223,15 @@ class Shooter:
 
     def __init__(self, slp: SturmLiouvilleProblem):
         grid = slp.grid
-        pts = grid.points
-        mids = 0.5 * (pts[:-1] + pts[1:])
+        if grid.n < 4:
+            raise ValueError(f"shooting needs at least 4 grid points, got {grid.n}")
         c, q, w = slp.c.values, slp.q.values, slp.w.values
         self.grid = grid
         self.h = grid.h
         self.n = grid.n
-        spline = CubicSpline(pts, np.column_stack([c, q, w]))   # one for all three
-        c_m, self.q_m, self.w_m = spline(mids).T.copy()          # contiguous rows
+        # One spline for all three; .T.copy() makes each row contiguous.
+        c_m, self.q_m, self.w_m = _midpoint_spline(grid.points,
+                                                   np.column_stack([c, q, w])).T.copy()
         self.ic_n = 1.0 / c
         self.ic_m = 1.0 / c_m
         self.q_n = q

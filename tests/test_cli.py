@@ -5,12 +5,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gupmdm
 from gupmdm import cli, solver
 from gupmdm.cli import (
     ConfigError,
@@ -649,6 +654,35 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["passed"] is True
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's gupmdm."""
+    src = str(Path(gupmdm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+
+
+def test_solver_imports_no_scipy_interpolate():
+    run = _run_fresh("import sys, gupmdm.solver; "
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_commands_without_eigensolve_load_no_scipy(tmp_path):
+    # cli imports gupmdm.solver, and with it scipy, only in the commands that
+    # eigensolve, so a profile or an operator-identity suite starts without it.
+    out = str(tmp_path / "out")
+    run = _run_fresh(
+        "import sys; from gupmdm.cli import main; "
+        f"codes = [main(argv + ['--out', {out!r}]) for argv in "
+        "(['profile', 'mass'], ['verify', 'reduction'], ['verify', 'vonroos'])]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0, 0] []"
 
 
 EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])

@@ -3,8 +3,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
+from gupmdm import core
 from gupmdm.core import (
     SturmLiouvilleProblem,
     constant,
@@ -28,6 +30,7 @@ from gupmdm.solver import (
     BracketError,
     Shooter,
     _half_angle,
+    _midpoint_spline,
     discretize,
     eigen_solve,
     richardson,
@@ -220,6 +223,16 @@ class TestShooting:
         slp = laplace_problem(51)
         with pytest.raises(ValueError):
             shooting_eigenvalue(slp, -1)
+
+    def test_rejects_grid_under_four_points(self):
+        # Three points build a grid, but not the spline's slope system.
+        with pytest.raises(ValueError, match="at least 4 grid points, got 3"):
+            Shooter(laplace_problem(3))
+        assert Shooter(laplace_problem(4)).n == 4
+
+    def test_solver_error_lives_in_core(self):
+        assert solver.SolverError is core.SolverError
+        assert issubclass(BracketError, core.SolverError)
 
     def test_levels_isolated_in_few_sweeps(self):
         # The CLI default at (tau, omega) = (0.05, 1): box 12, 1201 -> 2401 points.
@@ -542,6 +555,46 @@ def test_sweep_matches_loop(build, must_restart, monkeypatch):
             rescales += restarts
     if must_restart:
         assert rescales > 0
+
+
+def _spline_cases():
+    """(x, y) pairs: the Shooter's coefficient columns on normal-form and
+    momentum-space grids, and random data on seeded non-uniform grids."""
+    def columns(slp):
+        return slp.grid.points, np.column_stack([slp.c.values, slp.q.values, slp.w.values])
+
+    cases = {}
+    # eps 0 and 0.13 use the box of half-width 12; from eps = pi/24 (0.131) on,
+    # the grid is the whole interval, with its end-patched q.
+    for eps in (0.0, 0.13, 0.2, 0.9, 1.4):
+        for n in (4, 301, 2401):
+            cases[f"normal-form-eps{eps}-n{n}"] = columns(
+                normal_form_sl(eps, normal_form_grid(eps, n)))
+    for n in (4, 1201):
+        cases[f"oscillator-n{n}"] = columns(
+            gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, n)))
+        cases[f"swanson-n{n}"] = columns(
+            swanson_sl(SwansonParams(2.0, 0.3, 0.1, 0.2), make_grid(-10, 10, n)))
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 97):
+        cases[f"random-n{n}"] = (np.sort(rng.uniform(-3.0, 3.0, n)), rng.normal(size=(n, 3)))
+    return cases
+
+
+SPLINE_CASES = _spline_cases()
+
+
+@pytest.mark.parametrize("x, y", SPLINE_CASES.values(), ids=SPLINE_CASES.keys())
+def test_midpoint_spline_equals_cubic_spline(x, y):
+    # The same arithmetic as scipy's not-a-knot spline, so equal to the bit.
+    mids = 0.5 * (x[:-1] + x[1:])
+    assert np.array_equal(_midpoint_spline(x, y), CubicSpline(x, y)(mids))
+
+
+def test_midpoint_spline_singular_system_is_solver_error():
+    # At 3 points the two not-a-knot rows add up to the middle row.
+    with pytest.raises(solver.SolverError, match="dgtsv info"):
+        _midpoint_spline(np.array([0.0, 1.0, 2.0]), np.ones((3, 1)))
 
 
 class TestRichardson:
