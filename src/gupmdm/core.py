@@ -27,7 +27,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform momentum lattice p_i = p_min + i*h, i = 0..n-1."""
+    """Uniform momentum lattice p_i = p_min + i*h, i = 0..n-1.
+
+    On a box centred on 0 (p_min == -p_max) the right half is the mirror
+    image of the left, p_(n-1-i) = -p_i exactly, with p = 0.0 at the centre
+    of an odd n: an even function then samples to a palindromic array.
+    """
 
     p_min: float
     p_max: float
@@ -40,6 +45,11 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         pts = self.p_min + self.h * np.arange(self.n)
+        if self.p_min == -self.p_max:
+            half = self.n // 2
+            pts[self.n - half:] = -pts[half - 1::-1]
+            if self.n % 2:
+                pts[half] = 0.0
         pts.flags.writeable = False
         return pts
 
@@ -213,7 +223,9 @@ def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     """Second-order finite-difference derivative (order 1 or 2).
 
     Central stencils in the interior, one-sided second-order stencils at
-    the two endpoints.
+    the two endpoints. Each stencil is summed in an order its mirror image
+    repeats, so on a `Grid` centred on 0 an even or odd f has an exactly odd
+    or even derivative.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -227,7 +239,7 @@ def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
         out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     else:
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+        out[1:-1] = (v[2:] + v[:-2] - 2.0 * v[1:-1]) / (h * h)
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
     return SampledFunction(f.grid, out)

@@ -1,10 +1,11 @@
 """Eigensolvers for Sturm-Liouville problems.
 
 Two independent routes: a conservative finite-difference discretization
-solved as a symmetric tridiagonal generalized eigenproblem (bisection for the
-eigenvalues, inverse iteration for the eigenvectors when they are first read),
-and two-sided RK4 shooting. Shooting finds level n as the root of the Pruefer
-angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
+solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
+pencil folded into its even and odd half blocks; bisection to an absolute
+tolerance for the eigenvalues, inverse iteration for the eigenvectors when they
+are first read), and two-sided RK4 shooting. Shooting finds level n as the root
+of the Pruefer angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
 memoized on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed
 form with numpy and applies them in one banded triangular solve (LAPACK dtbtrs),
 and returns dTheta/dlambda with Theta by Pruefer's identity. The root search is
@@ -61,15 +62,65 @@ def discretize(slp: SturmLiouvilleProblem) -> DiscretizedPair:
                            problem=slp)
 
 
+# Absolute tolerance of dstebz's bisection. At abstol 0 it stops at ulp * ||T||,
+# which grows like 1/h^2, so refining the grid would worsen the eigenvalues
+# (Barlow & Demmel, SIAM J. Numer. Anal. 27, 762 (1990)).
+ABSTOL = 1e-10
+
+
+def _fold(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of a palindromic tridiagonal (d, e) of m >= 2
+    rows, stacked into m rows joined by a zero off-diagonal.
+
+    A palindromic T has only even and odd eigenvectors (Cantoni & Butler,
+    Linear Algebra Appl. 13, 275 (1976)). At m = 2r + 1 the even block is rows
+    0..r with the centre coupling times sqrt(2) and the odd block rows 0..r-1;
+    at m = 2r both are rows 0..r-1, the last diagonal entry plus (even) or
+    minus (odd) the centre coupling.
+    """
+    r = d.size // 2
+    if d.size % 2:
+        return (np.concatenate([d[:r + 1], d[:r]]),
+                np.concatenate([e[:r - 1], [math.sqrt(2.0) * e[r - 1], 0.0], e[:r - 1]]))
+    d_f = np.concatenate([d[:r], d[:r]])
+    d_f[r - 1] += e[r - 1]
+    d_f[-1] -= e[r - 1]
+    return d_f, np.concatenate([e[:r - 1], [0.0], e[:r - 1]])
+
+
+def _unfold(z: np.ndarray) -> np.ndarray:
+    """T's unit eigenvectors from `_fold`'s, the columns of z (each zero
+    outside its block): an even block's y maps to
+    (y_0, .., y_r-1, [sqrt(2) y_r,] y_r-1, .., y_0) / sqrt(2), an odd block's
+    to the same with the mirrored half negated and no centre."""
+    m = z.shape[0]
+    r = m // 2
+    a, b = z[:r] / math.sqrt(2.0), z[m - r:] / math.sqrt(2.0)
+    v = np.empty_like(z)
+    v[:r] = a + b
+    v[m - r:] = (a - b)[::-1]
+    if m % 2:
+        v[r] = z[r]
+    return v
+
+
 def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     """Lowest k generalized eigenpairs of A phi = lam B phi.
 
-    Symmetrized with B^(-1/2). LAPACK dstebz bisects for the k lowest
-    eigenvalues to full accuracy (abstol 0), in split-block order; dstein's
-    inverse iteration computes their eigenvectors only when the spectrum's
-    `eigenfunctions` are first read, as in `eigh_tridiagonal(select="i")`.
-    Eigenfunctions are normalized to integral phi^2 w dp = 1 (trapezoid
-    rule), each with its largest-magnitude component made positive.
+    Symmetrized with B^(-1/2) to T. Where T is palindromic (an even problem
+    on a grid centred on 0) it is folded into its even and odd half blocks
+    (`_fold`). LAPACK dstebz bisects for the k lowest eigenvalues to the
+    absolute tolerance ABSTOL, in split-block order; dstein's inverse
+    iteration computes their eigenvectors only when the spectrum's
+    `eigenfunctions` are first read, as in `eigh_tridiagonal(select="i",
+    tol=ABSTOL)` on the pencil dstebz saw. Eigenfunctions are normalized to
+    integral phi^2 w dp = 1 (trapezoid rule), each with its largest-magnitude
+    component made positive (the leftmost of an odd level's two equal
+    extremes).
+
+    Raises SolverError when two of the k eigenvalues are closer than
+    ulp * ||T|| (Gershgorin bound), dstebz's own resolution at abstol 0: the
+    grid does not resolve those levels apart.
     """
     m = pair.diag.size
     if not 1 <= k <= m:
@@ -77,28 +128,41 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     s = 1.0 / np.sqrt(pair.b_diag)
     diag_t = np.asarray_chkfinite(pair.diag * s * s)
     # The LAPACK wrappers want an off-diagonal of length >= 1; at m = 1 they read none.
-    off_t = np.asarray_chkfinite(pair.offdiag * s[:-1] * s[1:]) if m > 1 else np.zeros(1)
+    # s_i s_i+1 is formed first, so a palindromic pencil gives a palindromic off_t.
+    off_t = np.asarray_chkfinite(pair.offdiag * (s[:-1] * s[1:])) if m > 1 else np.zeros(1)
+    folded = (m > 1 and np.array_equal(diag_t, diag_t[::-1])
+              and np.array_equal(off_t, off_t[::-1]))
+    d, e = _fold(diag_t, off_t) if folded else (diag_t, off_t)
     # range 2 ("I") selects the eigenvalues of indices 1..k.
-    found, vals, iblock, isplit, info = dstebz(diag_t, off_t, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    found, vals, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, ABSTOL, "B")
     if info != 0 or found < k:
         raise SolverError(f"tridiagonal bisection found {found} of {k} eigenvalues "
                           f"(dstebz info {info})")
     vals = vals[:k]
     order = np.argsort(vals)
-    vectors = partial(_eigenfunctions, pair.problem.grid, s, diag_t, off_t,
+    lams = vals[order]
+    radius = np.abs(np.append(e[:m - 1], 0.0))
+    resolution = np.finfo(float).eps * float(np.max(np.abs(d) + radius + np.roll(radius, 1)))
+    gap = np.diff(lams)
+    if np.any(gap <= resolution):
+        j = int(np.argmin(gap))
+        raise SolverError(f"eigenvalues {lams[j]:.12g} and {lams[j + 1]:.12g} are not strictly "
+                          f"ascending beyond ulp*||T|| = {resolution:.3g}: the grid does not "
+                          "resolve them")
+    vectors = partial(_eigenfunctions, pair.problem.grid, s, d, e, folded,
                       vals, iblock, isplit, order)
-    try:
-        return Spectrum(eigenvalues=vals[order], compute_eigenfunctions=vectors)
-    except ValueError as exc:  # a grid too coarse to resolve the lowest levels
-        raise SolverError(str(exc)) from exc
+    return Spectrum(eigenvalues=lams, compute_eigenfunctions=vectors)
 
 
-def _eigenfunctions(grid: Grid, s, diag_t, off_t, vals, iblock, isplit, order):
-    """`eigen_solve`'s eigenfunctions: dstein on its dstebz output, then B^(-1/2)."""
-    vecs, info = dstein(diag_t, off_t, vals, iblock, isplit)
+def _eigenfunctions(grid: Grid, s, d, e, folded, vals, iblock, isplit, order):
+    """`eigen_solve`'s eigenfunctions: dstein on its dstebz output, unfolded
+    where the pencil was folded, then B^(-1/2)."""
+    vecs, info = dstein(d, e, vals, iblock, isplit)
     if info != 0:
         raise SolverError(f"{info} of {vals.size} eigenvectors failed to converge "
                           f"(dstein info {info})")
+    if folded:
+        vecs = _unfold(vecs)
     funcs = []
     for j in order:
         phi = np.zeros(grid.n)

@@ -318,6 +318,19 @@ class TestSolve:
         assert "differ by more than" in captured.err
         assert captured.out == ""
 
+    def test_fine_grid_solves(self, capsys):
+        # 100001 fine-grid points: bisection to an absolute tolerance keeps the
+        # matrix levels within AGREE_RTOL of shooting (at abstol 0, ulp * ||T||
+        # grows like n^2 and level 0 missed by 1.4e-6 relative).
+        params = GupOscillatorParams(omega=1.0, tau=0.05)
+        rc = main(["solve", "--tau", "0.05", "--n", "50001"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        assert len(rows) == 6
+        for n, row in enumerate(rows):
+            assert float(row[2]) == pytest.approx(params.exact_energy(n), rel=1e-8)
+
     def test_swanson_huge_weight_solves(self, capsys):
         # The p-space weight exp(delta p^2) grows fast here; the normal form
         # has no weight to overflow, and the spectrum is exact.

@@ -43,6 +43,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(*args)
 
+    @pytest.mark.parametrize("n", [3, 4, 2001, 2000])
+    def test_centred_box_mirrored(self, n):
+        # The right half mirrors the left, which keeps p_min + i h bit for bit.
+        g = make_grid(-7.3, 7.3, n)
+        assert np.array_equal(g.points[::-1], -g.points)
+        left = n // 2
+        assert np.array_equal(g.points[:left], (g.p_min + g.h * np.arange(n))[:left])
+        assert n % 2 == 0 or g.points[left] == 0.0
+
     def test_points_reproducible(self):
         g = make_grid(-3, 5, 977)
         assert np.array_equal(g.points, g.points)

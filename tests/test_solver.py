@@ -126,16 +126,50 @@ class TestEigenSolve:
         assert np.max(np.abs(e[1] - e[0])) < 1e-8
 
 
-def eigh_tridiagonal_reference(pair, k):
-    """eigen_solve's eigenpairs from scipy's eigh_tridiagonal, post-processed alike."""
+def fold_reference(d, e):
+    """The even and odd half blocks of a palindromic (d, e), built block by
+    block, stacked with a zero coupling; returns them and the even block's size."""
+    m = d.size
+    r = m // 2
+    if m % 2:
+        even_d, even_e = d[:r + 1], np.append(e[:r - 1], math.sqrt(2.0) * e[r - 1])
+        odd_d, odd_e = d[:r], e[:r - 1]
+    else:
+        even_d = np.append(d[:r - 1], d[r - 1] + e[r - 1])
+        odd_d = np.append(d[:r - 1], d[r - 1] - e[r - 1])
+        even_e = odd_e = e[:r - 1]
+    return (np.concatenate([even_d, odd_d]), np.concatenate([even_e, [0.0], odd_e]),
+            even_d.size)
+
+
+def unfold_reference(z, n_even):
+    """A stacked block eigenvector z mirrored out to the full pencil's."""
+    m = z.size
+    r = m // 2
+    even = np.any(z[:n_even])
+    y = z[:n_even] if even else z[n_even:]
+    v = np.zeros(m)
+    v[:r] = y[:r] / math.sqrt(2.0)
+    v[m - r:] = (v[:r] if even else -v[:r])[::-1]
+    if m % 2 and even:
+        v[r] = y[r]
+    return v
+
+
+def eigh_tridiagonal_reference(pair, k, fold):
+    """eigen_solve's eigenpairs from scipy's eigh_tridiagonal at tol=ABSTOL, on
+    the folded pencil (vectors unfolded) or the plain one, post-processed alike."""
     s = 1.0 / np.sqrt(pair.b_diag)
-    vals, vecs = eigh_tridiagonal(pair.diag * s * s, pair.offdiag * s[:-1] * s[1:],
-                                  select="i", select_range=(0, k - 1))
+    d, e = pair.diag * s * s, pair.offdiag * (s[:-1] * s[1:])
+    if fold:
+        d, e, n_even = fold_reference(d, e)
+    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+                                  tol=solver.ABSTOL)
     grid = pair.problem.grid
     funcs = []
     for j in range(k):
         phi = np.zeros(grid.n)
-        phi[1:-1] = s * vecs[:, j]
+        phi[1:-1] = s * (unfold_reference(vecs[:, j], n_even) if fold else vecs[:, j])
         phi /= math.sqrt(grid.h)
         i_max = 1 + int(np.argmax(np.abs(phi[1:-1])))
         funcs.append(-phi if phi[i_max] < 0 else phi)
@@ -143,26 +177,48 @@ def eigh_tridiagonal_reference(pair, k):
 
 
 NORMAL_FORM_EPS = GupOscillatorParams(omega=1.0, tau=0.05).normal_form().eps
+SYMMETRIC_CASES = [
+    (normal_form_sl(NORMAL_FORM_EPS, normal_form_grid(NORMAL_FORM_EPS, 1201)), 6),
+    (gup_oscillator_sl(GupOscillatorParams(omega=2.0, tau=0.1), make_grid(-50, 50, 4801)), 10),
+    (swanson_sl(SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05),
+                make_grid(-15, 15, 2401)), 10),
+    # An even n gives an even number of rows, folded at a coupling, not a node.
+    (normal_form_sl(NORMAL_FORM_EPS, normal_form_grid(NORMAL_FORM_EPS, 1200)), 6),
+]
+SYMMETRIC_IDS = ["normal-form", "p-space-box-50", "swanson", "normal-form-even-n"]
 
 
 class TestLazyEigenvectors:
-    @pytest.mark.parametrize("slp, k", [
-        (normal_form_sl(NORMAL_FORM_EPS, normal_form_grid(NORMAL_FORM_EPS, 1201)), 6),
-        (gup_oscillator_sl(GupOscillatorParams(omega=2.0, tau=0.1),
-                           make_grid(-50, 50, 4801)), 10),
-        (swanson_sl(SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05),
-                    make_grid(-15, 15, 2401)), 10),
+    @pytest.mark.parametrize("slp, k, fold", [
+        *((slp, k, True) for slp, k in SYMMETRIC_CASES),
+        # The box [-3, 5] is not centred on 0: the pencil is solved unfolded.
+        (gup_oscillator_sl(GupOscillatorParams(omega=1.0, tau=0.05), make_grid(-3, 5, 977)),
+         6, False),
         # eigh_tridiagonal solves a 1x1 pencil without LAPACK.
-        (laplace_problem(3), 1),
-    ], ids=["normal-form", "p-space-box-50", "swanson", "1x1-pencil"])
-    def test_bit_identical_to_eigh_tridiagonal(self, slp, k):
+        (laplace_problem(3), 1, False),
+    ], ids=[*SYMMETRIC_IDS, "asymmetric-box", "1x1-pencil"])
+    def test_bit_identical_to_eigh_tridiagonal(self, slp, k, fold):
         pair = discretize(slp)
-        vals, funcs = eigh_tridiagonal_reference(pair, k)
+        vals, funcs = eigh_tridiagonal_reference(pair, k, fold)
         spec = eigen_solve(pair, k)
         assert np.array_equal(spec.eigenvalues, vals)
         assert len(spec.eigenfunctions) == k
         for phi, ref in zip(spec.eigenfunctions, funcs):
             assert np.array_equal(phi.values, ref)
+
+    @pytest.mark.parametrize("slp, k", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+    def test_folded_matches_unfolded(self, slp, k):
+        # The same bisection tolerance on the whole pencil: the fold moves no
+        # eigenvalue by more than it, and no eigenfunction but for the sign of
+        # an odd level, whose two extremes tie only in the folded solve.
+        pair = discretize(slp)
+        vals, funcs = eigh_tridiagonal_reference(pair, k, fold=False)
+        spec = eigen_solve(pair, k)
+        assert np.max(np.abs(spec.eigenvalues - vals)) <= 2 * solver.ABSTOL
+        for j, (phi, ref) in enumerate(zip(spec.eigenfunctions, funcs)):
+            scale = np.max(np.abs(ref))
+            signs = (1.0, -1.0) if j % 2 else (1.0,)
+            assert min(np.max(np.abs(phi.values - sign * ref)) for sign in signs) <= 1e-10 * scale
 
     def test_eigenvalues_alone_compute_no_vectors(self, dstein_calls):
         params = GupOscillatorParams(omega=1.0, tau=0.05)
@@ -195,6 +251,96 @@ class TestLazyEigenvectors:
         monkeypatch.setattr(solver, "dstebz", failing)
         with pytest.raises(solver.SolverError, match=f"found {found} of 3 eigenvalues"):
             solve_sl(laplace_problem(), 3)
+
+
+@pytest.fixture
+def dstebz_offdiags(monkeypatch):
+    """The off-diagonal of every pencil the test hands `solver.dstebz`."""
+    offdiags = []
+
+    def spy(d, e, *args):
+        offdiags.append(e.copy())
+        return real(d, e, *args)
+
+    real = solver.dstebz
+    monkeypatch.setattr(solver, "dstebz", spy)
+    return offdiags
+
+
+def junction(e):
+    """The off-diagonal entry joining `_fold`'s even and odd blocks."""
+    return e[e.size // 2]
+
+
+def hermitized_swanson(n):
+    """`verify hermitize`'s problem on n points."""
+    from gupmdm.algebra import LadderRep, hermitized_problem, swanson_coefficients
+
+    grid = make_grid(-10.0, 10.0, n)
+    rep = LadderRep(r=constant(grid, math.sqrt(0.5)),
+                    s=sample(grid, lambda p: p * math.sqrt(0.5)))
+    return hermitized_problem(swanson_coefficients(rep, SwansonParams(2.0, 0.3, 0.1)))
+
+
+# Every even problem the package solves; `normal_form_grid(1, n)` is the whole interval.
+EVEN_PROBLEMS = {
+    "normal-form-eps-0": lambda n: normal_form_sl(0.0, normal_form_grid(0.0, n)),
+    "normal-form-eps-0.22": lambda n: normal_form_sl(0.22, normal_form_grid(0.22, n)),
+    "normal-form-eps-1": lambda n: normal_form_sl(1.0, normal_form_grid(1.0, n)),
+    "p-space-oscillator": lambda n: GupOscillatorParams(1.0, 0.05).sl(make_grid(-12, 12, n)),
+    "swanson-tau-0": lambda n: SwansonParams(2.0, 0.3, 0.1).sl(make_grid(-15, 15, n)),
+    "swanson-tau-0.05": lambda n: SwansonParams(2.0, 0.3, 0.1, 0.05).sl(make_grid(-15, 15, n)),
+    "hermitized-swanson": hermitized_swanson,
+}
+
+
+def assert_parity(spec):
+    """y_j(-x) = (-1)^j y_j(x), exactly."""
+    for j, phi in enumerate(spec.eigenfunctions):
+        assert np.array_equal(phi.values[::-1], (-1) ** j * phi.values)
+
+
+class TestFold:
+    @pytest.mark.parametrize("n", [601, 600])
+    @pytest.mark.parametrize("name", EVEN_PROBLEMS)
+    def test_even_problem_folds(self, name, n, dstebz_offdiags):
+        slp = EVEN_PROBLEMS[name](n)
+        points = slp.grid.points
+        assert np.array_equal(points[::-1], -points)
+        spec = solve_sl(slp, 5)
+        assert len(dstebz_offdiags) == 1
+        assert junction(dstebz_offdiags[0]) == 0.0
+        assert_parity(spec)
+
+    @pytest.mark.parametrize("n", [601, 600])
+    def test_susy_demo_and_partner_fold(self, n, dstebz_offdiags):
+        from gupmdm.susy import _partner_spectrum_on_grid
+
+        spec, _, _, partner = _partner_spectrum_on_grid(0.05, make_grid(-14, 14, n), 4)
+        assert [junction(e) for e in dstebz_offdiags] == [0.0, 0.0]
+        assert_parity(spec)
+        assert_parity(partner)
+
+    @pytest.mark.parametrize("suite, solves", [("susy", 8), ("hermitize", 1)])
+    def test_verify_suites_fold(self, suite, solves, dstebz_offdiags):
+        from gupmdm.cli import VERIFY_SUITES
+
+        assert all(check["passed"] for check in VERIFY_SUITES[suite]())
+        assert [junction(e) for e in dstebz_offdiags] == [0.0] * solves
+
+    def test_error_falls_with_refinement(self):
+        # dstebz at abstol 0 stops at ulp * ||T||, which grows like 1/h^2; an
+        # absolute tolerance lets the finer grid give the smaller error.
+        params = GupOscillatorParams(omega=1.0, tau=0.05)
+        form = params.normal_form()
+
+        def worst(n):
+            lams, _, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                            normal_form_grid(form.eps, n), 6)
+            return max(abs(params.energy_from_eigenvalue(form.eigenvalue(mu))
+                           / params.exact_energy(j) - 1.0) for j, mu in enumerate(lams))
+
+        assert worst(4801) < worst(1201)
 
 
 class TestShooting:
