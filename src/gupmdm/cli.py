@@ -11,9 +11,9 @@ RFC 4180) when it holds a comma, a double quote or a line break.
 the momentum-space problem on [-pmax, pmax].
 
 Only the commands that eigensolve (`solve`, `sweep`, `verify susy` and
-`verify hermitize`) import `gupmdm.solver`, and with it scipy; they do so
-when they run, so `profile`, `verify reduction` and `verify vonroos` start
-without scipy.
+`verify hermitize`) import `gupmdm.solver`, and with it scipy's LAPACK
+extension alone; they do so when they run, so `profile`, `verify reduction`
+and `verify vonroos` start without scipy.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid config, 3 solver failure.
 """

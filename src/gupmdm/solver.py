@@ -13,17 +13,27 @@ safeguarded Newton (as in Numerical Recipes' rtsafe), started from a matrix
 eigenvalue alone where there is one, that falls back to the bisection and the
 false position of the bracket of the angles already computed when a step would
 leave it. Richardson extrapolation rounds out the toolbox.
+
+The four LAPACK routines (dstebz, dstein, dgtsv, dtbtrs) come from scipy's
+compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the same
+wrappers `scipy.linalg.lapack` re-exports, so the numbers are the same, without
+the `scipy.linalg` package init, which imports numpy.testing, unittest and
+numpy.random and is most of a fresh process's start-up.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstebz, dstein, dtbtrs
+import scipy
 
 from .core import (
     Grid,
@@ -33,6 +43,29 @@ from .core import (
     SturmLiouvilleProblem,
     count_sign_changes,
 )
+
+
+def _load_flapack(directory: str) -> ModuleType:
+    """The extension module `_flapack` in `directory`, loaded without its package.
+
+    It is entered in `sys.modules` as `_flapack`, not as
+    `scipy.linalg._flapack`, so a later `import scipy.linalg` loads scipy's
+    own copy as usual.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("_flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension _flapack in {directory}")
+
+
+# `import scipy` alone does not import scipy.linalg; it sets up the wheel's
+# bundled library path where a platform needs one.
+_flapack = _load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+dgtsv, dstebz, dstein, dtbtrs = _flapack.dgtsv, _flapack.dstebz, _flapack.dstein, _flapack.dtbtrs
 
 
 class BracketError(SolverError):

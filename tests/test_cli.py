@@ -679,8 +679,13 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
 
 
 def test_solver_imports_no_scipy_interpolate():
-    run = _run_fresh("import sys, gupmdm.solver; "
-                     "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    # solver loads scipy's LAPACK extension alone: no scipy.interpolate, and
+    # no scipy.linalg package init with the numpy.testing and unittest it imports.
+    run = _run_fresh(
+        "import sys, gupmdm.solver; "
+        "print(sorted(m for m in sys.modules for p in "
+        "('scipy.interpolate', 'scipy.linalg', 'numpy.testing', 'unittest') "
+        "if m == p or m.startswith(p + '.')))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 

@@ -1,10 +1,11 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from gupmdm import core
 from gupmdm.core import (
@@ -741,6 +742,61 @@ def test_midpoint_spline_singular_system_is_solver_error():
     # At 3 points the two not-a-knot rows add up to the middle row.
     with pytest.raises(solver.SolverError, match="dgtsv info"):
         _midpoint_spline(np.array([0.0, 1.0, 2.0]), np.ones((3, 1)))
+
+
+def _recorded_calls(monkeypatch, name):
+    """Every call the test then makes to `solver.<name>`: its inputs, copied
+    before the call (dtbtrs overwrites its right-hand side), and its outputs."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        inputs = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        out = real(*args, **kwargs)
+        calls.append((inputs, kwargs, out))
+        return out
+
+    real = getattr(solver, name)
+    monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+LAPACK_EPS = 0.2
+LAPACK_SLP = normal_form_sl(LAPACK_EPS, normal_form_grid(LAPACK_EPS, 201))
+
+
+def _one_sweep():
+    shooter = Shooter(LAPACK_SLP)
+    shooter._sweep(shooter.qw_min + 2.0, 0, shooter.match)
+
+
+@pytest.mark.parametrize("name, run", [
+    # A folded pencil: bisection for levels 1..4 (range "I") to ABSTOL ...
+    ("dstebz", lambda: eigen_solve(discretize(LAPACK_SLP), 4)),
+    # ... then inverse iteration on dstebz's output.
+    ("dstein", lambda: eigen_solve(discretize(LAPACK_SLP), 4).eigenfunctions),
+    ("dgtsv", lambda: _midpoint_spline(*SPLINE_CASES["normal-form-eps0.2-n301"])),
+    ("dtbtrs", _one_sweep),
+], ids=["dstebz", "dstein", "dgtsv", "dtbtrs"])
+def test_lapack_routines_match_scipy_linalg(name, run, monkeypatch):
+    # solver loads scipy's _flapack extension on its own; its routines must
+    # give scipy.linalg.lapack's outputs to the bit.
+    calls = _recorded_calls(monkeypatch, name)
+    run()
+    assert len(calls) == 1
+    args, kwargs, out = calls[0]
+    if name == "dstebz":
+        assert junction(args[1]) == 0.0
+        assert args[2] == 2 and args[7] == solver.ABSTOL
+    expected = getattr(lapack, name)(*args, **kwargs)
+    assert len(out) == len(expected)
+    for got, want in zip(out, expected):
+        assert np.array_equal(got, want)
+
+
+def test_missing_flapack_is_import_error(tmp_path):
+    # A directory without the extension fails at import, naming the directory.
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        solver._load_flapack(str(tmp_path))
 
 
 class TestRichardson:
