@@ -4,8 +4,9 @@ Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
 pencil folded into its even and odd half blocks; bisection to an absolute
 tolerance for the eigenvalues, inverse iteration for the eigenvectors when they
-are first read), and two-sided RK4 shooting. Shooting finds level n as the root
-of the Pruefer angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
+are first read), and RK4 shooting, two-sided in general and one half-sweep on a
+mirror-symmetric problem. Shooting finds level n as the root of the Pruefer
+angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
 memoized on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed
 form with numpy and applies them in one banded triangular solve (LAPACK dtbtrs),
 and returns dTheta/dlambda with Theta by Pruefer's identity. The root search is
@@ -240,7 +241,7 @@ class ShootingReport:
     """One shooting level.
 
     `mismatch` is the final angle defect |Theta(eigenvalue) - (n+1) pi| in
-    radians; `iterations` counts the full-grid sweeps this call made.
+    radians; `iterations` counts the angles this call swept (`Shooter.sweeps`).
     """
 
     eigenvalue: float
@@ -306,10 +307,17 @@ class Shooter:
 
     Integrates the first-order system (u, v) = (phi, c phi') with fixed-step
     RK4, coefficients interpolated to step midpoints by a not-a-knot cubic
-    spline (`_midpoint_spline`). The grid needs at least 4 points. The system
-    is linear, so for a given lambda each RK4 step is a 2x2 matrix with a
-    closed form (`step_matrices`); a sweep writes all its step matrices at once
-    with numpy and applies them as one banded triangular solve in LAPACK.
+    spline (`_midpoint_spline`) of those that are not constant. The grid needs
+    at least 4 points. The system is linear, so for a given lambda each RK4
+    step is a 2x2 matrix with a closed form (`step_matrices`); a sweep writes
+    all its step matrices at once with numpy and applies them as one banded
+    triangular solve in LAPACK.
+
+    `mirrored` is set when n is odd, the grid points are exactly
+    antisymmetric, c, q and w are exact palindromes and the matching node is
+    the centre n // 2: the exact symmetry `eigen_solve` folds. The right
+    solution is then the mirror image of the left one, and each angle costs
+    one sweep, from node 0 to the centre, instead of two.
 
     `angle(lam)` is the Pruefer angle sum Theta at the matching node, memoized
     per instance with its slope dTheta/dlambda, so every level solved on one
@@ -323,12 +331,21 @@ class Shooter:
         if grid.n < 4:
             raise ValueError(f"shooting needs at least 4 grid points, got {grid.n}")
         c, q, w = slp.c.values, slp.q.values, slp.w.values
+        x = grid.points
         self.grid = grid
         self.h = grid.h
         self.n = grid.n
-        # One spline for all three; .T.copy() makes each row contiguous.
-        c_m, self.q_m, self.w_m = _midpoint_spline(grid.points,
-                                                   np.column_stack([c, q, w])).T.copy()
+        # A constant column's spline is that constant, bit for bit (its slopes
+        # are all 0), so one spline serves the columns that vary; .T.copy()
+        # makes each row contiguous.
+        cols = (c, q, w)
+        mids = [f[:-1] for f in cols]
+        varying = [j for j, f in enumerate(cols) if np.any(f != f[0])]
+        if varying:
+            splined = _midpoint_spline(x, np.column_stack([cols[j] for j in varying]))
+            for j, row in zip(varying, splined.T.copy()):
+                mids[j] = row
+        c_m, self.q_m, self.w_m = mids
         self.ic_n = 1.0 / c
         self.ic_m = 1.0 / c_m
         self.q_n = q
@@ -338,11 +355,17 @@ class Shooter:
         # Matching index: near the potential minimum, clamped to the middle half.
         i_min = int(np.argmin(qw))
         self.match = min(max(i_min, self.n // 4), 3 * self.n // 4)
+        # An even problem matched at the centre node of a grid centred on 0:
+        # the right solution is the left one mirrored, so one sweep gives both.
+        self.mirrored = bool(self.n % 2 and self.match == self.n // 2
+                             and np.array_equal(x, -x[::-1])
+                             and all(np.array_equal(cols[j], cols[j][::-1]) for j in varying))
         self._angles: dict[float, tuple[float, float]] = {}
 
     @property
     def sweeps(self) -> int:
-        """Full-grid sweeps made so far: one per distinct lambda in the memo."""
+        """Angles swept so far, one per distinct lambda in the memo: each a
+        full-grid sweep, or a half-grid one when `mirrored`."""
         return len(self._angles)
 
     def step_matrices(self, lam: float, start: int, stop: int):
@@ -412,16 +435,22 @@ class Shooter:
 
     def _angle(self, lam: float) -> tuple[float, float]:
         """(Theta, dTheta/dlambda) at lam, theta_L + theta_R at the matching
-        node, from one full sweep.
+        node, from one full sweep, or from the left half alone when the
+        problem is `mirrored`.
 
         theta_L is the Pruefer angle atan2(u, v) of the left solution, theta_R
         that of the right solution mirrored in v, atan2(u, -v); both are 0 at
         their own end. Theta is continuous and increasing in lambda, and
         Theta(lambda_n) = (n + 1) pi. Pruefer's identity gives each side's
         dtheta/dlambda = int w u^2 / (u^2 + v^2) at any lambda, the integral
-        over that side and (u, v) its state at the matching node.
+        over that side and (u, v) its state at the matching node. On a
+        mirrored problem the right state at the centre is (u, -v), with the
+        left's node count and integral, so Theta = 2 theta_L and
+        dTheta/dlambda = 2 s_L / (u^2 + v^2).
         """
         u_l, v_l, n_l, s_l = self._sweep(lam, 0, self.match)
+        if self.mirrored:
+            return 2.0 * _half_angle(u_l, v_l, n_l), 2.0 * s_l / (u_l * u_l + v_l * v_l)
         u_r, v_r, n_r, s_r = self._sweep(lam, self.n - 1, self.match)
         return (_half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r),
                 s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r))
@@ -491,7 +520,7 @@ def shooting_eigenvalue(
     n: int,
     start: float | None = None,
 ) -> ShootingReport:
-    """n-th eigenvalue by two-sided shooting on the Pruefer angle.
+    """n-th eigenvalue by shooting on the Pruefer angle.
 
     Level n is the root of Theta(lam) = (n + 1) pi, found by `_root`. The
     search starts at `start`, say a matrix estimate of level n, or without
@@ -503,8 +532,8 @@ def shooting_eigenvalue(
     Raises BracketError when the angle at min q/w already exceeds the
     target, MAX_STEPS steps find no angle above it or no root, or the root
     misses the target angle by more than ANGLE_TOL (a jump in Theta, as on a
-    grid too coarse for the level). `iterations` counts the full-grid sweeps
-    this call made.
+    grid too coarse for the level). `iterations` counts the angles this call
+    swept (`Shooter.sweeps`).
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")

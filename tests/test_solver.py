@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal, lapack
 
 from gupmdm import core
 from gupmdm.core import (
+    SampledFunction,
     SturmLiouvilleProblem,
     constant,
     count_sign_changes,
@@ -393,12 +394,16 @@ class TestShooting:
         sweep = Shooter._sweep
         monkeypatch.setattr(Shooter, "_sweep", lambda self, lam, start, stop:
                             sweeps.append(lam) or sweep(self, lam, start, stop))
-        g = make_grid(-12, 12, 1201)
-        shooter = Shooter(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g))
-        total = sum(shooting_eigenvalue(shooter, n).iterations for n in range(6))
-        # One angle is two half-grid sweeps, left and right of the matching node.
-        assert len(sweeps) == 2 * total
-        assert len(set(sweeps)) == total == shooter.sweeps
+        # A grid centred on 0 is mirrored; the asymmetric one is two-sided.
+        for g, mirrored in ((make_grid(-12, 12, 1201), True), (make_grid(-3, 5, 977), False)):
+            sweeps.clear()
+            shooter = Shooter(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g))
+            assert shooter.mirrored is mirrored
+            total = sum(shooting_eigenvalue(shooter, n).iterations for n in range(6))
+            # One angle is one half-grid sweep on a mirrored problem, else two,
+            # left and right of the matching node.
+            assert len(sweeps) == (1 if mirrored else 2) * total
+            assert len(set(sweeps)) == total == shooter.sweeps
 
     def test_shared_shooter_sweep_budget(self):
         # The CLI default at (tau, omega) = (0.05, 1); the node-count and
@@ -511,14 +516,18 @@ class TestSeededShooting:
         (GupOscillatorParams(1.0, 1.2), 1201, False),
         # eps ~ 0.13: the state passes _CAP, so each sweep restarts.
         (GupOscillatorParams(1.0, 0.017), 4801, True),
+        # An asymmetric grid: two-sided shooting.
+        (GupOscillatorParams(1.0, 0.05), make_grid(-3, 5, 977), False),
     ], ids=repr)
     def test_sweep_slope_matches_angle(self, params, n, restarts, monkeypatch):
         # The sweep's dTheta/dlambda (Pruefer's identity) against a central
         # difference of Theta, at the eigenvalues and between them.
         eps = params.normal_form().eps
-        mus, slp, _ = solve_extrapolated(partial(normal_form_sl, eps),
-                                         normal_form_grid(eps, n), 3)
+        grid = normal_form_grid(eps, n) if isinstance(n, int) else n
+        mus, slp, _ = solve_extrapolated(partial(normal_form_sl, eps), grid, 3)
         shooter = Shooter(slp)
+        # The refined grid has 2n - 1 points; centred on 0 it is mirrored.
+        assert shooter.mirrored is isinstance(n, int)
         solves = []
         dtbtrs = solver.dtbtrs
         monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
@@ -528,8 +537,13 @@ class TestSeededShooting:
             fd = (shooter.angle(lam + d) - shooter.angle(lam - d)) / (2 * d)
             shooter.angle(lam)                         # memoizes (Theta, slope)
             assert shooter._angles[lam][1] == pytest.approx(fd, rel=1e-4)
-        # Two banded solves per angle, one per side, unless a sweep restarts.
-        assert (len(solves) > 2 * shooter.sweeps) == restarts
+        # One banded solve per angle on a mirrored problem, else two, one per
+        # side; more only when a sweep restarts.
+        per_angle = 1 if shooter.mirrored else 2
+        if restarts:
+            assert len(solves) > per_angle * shooter.sweeps
+        else:
+            assert len(solves) == per_angle * shooter.sweeps
 
     @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-slope", "inf-slope",
                                      "steep-slope", "negative-slope", "nan-slope"])
@@ -704,24 +718,108 @@ def test_sweep_matches_loop(build, must_restart, monkeypatch):
         assert rescales > 0
 
 
-def _spline_cases():
-    """(x, y) pairs: the Shooter's coefficient columns on normal-form and
-    momentum-space grids, and random data on seeded non-uniform grids."""
-    def columns(slp):
-        return slp.grid.points, np.column_stack([slp.c.values, slp.q.values, slp.w.values])
+# Even problems on odd grids centred on 0, matched at the centre node.
+MIRROR_PROBLEMS = (
+    [pytest.param(partial(normal_form_sl, eps, normal_form_grid(eps, n)),
+                  id=f"normal-form-eps{eps}-n{n}")
+     for eps in (0.0, 0.13, 0.45, 0.9) for n in (201, 2401)]
+    + [pytest.param(partial(gup_oscillator_sl, GupOscillatorParams(1.0, tau),
+                            make_grid(-12, 12, 1201)), id=f"oscillator-tau{tau}")
+       for tau in (0.0, 0.05)]
+    + [pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, tau),
+                            make_grid(-10, 10, 1201)), id=f"swanson-tau{tau}")
+       for tau in (0.0, 0.05)]
+    + [pytest.param(lambda: _asymmetric(), id="p-squared")]
+)
 
-    cases = {}
+
+@pytest.mark.parametrize("build", MIRROR_PROBLEMS)
+def test_mirrored_angle_matches_two_sided(build):
+    # The angle from one left sweep against explicit left and right sweeps, at
+    # the levels' range and far above and below it. (At min q/w + 1e5 the Swanson
+    # tau = 0 state decays below 1e-154 on 1201 points and u^2 + v^2 is 0 on
+    # either route.)
+    shooter = Shooter(build())
+    assert shooter.mirrored and shooter.match == shooter.n // 2
+    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 3e3, 1e4]
+    for lam in (shooter.qw_min + x for x in offsets):
+        theta, slope = shooter._angle(lam)
+        u_l, v_l, n_l, s_l = shooter._sweep(lam, 0, shooter.match)
+        u_r, v_r, n_r, s_r = shooter._sweep(lam, shooter.n - 1, shooter.match)
+        assert n_l == n_r
+        assert abs(theta - (_half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r))) <= 1e-12
+        two_sided = s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r)
+        assert slope == pytest.approx(two_sided, rel=1e-10)
+
+
+def _asymmetric(q_scale=1.0, w_scale=1.0):
+    """p^2 on [-12, 12] with q, or w, scaled by another factor for p > 0
+    (even at the defaults): its minimum stays at the centre node 600 of 1201."""
+    g = make_grid(-12, 12, 1201)
+    return SturmLiouvilleProblem(c=constant(g, 1.0),
+                                 q=sample(g, lambda x: x * x * np.where(x > 0, q_scale, 1.0)),
+                                 w=sample(g, lambda x: np.where(x > 0, w_scale, 1.0)))
+
+
+def _normal_form_problem(params, n):
+    eps = params.normal_form().eps
+    return normal_form_sl(eps, normal_form_grid(eps, n))
+
+
+def _off_centre_box():
+    """(p - 1)^2 on [-3, 5], made an exact palindrome: even about p = 1, not
+    about 0, so only the grid is asymmetric."""
+    g = make_grid(-3, 5, 977)
+    q = (g.points - 1.0) ** 2
+    return SturmLiouvilleProblem(c=constant(g, 1.0), q=SampledFunction(g, q + q[::-1]),
+                                 w=constant(g, 1.0))
+
+
+@pytest.mark.parametrize("slp, centred", [
+    (gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-3, 5, 977)), False),
+    (_off_centre_box(), True),
+    (gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, 1200)), False),
+    (_asymmetric(q_scale=2.0), True),
+    (_asymmetric(w_scale=1.5), True),
+    # Swanson at tau = 0.6 is a double well: the match is off the centre.
+    (_normal_form_problem(SwansonParams(2.0, 0.3, 0.1, 0.6), 2401), False),
+], ids=["asymmetric-grid", "off-centre-box", "even-n", "asymmetric-q", "asymmetric-w",
+        "off-centre-match"])
+def test_not_mirrored(slp, centred):
+    # `centred`: matched at the centre node, so only the asymmetry (of the
+    # grid, of q or of w) keeps the sweep two-sided.
+    shooter = Shooter(slp)
+    assert (shooter.match == shooter.n // 2) is centred
+    assert not shooter.mirrored
+
+
+def _spline_problems():
+    """The Shooter's problems on normal-form and momentum-space grids."""
+    problems = {}
     # eps 0 and 0.13 use the box of half-width 12; from eps = pi/24 (0.131) on,
     # the grid is the whole interval, with its end-patched q.
     for eps in (0.0, 0.13, 0.2, 0.9, 1.4):
         for n in (4, 301, 2401):
-            cases[f"normal-form-eps{eps}-n{n}"] = columns(
-                normal_form_sl(eps, normal_form_grid(eps, n)))
+            problems[f"normal-form-eps{eps}-n{n}"] = normal_form_sl(eps, normal_form_grid(eps, n))
     for n in (4, 1201):
-        cases[f"oscillator-n{n}"] = columns(
-            gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, n)))
-        cases[f"swanson-n{n}"] = columns(
-            swanson_sl(SwansonParams(2.0, 0.3, 0.1, 0.2), make_grid(-10, 10, n)))
+        problems[f"oscillator-n{n}"] = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05),
+                                                         make_grid(-12, 12, n))
+        problems[f"swanson-n{n}"] = swanson_sl(SwansonParams(2.0, 0.3, 0.1, 0.2),
+                                               make_grid(-10, 10, n))
+    return problems
+
+
+SPLINE_PROBLEMS = _spline_problems()
+
+
+def _columns(slp):
+    return slp.grid.points, np.column_stack([slp.c.values, slp.q.values, slp.w.values])
+
+
+def _spline_cases():
+    """(x, y) pairs: the Shooter's coefficient columns on normal-form and
+    momentum-space grids, and random data on seeded non-uniform grids."""
+    cases = {name: _columns(slp) for name, slp in SPLINE_PROBLEMS.items()}
     rng = np.random.default_rng(7)
     for n in (4, 5, 97):
         cases[f"random-n{n}"] = (np.sort(rng.uniform(-3.0, 3.0, n)), rng.normal(size=(n, 3)))
@@ -736,6 +834,17 @@ def test_midpoint_spline_equals_cubic_spline(x, y):
     # The same arithmetic as scipy's not-a-knot spline, so equal to the bit.
     mids = 0.5 * (x[:-1] + x[1:])
     assert np.array_equal(_midpoint_spline(x, y), CubicSpline(x, y)(mids))
+
+
+@pytest.mark.parametrize("slp", SPLINE_PROBLEMS.values(), ids=SPLINE_PROBLEMS.keys())
+def test_shooter_midpoints_equal_full_spline(slp):
+    # The Shooter splines only the columns that vary; a constant column's
+    # midpoints are its value, as the spline of all three columns gives them.
+    c_m, q_m, w_m = _midpoint_spline(*_columns(slp)).T
+    shooter = Shooter(slp)
+    assert np.array_equal(shooter.q_m, q_m)
+    assert np.array_equal(shooter.w_m, w_m)
+    assert np.array_equal(shooter.ic_m, 1.0 / c_m)
 
 
 def test_midpoint_spline_singular_system_is_solver_error():
