@@ -59,12 +59,6 @@ def apply_ladder(rep: LadderRep, phi: SampledFunction) -> SampledFunction:
     return rep.r * derivative(phi, 1) + rep.s * phi
 
 
-def apply_ladder_adjoint(rep: LadderRep, phi: SampledFunction) -> SampledFunction:
-    """eta+ phi = -(r phi)' + s phi (formal adjoint under the plain dp measure)."""
-    require_same_grid(rep.r, phi)
-    return -derivative(rep.r * phi, 1) + rep.s * phi
-
-
 def swanson_coefficients(
     rep: LadderRep, params: SwansonParams
 ) -> SwansonCoefficients:

@@ -4,7 +4,9 @@ Outputs are deterministic: fixed float formatting (17 significant digits),
 fixed row order, no timestamps, so repeated runs with the same config are
 byte-identical. A CSV table follows two rules: a float cell is written as
 `.17g`, and any other cell as `str`, in double quotes (inner quotes doubled,
-RFC 4180) when it holds a comma, a double quote or a line break.
+RFC 4180) when it holds a comma, a double quote or a line break. A `profile`
+CSV formats only its p >= 0 half and writes each p < 0 line as "-" + its mirror
+line: the same bytes, as %.17g of -x is "-" + %.17g of x for x > 0.
 
 `solve` and `sweep` solve each model in its Liouville normal form
 (`gupmdm.models.normal_form_sl`), so they take no box size; `profile` prints
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -386,7 +389,8 @@ def cmd_profile(
     """Mass M = 1/c or V_eff - Lambda = q - lam w of the model's SL problem.
 
     On p in [-pmax, pmax]; pmax defaults to 12/sqrt(omega). A profile has no
-    k and a mass profile no energy, so setting either is a ConfigError.
+    k and a mass profile no energy, so setting either is a ConfigError. A CSV
+    whose rows mirror bit for bit (`_mirrored`) is written from its p >= 0 half.
     """
     if cfg.k != RunConfig.k:
         raise ConfigError(f"profile has no parameter k (got k = {cfg.k!r})")
@@ -407,10 +411,31 @@ def cmd_profile(
         except (FloatingPointError, ValueError) as exc:
             raise ConfigError(f"--energy: V_eff - Lambda is not finite at "
                               f"energy = {energy!r}") from exc
-    rows = list(zip(slp.grid.points.tolist(), prof.values.tolist()))
-    _emit(["p", "value"], rows, cfg)
-    _plot(cfg, slp.grid.points, prof.values, f"{which} profile")
+    points, values = slp.grid.points, prof.values
+    if cfg.format == "csv" and _mirrored(points, values):
+        # Each p < 0 row holds -p and its mirror row's value: "-" + that line.
+        m, half = cfg.n // 2, io.StringIO()
+        write_table(["p", "value"], list(zip(points[m:].tolist(), values[m:].tolist())),
+                    cfg, half)
+        header, body = half.getvalue().split("\n", 1)
+        mirror = body.splitlines(keepends=True)[cfg.n % 2:]   # not the centre row
+        with _output(cfg.out) as dest:
+            dest.writelines([header, "\n-", "-".join(reversed(mirror)), body])
+    else:
+        _emit(["p", "value"], list(zip(points.tolist(), values.tolist())), cfg)
+    _plot(cfg, points, values, f"{which} profile")
     return EXIT_OK
+
+
+def _mirrored(points: np.ndarray, values: np.ndarray) -> bool:
+    """Whether each row i < n // 2 of (points, values) is row n - 1 - i with p
+    negated, bit for bit (0.0 and -0.0 differ), and every such row n - 1 - i
+    has p > 0."""
+    m = points.size // 2
+    top_p, top_v = points[points.size - m:], values[values.size - m:]
+    return bool((top_p > 0.0).all()
+                and np.array_equal(points[:m].view(np.int64), (-top_p).view(np.int64)[::-1])
+                and np.array_equal(values[:m].view(np.int64), top_v.view(np.int64)[::-1]))
 
 
 # ---------------------------------------------------------------- verify
@@ -485,18 +510,9 @@ def verify_susy() -> list[dict]:
     checks = []
     for tau, pmax in ((0.0, 8.0), (0.05, 14.0)):
         pc = partner_check(tau, pmax, 3001, k=5)
-        checks.append(
-            _check(
-                f"partner_shift tau={tau}", float(np.max(pc.shift_defects)), 1e-4
-            )
-        )
-        checks.append(
-            _check(
-                f"mapped_residual tau={tau}",
-                float(np.max(pc.mapped_residuals)),
-                1e-3,
-            )
-        )
+        checks.append(_check(f"partner_shift tau={tau}", float(np.max(pc.shift_defects)), 1e-4))
+        checks.append(_check(f"mapped_residual tau={tau}", float(np.max(pc.mapped_residuals)),
+                             1e-3))
     return checks
 
 
@@ -532,13 +548,8 @@ def verify_hermitize() -> list[dict]:
     herm = SwansonParams(omega=2.0, alpha=0.2, beta=0.2, tau=0.0)
     coeffs_h = swanson_coefficients(rep, herm)
     rho_h = similarity_weight(coeffs_h)
-    checks.append(
-        _check(
-            "hermitian_case_rho_identity",
-            float(np.max(np.abs(rho_h.values - 1.0))),
-            0.0,
-        )
-    )
+    checks.append(_check("hermitian_case_rho_identity",
+                         float(np.max(np.abs(rho_h.values - 1.0))), 0.0))
     return checks
 
 

@@ -211,14 +211,6 @@ class Spectrum:
         return funcs
 
 
-def weighted_inner_product(
-    f: SampledFunction, g: SampledFunction, w: SampledFunction
-) -> float:
-    """Trapezoid-rule approximation of integral f g w dp."""
-    grid = require_same_grid(f, g, w)
-    return float(np.trapezoid(f.values * g.values * w.values, dx=grid.h))
-
-
 def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     """Second-order finite-difference derivative (order 1 or 2).
 

@@ -404,9 +404,11 @@ class Shooter:
 
         State k+1 is M_k times state k, so the states (u_1, v_1, ..., u_m,
         v_m) solve one unit lower-triangular system with -M_k at sub-diagonal
-        offsets 1-3, which LAPACK's dtbtrs solves in one call. When a state
-        passes _CAP, the solve restarts from it, scaled to |u| + |v| = 1, and
-        the sum of w u^2 so far is scaled by the same factor squared.
+        offsets 1-3, which LAPACK's dtbtrs solves in one call. When u or v
+        passes _CAP, or |u| + |v| falls below 1/_CAP (RK4 damps an oscillation
+        far above the levels), the solve restarts from that state, scaled to
+        |u| + |v| = 1, and the sum of w u^2 so far is scaled by the same factor
+        squared; it is inf once that overflows.
         """
         a, b, c, d = self.step_matrices(lam, start, stop)
         m = a.size
@@ -421,17 +423,19 @@ class Shooter:
             rhs = np.zeros((2 * (m - k), 1))
             rhs[0], rhs[1] = a[k] * u + b[k] * v, c[k] * u + d[k] * v
             x = dtbtrs(band[:, 2 * k:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
-            over = np.flatnonzero(np.abs(x) > self._CAP)
-            j = over[0] // 2 + 1 if over.size else m - k    # states this solve keeps
+            ax = np.abs(x)
+            au, av = ax[::2], ax[1::2]
+            out = np.flatnonzero((np.maximum(au, av) > self._CAP) | (au + av < 1.0 / self._CAP))
+            j = out[0] + 1 if out.size else m - k    # states this solve keeps
             kept = u_all[k:k + j] = x[:2 * j:2]
             norm += float(np.dot(w[k:k + j] * kept, kept))
-            u, v = x[2 * j - 2], x[2 * j - 1]
-            if over.size:
+            u, v = float(x[2 * j - 2]), float(x[2 * j - 1])
+            if out.size:
                 mag = abs(u) + abs(v)
                 u, v, norm = u / mag, v / mag, norm / mag / mag
             k += j
         norm = self.h * (norm - 0.5 * w[-1] * u * u)      # the last node has half weight
-        return float(u), float(v), count_sign_changes(u_all), float(norm)
+        return u, v, count_sign_changes(u_all), float(norm)
 
     def _angle(self, lam: float) -> tuple[float, float]:
         """(Theta, dTheta/dlambda) at lam, theta_L + theta_R at the matching

@@ -67,11 +67,6 @@ def superpotential_from_ground_state(
     return SampledFunction(grid, theta)
 
 
-def veff_from_factorization(rep: LadderRep, c0: float) -> SampledFunction:
-    """V_eff = c0 + theta^2 - (xi theta)', with (xi, theta) = (rep.r, rep.s)."""
-    return c0 + rep.s * rep.s - derivative(rep.r * rep.s, 1)
-
-
 def demo_potential(tau: float, grid: Grid) -> SampledFunction:
     """V(p) = p^2/(1+tau p^2), the demonstration potential of the pipeline."""
     return sample(grid, lambda p: p * p / (1.0 + tau * p * p))

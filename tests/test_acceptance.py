@@ -12,16 +12,28 @@ import math
 import numpy as np
 import pytest
 
-from gupmdm.core import inner_slice, make_grid, sample
+from gupmdm.core import (
+    SampledFunction,
+    derivative,
+    inner_slice,
+    make_grid,
+    require_same_grid,
+    sample,
+)
 from gupmdm.models import GupOscillatorParams, SwansonParams
 from gupmdm.solver import shooting_eigenvalue, solve_extrapolated, solve_sl
 from gupmdm.algebra import (
     LadderRep,
     apply_ladder,
-    apply_ladder_adjoint,
     ladder_commutator,
 )
 from gupmdm import cli
+
+
+def apply_ladder_adjoint(rep: LadderRep, phi: SampledFunction) -> SampledFunction:
+    """eta+ phi = -(r phi)' + s phi (formal adjoint under the plain dp measure)."""
+    require_same_grid(rep.r, phi)
+    return -derivative(rep.r * phi, 1) + rep.s * phi
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:

@@ -10,19 +10,32 @@ import numpy as np
 import pytest
 
 import gupmdm
-from gupmdm.core import constant, inner_slice, make_grid, sample
+from gupmdm.core import (
+    SampledFunction,
+    constant,
+    derivative,
+    inner_slice,
+    make_grid,
+    require_same_grid,
+    sample,
+)
 from gupmdm.models import SwansonParams
 from gupmdm.solver import solve_sl
 from gupmdm.algebra import (
     LadderRep,
     apply_ladder,
-    apply_ladder_adjoint,
     hermitized_problem,
     ladder_commutator,
     similarity_weight,
     swanson_coefficients,
     untransformed_residual,
 )
+
+
+def apply_ladder_adjoint(rep: LadderRep, phi: SampledFunction) -> SampledFunction:
+    """eta+ phi = -(r phi)' + s phi (formal adjoint under the plain dp measure)."""
+    require_same_grid(rep.r, phi)
+    return -derivative(rep.r * phi, 1) + rep.s * phi
 
 
 def standard_rep(grid):

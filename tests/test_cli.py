@@ -24,7 +24,7 @@ from gupmdm.cli import (
     main,
     parse_config_text,
 )
-from gupmdm.core import make_grid
+from gupmdm.core import SampledFunction, SturmLiouvilleProblem, make_grid
 from gupmdm.models import GupOscillatorParams, gup_oscillator_sl, normal_form_grid, normal_form_sl
 from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue, solve_sl
 
@@ -563,6 +563,117 @@ class TestProfile:
                    "--pmax", "5", "--out", str(out), "--plot"])
         assert rc == 0
         assert (tmp_path / "mass.svg").read_text().startswith("<?xml")
+
+
+_PROFILE_MODELS = {
+    "gup-oscillator": {"tau": 0.05},
+    "swanson": {"omega": 2.0, "alpha": 0.3, "beta": 0.1, "tau": 0.05},
+}
+_PROFILE_ENERGY = 1.7
+
+
+def _profile_argv(cfg: RunConfig, which: str, pmax: float | None) -> list[str]:
+    argv = ["profile", which, "--model", cfg.model, "--n", str(cfg.n)]
+    argv += [a for name in ("omega", "tau", "alpha", "beta")
+             if getattr(cfg, name) != getattr(RunConfig, name)
+             for a in (f"--{name}", repr(getattr(cfg, name)))]
+    if which == "veff":
+        argv += ["--energy", repr(_PROFILE_ENERGY)]
+    if cfg.format != RunConfig.format:
+        argv += ["--format", cfg.format]
+    return argv + ([] if pmax is None else ["--pmax", repr(pmax)])
+
+
+def _profile_table(cfg: RunConfig, which: str, pmax: float | None) -> str:
+    """write_table's text of every row of the profile, none derived from another."""
+    params = cfg.params()
+    pmax = 12.0 / math.sqrt(cfg.omega) if pmax is None else pmax
+    slp = params.sl(make_grid(-pmax, pmax, cfg.n))
+    prof = (slp.mass if which == "mass" else
+            slp.effective_potential(params.eigenvalue_from_energy(_PROFILE_ENERGY)))
+    dest = io.StringIO()
+    cli.write_table(["p", "value"], list(zip(slp.grid.points.tolist(), prof.values.tolist())),
+                    cfg, dest)
+    return dest.getvalue()
+
+
+@pytest.fixture
+def mirror_calls(monkeypatch):
+    """The results of cli._mirrored, one per call, in call order."""
+    calls = []
+    mirrored = cli._mirrored
+    monkeypatch.setattr(cli, "_mirrored", lambda *args: calls.append(mirrored(*args))
+                        or calls[-1])
+    return calls
+
+
+class TestMirroredProfile:
+    """A CSV profile writes each p < 0 line as "-" + its mirror line; the
+    bytes must be those of write_table on every row."""
+
+    @staticmethod
+    def _run(argv, dest, tmp_path, capsys) -> str:
+        if dest == "stdout":
+            assert main(argv) == 0
+            return capsys.readouterr().out
+        path = tmp_path / "profile.out"
+        assert main([*argv, "--out", str(path)]) == 0
+        return path.read_text()
+
+    @pytest.mark.parametrize("dest", ["file", "stdout"])
+    @pytest.mark.parametrize("pmax", [None, 5.0], ids=["default-box", "pmax-5"])
+    @pytest.mark.parametrize("n", [5, 6, 51, 1200, 1201])
+    @pytest.mark.parametrize("which", ["mass", "veff"])
+    @pytest.mark.parametrize("model", sorted(_PROFILE_MODELS))
+    def test_csv_matches_every_row(self, model, which, n, pmax, dest, tmp_path, capsys,
+                                   mirror_calls):
+        cfg = RunConfig(model=model, n=n, **_PROFILE_MODELS[model])
+        text = self._run(_profile_argv(cfg, which, pmax), dest, tmp_path, capsys)
+        assert mirror_calls == [True]
+        assert text == _profile_table(cfg, which, pmax)
+
+    @pytest.mark.parametrize("which", ["mass", "veff"])
+    @pytest.mark.parametrize("model", sorted(_PROFILE_MODELS))
+    def test_json_unchanged(self, model, which, capsys, mirror_calls):
+        cfg = RunConfig(model=model, n=51, format="json", **_PROFILE_MODELS[model])
+        text = self._run(_profile_argv(cfg, which, None), "stdout", None, capsys)
+        assert mirror_calls == []
+        assert text == _profile_table(cfg, which, None)
+
+    @pytest.mark.parametrize("spoil", ["ulp", "signed-zero"])
+    def test_unmirrored_values_take_plain_path(self, spoil, monkeypatch, capsys, mirror_calls):
+        # Values that are not a bitwise palindrome are written row by row.
+        true_mass = SturmLiouvilleProblem.mass.fget
+
+        def mass(slp):
+            v = true_mass(slp).values.copy()
+            if spoil == "ulp":
+                v[3] = np.nextafter(v[3], math.inf)
+            else:
+                v[3], v[-4] = 0.0, -0.0
+            return SampledFunction(slp.grid, v)
+
+        monkeypatch.setattr(SturmLiouvilleProblem, "mass", property(mass))
+        cfg = RunConfig(n=51, **_PROFILE_MODELS["gup-oscillator"])
+        text = self._run(_profile_argv(cfg, "mass", None), "stdout", None, capsys)
+        assert mirror_calls == [False]
+        assert text == _profile_table(cfg, "mass", None)
+        if spoil == "signed-zero":
+            lines = text.splitlines()
+            assert lines[1 + 3].endswith(",0") and lines[-4].endswith(",-0")
+
+    @pytest.mark.parametrize("points, values, expected", [
+        ([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 7.0, 1.0, 4.0], True),
+        ([-1.5, -0.5, 0.5, 1.5], [3.0, 1.0, 1.0, 3.0], True),
+        ([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 7.0, np.nextafter(1.0, 2.0), 4.0], False),
+        ([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 0.0, 7.0, -0.0, 4.0], False),
+        ([-2.0, -1.0, 0.0, np.nextafter(1.0, 2.0), 2.0], [4.0, 1.0, 7.0, 1.0, 4.0], False),
+        ([-1.0, -0.0, 0.0, 1.0], [3.0, 1.0, 1.0, 3.0], False),    # p = 0 has no mirror
+        ([2.0, 1.0, 0.0, -1.0, -2.0], [4.0, 1.0, 7.0, 1.0, 4.0], False),
+    ], ids=["odd", "even", "value-ulp", "value-signed-zero", "point-ulp", "zero-mirrored",
+            "descending"])
+    def test_mirrored_rule(self, points, values, expected):
+        assert cli._mirrored(np.array(points), np.array(values)) is expected
 
 
 def _reference_csv(header, rows) -> str:

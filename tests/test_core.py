@@ -13,9 +13,17 @@ from gupmdm.core import (
     inner_relative_norm,
     inner_slice,
     make_grid,
+    require_same_grid,
     sample,
-    weighted_inner_product,
 )
+
+
+def weighted_inner_product(
+    f: SampledFunction, g: SampledFunction, w: SampledFunction
+) -> float:
+    """Trapezoid-rule approximation of integral f g w dp."""
+    grid = require_same_grid(f, g, w)
+    return float(np.trapezoid(f.values * g.values * w.values, dx=grid.h))
 
 
 class TestMakeGrid:

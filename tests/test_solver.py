@@ -16,7 +16,6 @@ from gupmdm.core import (
     inner_slice,
     make_grid,
     sample,
-    weighted_inner_product,
 )
 from gupmdm.models import (
     GupOscillatorParams,
@@ -101,9 +100,8 @@ class TestEigenSolve:
         spec = solve_sl(slp, 5)
         for i in range(5):
             for j in range(i, 5):
-                ip = weighted_inner_product(
-                    spec.eigenfunctions[i], spec.eigenfunctions[j], slp.w
-                )
+                f, h = spec.eigenfunctions[i].values, spec.eigenfunctions[j].values
+                ip = float(np.trapezoid(f * h * slp.w.values, dx=g.h))   # integral f h w dp
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
     def test_oscillation_theorem(self):
@@ -649,7 +647,8 @@ def test_step_matrix_matches_scalar_rk4_normal_form(eps, backward):
 def _loop_sweep(shooter, lam, start, stop):
     """Reference for `Shooter._sweep`: the step matrices applied one step at a
     time to Python floats, with w u^2 summed node by node (the last node at
-    half weight). Also returns how often the state was rescaled."""
+    half weight). Also returns how often the state was rescaled: past _CAP,
+    or below 1/_CAP in |u| + |v|."""
     step = 1 if stop > start else -1
     u, v = 0.0, float(step)
     nodes = rescales = 0
@@ -659,7 +658,7 @@ def _loop_sweep(shooter, lam, start, stop):
     mats = zip(*(m.tolist() for m in shooter.step_matrices(lam, start, stop)))
     for i, (a, b, c, d) in zip(range(start + step, stop + step, step), mats):
         u, v = a * u + b * v, c * u + d * v
-        norm += shooter.w_n[i] * u * u * (0.5 if i == stop else 1.0)
+        norm += float(shooter.w_n[i]) * u * u * (0.5 if i == stop else 1.0)
         if u < 0.0:
             if negative is False:
                 nodes += 1
@@ -668,7 +667,7 @@ def _loop_sweep(shooter, lam, start, stop):
             if negative:
                 nodes += 1
             negative = False
-        if u > cap or u < -cap or v > cap or v < -cap:
+        if u > cap or u < -cap or v > cap or v < -cap or abs(u) + abs(v) < 1.0 / cap:
             mag = abs(u) + abs(v)
             u /= mag
             v /= mag
@@ -677,8 +676,9 @@ def _loop_sweep(shooter, lam, start, stop):
     return u, v, nodes, shooter.h * norm, rescales
 
 
-# (problem builder, whether a sweep must pass _CAP). At eps = 0.13,
-# kappa = 1/2 + 1/eps^2 is about 60 and the state grows past _CAP.
+# (problem builder, whether a sweep must restart). At eps = 0.13,
+# kappa = 1/2 + 1/eps^2 is about 60 and the state grows past _CAP. On Swanson
+# at tau = 0, RK4 damps the state below 1/_CAP at min q/w + 1e5.
 SWEEP_PROBLEMS = (
     [pytest.param(partial(normal_form_sl, eps, normal_form_grid(eps, n)), eps == 0.13,
                   id=f"normal-form-eps{eps}-n{n}")
@@ -686,7 +686,9 @@ SWEEP_PROBLEMS = (
     + [pytest.param(partial(gup_oscillator_sl, GupOscillatorParams(1.0, 0.05),
                             make_grid(-12, 12, 1201)), False, id="oscillator"),
        pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, 0.05),
-                            make_grid(-10, 10, 1201)), False, id="swanson")]
+                            make_grid(-10, 10, 1201)), False, id="swanson"),
+       pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, 0.0),
+                            make_grid(-10, 10, 1201)), True, id="swanson-tau0")]
 )
 
 
@@ -737,11 +739,10 @@ MIRROR_PROBLEMS = (
 def test_mirrored_angle_matches_two_sided(build):
     # The angle from one left sweep against explicit left and right sweeps, at
     # the levels' range and far above and below it. (At min q/w + 1e5 the Swanson
-    # tau = 0 state decays below 1e-154 on 1201 points and u^2 + v^2 is 0 on
-    # either route.)
+    # tau = 0 state falls below 1/_CAP on 1201 points, so both routes rescale.)
     shooter = Shooter(build())
     assert shooter.mirrored and shooter.match == shooter.n // 2
-    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 3e3, 1e4]
+    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 3e3, 1e4, 1e5]
     for lam in (shooter.qw_min + x for x in offsets):
         theta, slope = shooter._angle(lam)
         u_l, v_l, n_l, s_l = shooter._sweep(lam, 0, shooter.match)
@@ -750,6 +751,27 @@ def test_mirrored_angle_matches_two_sided(build):
         assert abs(theta - (_half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r))) <= 1e-12
         two_sided = s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r)
         assert slope == pytest.approx(two_sided, rel=1e-10)
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "two-sided"])
+def test_damped_state_is_rescaled(mirrored, monkeypatch):
+    # Far above the levels each RK4 step matrix has determinant about 0.26, so
+    # the state decays towards underflow. The sweep restarts below 1/_CAP: the
+    # angle is finite and still rising, and the slope is the inf that _root
+    # reads as no Newton step.
+    shooter = Shooter(swanson_sl(SwansonParams(2.0, 0.3, 0.1, 0.0), make_grid(-10, 10, 1201)))
+    assert shooter.mirrored
+    monkeypatch.setattr(shooter, "mirrored", mirrored)
+    solves = []
+    dtbtrs = solver.dtbtrs
+    monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
+                        solves.append(args) or dtbtrs(*args, **kwargs))
+    below, _ = shooter._angle(shooter.qw_min + 1e4)
+    solves.clear()
+    theta, slope = shooter._angle(shooter.qw_min + 1e5)
+    assert len(solves) > (1 if mirrored else 2)
+    assert below < theta < math.inf
+    assert slope == math.inf
 
 
 def _asymmetric(q_scale=1.0, w_scale=1.0):

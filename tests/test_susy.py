@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from gupmdm.algebra import LadderRep, apply_ladder, ladder_commutator
-from gupmdm.core import inner_slice, make_grid, sample
+from gupmdm.core import SampledFunction, derivative, inner_slice, make_grid, sample
 from gupmdm.solver import solve_sl
 from gupmdm.susy import (
     build_unweighted_problem,
     demo_potential,
     partner_check,
     superpotential_from_ground_state,
-    veff_from_factorization,
     xi_gup,
 )
+
+
+def veff_from_factorization(rep: LadderRep, c0: float) -> SampledFunction:
+    """V_eff = c0 + theta^2 - (xi theta)', with (xi, theta) = (rep.r, rep.s)."""
+    return c0 + rep.s * rep.s - derivative(rep.r * rep.s, 1)
 
 
 class TestXi:
