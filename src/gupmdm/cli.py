@@ -314,7 +314,7 @@ def _solve_rows(cfg: RunConfig):
     mus, fine_slp, fine_spec = solve_extrapolated(
         partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k
     )
-    shooter = Shooter(fine_slp)
+    shooter = Shooter(fine_slp.q)
     rows = []
     for idx, mu in enumerate(mus.tolist()):
         lam = form.eigenvalue(mu)

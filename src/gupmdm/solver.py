@@ -4,12 +4,13 @@ Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
 pencil folded into its even and odd half blocks; bisection to an absolute
 tolerance for the eigenvalues, inverse iteration for the eigenvectors when they
-are first read), and RK4 shooting, two-sided in general and one half-sweep on a
-mirror-symmetric problem. Shooting finds level n as the root of the Pruefer
-angle sum Theta(lambda) = (n + 1) pi, one monotone function for every level,
-memoized on a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed
-form with numpy and applies them in one banded triangular solve (LAPACK dtbtrs),
-and returns dTheta/dlambda with Theta by Pruefer's identity. The root search is
+are first read), and RK4 shooting on the even Liouville normal form
+-y'' + q y = mu y, one half-sweep from an end to the centre per trial
+eigenvalue. Shooting finds level n as the root of the Pruefer angle sum
+Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized on
+a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed form with
+numpy and applies them in one banded triangular solve (LAPACK dtbtrs), and
+returns dTheta/dlambda with Theta by Pruefer's identity. The root search is
 safeguarded Newton (as in Numerical Recipes' rtsafe), started from a matrix
 eigenvalue alone where there is one, that falls back to the bisection and the
 false position of the bracket of the angles already computed when a step would
@@ -303,120 +304,96 @@ def _half_angle(u: float, v: float, nodes: int) -> float:
 
 
 class Shooter:
-    """Two-sided RK4 shooting on one Sturm-Liouville problem.
+    """RK4 shooting on the normal form -y'' + q y = mu y with an even q.
 
-    Integrates the first-order system (u, v) = (phi, c phi') with fixed-step
-    RK4, coefficients interpolated to step midpoints by a not-a-knot cubic
-    spline (`_midpoint_spline`) of those that are not constant. The grid needs
-    at least 4 points. The system is linear, so for a given lambda each RK4
+    Takes q on an odd grid of at least 5 points centred on 0 (its points
+    exactly antisymmetric) and q an exact palindrome: the exact symmetry
+    `eigen_solve` folds. The right solution is then the mirror image of the
+    left one, so each angle costs one sweep, from node 0 to the centre node
+    n // 2, where the two are matched. Anything else is a ValueError.
+
+    Integrates the first-order system (u, v) = (y, y') with fixed-step RK4,
+    q interpolated to step midpoints by a not-a-knot cubic spline
+    (`_midpoint_spline`). The system is linear, so for a given lambda each RK4
     step is a 2x2 matrix with a closed form (`step_matrices`); a sweep writes
     all its step matrices at once with numpy and applies them as one banded
     triangular solve in LAPACK.
 
-    `mirrored` is set when n is odd, the grid points are exactly
-    antisymmetric, c, q and w are exact palindromes and the matching node is
-    the centre n // 2: the exact symmetry `eigen_solve` folds. The right
-    solution is then the mirror image of the left one, and each angle costs
-    one sweep, from node 0 to the centre, instead of two.
-
-    `angle(lam)` is the Pruefer angle sum Theta at the matching node, memoized
-    per instance with its slope dTheta/dlambda, so every level solved on one
+    `angle(lam)` is the Pruefer angle sum Theta at the centre, memoized per
+    instance with its slope dTheta/dlambda, so every level solved on one
     Shooter reuses the sweeps of the levels before it.
     """
 
     _CAP = 1e100
 
-    def __init__(self, slp: SturmLiouvilleProblem):
-        grid = slp.grid
-        if grid.n < 4:
-            raise ValueError(f"shooting needs at least 4 grid points, got {grid.n}")
-        c, q, w = slp.c.values, slp.q.values, slp.w.values
-        x = grid.points
+    def __init__(self, q: SampledFunction):
+        grid, x, q = q.grid, q.grid.points, q.values
+        if grid.n < 5 or grid.n % 2 == 0:
+            raise ValueError(f"shooting needs an odd grid of at least 5 points, got {grid.n}")
+        if not np.array_equal(x, -x[::-1]):
+            raise ValueError(f"shooting needs a grid centred on 0, got [{grid.p_min:g}, "
+                             f"{grid.p_max:g}]")
+        if not np.array_equal(q, q[::-1]):
+            raise ValueError("shooting needs an even q, an exact palindrome on the grid")
         self.grid = grid
         self.h = grid.h
-        self.n = grid.n
-        # A constant column's spline is that constant, bit for bit (its slopes
-        # are all 0), so one spline serves the columns that vary; .T.copy()
-        # makes each row contiguous.
-        cols = (c, q, w)
-        mids = [f[:-1] for f in cols]
-        varying = [j for j, f in enumerate(cols) if np.any(f != f[0])]
-        if varying:
-            splined = _midpoint_spline(x, np.column_stack([cols[j] for j in varying]))
-            for j, row in zip(varying, splined.T.copy()):
-                mids[j] = row
-        c_m, self.q_m, self.w_m = mids
-        self.ic_n = 1.0 / c
-        self.ic_m = 1.0 / c_m
-        self.q_n = q
-        self.w_n = w
-        qw = q / w
-        self.qw_min = float(np.min(qw))
-        # Matching index: near the potential minimum, clamped to the middle half.
-        i_min = int(np.argmin(qw))
-        self.match = min(max(i_min, self.n // 4), 3 * self.n // 4)
-        # An even problem matched at the centre node of a grid centred on 0:
-        # the right solution is the left one mirrored, so one sweep gives both.
-        self.mirrored = bool(self.n % 2 and self.match == self.n // 2
-                             and np.array_equal(x, -x[::-1])
-                             and all(np.array_equal(cols[j], cols[j][::-1]) for j in varying))
+        # q at the nodes and step midpoints of the left half, node 0 to the centre.
+        centre = grid.n // 2
+        self.q_n = q[:centre + 1]
+        self.q_m = _midpoint_spline(x, q[:, None])[:centre, 0]
+        self.q_min = float(np.min(q))
         self._angles: dict[float, tuple[float, float]] = {}
 
     @property
     def sweeps(self) -> int:
-        """Angles swept so far, one per distinct lambda in the memo: each a
-        full-grid sweep, or a half-grid one when `mirrored`."""
+        """Angles swept so far, one half-grid sweep per distinct lambda in the memo."""
         return len(self._angles)
 
-    def step_matrices(self, lam: float, start: int, stop: int):
+    def step_matrices(self, lam: float):
         """Entries (a, b, c, d) of the RK4 step matrices [[a, b], [c, d]] that
-        carry (u, v) from node `start` to node `stop`, in stepping order.
+        carry (u, v) from node 0 to the centre, in stepping order.
 
-        With al = 1/c, g = q - lam w and s = al_m g_m (0, m, 1 marking a
-        step's start, midpoint and end), A = [[0, al], [g, 0]] has A_m^2 = s I,
-        so RK4's matrix polynomial in A_0, A_m, A_1 has the closed form
-          a = 1 + h^2/6 (al_m g_0 + s + al_1 g_m) + h^4/24 s al_1 g_0
-          b = h/6 (al_0 + 4 al_m + al_1) + h^3/12 s (al_0 + al_1)
-          c = h/6 (g_0 + 4 g_m + g_1) + h^3/12 s (g_0 + g_1)
-          d = 1 + h^2/6 (g_m al_0 + s + g_1 al_m) + h^4/24 s g_1 al_0.
-        A leftward sweep swaps 0 and 1 and negates h.
+        With g = q - lam (0, m, 1 marking a step's start, midpoint and end),
+        A = [[0, 1], [g, 0]] has A_m^2 = g_m I, so RK4's matrix polynomial in
+        A_0, A_m, A_1 has the closed form
+          a = 1 + h^2/6 (g_0 + 2 g_m) + h^4/24 g_m g_0
+          b = h + h^3/6 g_m
+          c = h/6 (g_0 + 4 g_m + g_1) + h^3/12 g_m (g_0 + g_1)
+          d = 1 + h^2/6 (2 g_m + g_1) + h^4/24 g_m g_1,
+        each summed as the closed form for any c and w sums it at c = w = 1
+        (b = h/6 * 6 + h^3/12 g_m * 2), so the entries are that form's, bit
+        for bit.
         """
-        lo, hi = sorted((start, stop))
-        nodes, mids, h = slice(lo, hi + 1), slice(lo, hi), self.h
-        g, al = self.q_n[nodes] - lam * self.w_n[nodes], self.ic_n[nodes]
-        g_m, al_m = self.q_m[mids] - lam * self.w_m[mids], self.ic_m[mids]
-        if stop < start:
-            g, al, g_m, al_m, h = g[::-1], al[::-1], g_m[::-1], al_m[::-1], -h
-        g0, g1, al0, al1 = g[:-1], g[1:], al[:-1], al[1:]
-        s = al_m * g_m
-        h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * s, h**4 / 24.0 * s
-        return (1.0 + h2 * (al_m * g0 + s + al1 * g_m) + h4 * al1 * g0,
-                h / 6.0 * (al0 + 4.0 * al_m + al1) + h3 * (al0 + al1),
+        h = self.h
+        g, g_m = self.q_n - lam, self.q_m - lam
+        g0, g1 = g[:-1], g[1:]
+        h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * g_m, h**4 / 24.0 * g_m
+        return (1.0 + h2 * (g0 + g_m + g_m) + h4 * g0,
+                h / 6.0 * 6.0 + h3 * 2.0,
                 h / 6.0 * (g0 + 4.0 * g_m + g1) + h3 * (g0 + g1),
-                1.0 + h2 * (g_m * al0 + s + g1 * al_m) + h4 * g1 * al0)
+                1.0 + h2 * (g_m + g_m + g1) + h4 * g1)
 
-    def _sweep(self, lam: float, start: int, stop: int):
-        """Integrate from node `start` to node `stop` (either direction).
+    def _sweep(self, lam: float):
+        """Integrate from node 0, where (u, v) = (0, 1), to the centre.
 
         Returns (u, v, nodes, norm): the final scaled state, the number of
-        sign changes of u along the way, and the integral of w u^2 over the
-        sweep in the final state's scale (trapezoid rule; u = 0 at `start`).
+        sign changes of u along the way, and the integral of u^2 over the
+        sweep in the final state's scale (trapezoid rule; u = 0 at node 0).
 
         State k+1 is M_k times state k, so the states (u_1, v_1, ..., u_m,
         v_m) solve one unit lower-triangular system with -M_k at sub-diagonal
         offsets 1-3, which LAPACK's dtbtrs solves in one call. When u or v
         passes _CAP, or |u| + |v| falls below 1/_CAP (RK4 damps an oscillation
         far above the levels), the solve restarts from that state, scaled to
-        |u| + |v| = 1, and the sum of w u^2 so far is scaled by the same factor
+        |u| + |v| = 1, and the sum of u^2 so far is scaled by the same factor
         squared; it is inf once that overflows.
         """
-        a, b, c, d = self.step_matrices(lam, start, stop)
+        a, b, c, d = self.step_matrices(lam)
         m = a.size
-        w = self.w_n[start + 1:stop + 1] if stop > start else self.w_n[stop:start][::-1]
         band = np.zeros((4, 2 * m), order="F")   # band[:, 2k:] reaches LAPACK uncopied
         band[2, :-2:2], band[3, :-2:2] = -a[1:], -c[1:]
         band[1, 1:-2:2], band[2, 1:-2:2] = -b[1:], -d[1:]
-        u, v = 0.0, (1.0 if stop > start else -1.0)
+        u, v = 0.0, 1.0
         u_all = np.empty(m)
         k, norm = 0, 0.0         # (u, v) is state k
         while k < m:
@@ -428,36 +405,28 @@ class Shooter:
             out = np.flatnonzero((np.maximum(au, av) > self._CAP) | (au + av < 1.0 / self._CAP))
             j = out[0] + 1 if out.size else m - k    # states this solve keeps
             kept = u_all[k:k + j] = x[:2 * j:2]
-            norm += float(np.dot(w[k:k + j] * kept, kept))
+            norm += float(np.dot(kept, kept))
             u, v = float(x[2 * j - 2]), float(x[2 * j - 1])
             if out.size:
                 mag = abs(u) + abs(v)
                 u, v, norm = u / mag, v / mag, norm / mag / mag
             k += j
-        norm = self.h * (norm - 0.5 * w[-1] * u * u)      # the last node has half weight
+        norm = self.h * (norm - 0.5 * u * u)      # the last node has half weight
         return u, v, count_sign_changes(u_all), float(norm)
 
     def _angle(self, lam: float) -> tuple[float, float]:
-        """(Theta, dTheta/dlambda) at lam, theta_L + theta_R at the matching
-        node, from one full sweep, or from the left half alone when the
-        problem is `mirrored`.
+        """(Theta, dTheta/dlambda) at lam from one sweep of the left half.
 
-        theta_L is the Pruefer angle atan2(u, v) of the left solution, theta_R
-        that of the right solution mirrored in v, atan2(u, -v); both are 0 at
-        their own end. Theta is continuous and increasing in lambda, and
-        Theta(lambda_n) = (n + 1) pi. Pruefer's identity gives each side's
-        dtheta/dlambda = int w u^2 / (u^2 + v^2) at any lambda, the integral
-        over that side and (u, v) its state at the matching node. On a
-        mirrored problem the right state at the centre is (u, -v), with the
-        left's node count and integral, so Theta = 2 theta_L and
-        dTheta/dlambda = 2 s_L / (u^2 + v^2).
+        theta_L = atan2(u, v) is the Pruefer angle of the left solution at the
+        centre, 0 at node 0; the right solution is its mirror image, with
+        state (u, -v) there, the same node count and the same integral, so its
+        angle atan2(u, -v) from its own end is theta_L again. Theta = 2 theta_L
+        is continuous and increasing in lambda, and Theta(lambda_n) = (n + 1) pi.
+        Pruefer's identity gives dtheta_L/dlambda = int u^2 / (u^2 + v^2) at any
+        lambda, so dTheta/dlambda = 2 s_L / (u^2 + v^2).
         """
-        u_l, v_l, n_l, s_l = self._sweep(lam, 0, self.match)
-        if self.mirrored:
-            return 2.0 * _half_angle(u_l, v_l, n_l), 2.0 * s_l / (u_l * u_l + v_l * v_l)
-        u_r, v_r, n_r, s_r = self._sweep(lam, self.n - 1, self.match)
-        return (_half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r),
-                s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r))
+        u, v, nodes, s = self._sweep(lam)
+        return 2.0 * _half_angle(u, v, nodes), 2.0 * s / (u * u + v * v)
 
     def angle(self, lam: float) -> float:
         """Theta(lam), memoized with its slope in `_angles`: a repeated lambda
@@ -471,20 +440,20 @@ class Shooter:
 def _root(shooter: Shooter, target: float, lam: float) -> float:
     """Root of Theta = target by Newton steps kept inside a bracket (rtsafe).
 
-    Starts at lam, or at min q/w when lam is not finite; each step is
+    Starts at lam, or at min q when lam is not finite; each step is
     Newton's, from the slope dTheta/dlambda that came with the angle. A
     step is taken while it lands strictly inside the bracket of the memoized
-    angles, whose lower end is min q/w (Theta < pi there, as q - lam w >= 0
+    angles, whose lower end is min q (Theta < pi there, as q - lam >= 0
     keeps both solutions from turning) until an angle below the target is
-    known. Otherwise the search sweeps min q/w while no angle lies below the
-    target, doubles the reach from min q/w (plus one gap) while none lies
+    known. Otherwise the search sweeps min q while no angle lies below the
+    target, doubles the reach from min q (plus one gap) while none lies
     above it, or else takes the bracket's midpoint and false-position point
     by turns (Newton overshoots a root that sits next to an end, and
     bisection nears it one halving a step). Returns lam once a step is at most
     REL_TOL * max(1, |lam|) with the angle within ANGLE_TOL, or, once the
     bracket is that narrow, the end whose angle is nearer the target.
     """
-    base, angles = shooter.qw_min, shooter._angles
+    base, angles = shooter.q_min, shooter._angles
     gap = max(1.0, abs(base) * 0.5)
     if not math.isfinite(lam):
         lam = base
@@ -492,7 +461,7 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
     false_position = False
     for _ in range(MAX_STEPS):
         if base in angles and angles[base][0] > target:
-            raise BracketError(f"angle {angles[base][0]:.6g} at min(q/w) = {base:g} "
+            raise BracketError(f"angle {angles[base][0]:.6g} at min(q) = {base:g} "
                                f"already exceeds the target {target:.6g}")
         hi = min((x for x, a in angles.items() if a[0] > target), default=math.inf)
         lo = max((x for x, a in angles.items() if a[0] <= target and x < hi), default=None)
@@ -520,7 +489,7 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
 
 
 def shooting_eigenvalue(
-    problem: SturmLiouvilleProblem | Shooter,
+    shooter: Shooter,
     n: int,
     start: float | None = None,
 ) -> ShootingReport:
@@ -528,12 +497,11 @@ def shooting_eigenvalue(
 
     Level n is the root of Theta(lam) = (n + 1) pi, found by `_root`. The
     search starts at `start`, say a matrix estimate of level n, or without
-    one at min q/w. Theta has one root per level, so the start changes the
-    cost, not the level found. A `SturmLiouvilleProblem` gets a fresh
-    Shooter; pass one Shooter for every level of a problem to share its
-    sweeps, which also bracket later levels.
+    one at min q. Theta has one root per level, so the start changes the
+    cost, not the level found. Pass one Shooter for every level of a problem
+    to share its sweeps, which also bracket later levels.
 
-    Raises BracketError when the angle at min q/w already exceeds the
+    Raises BracketError when the angle at min q already exceeds the
     target, MAX_STEPS steps find no angle above it or no root, or the root
     misses the target angle by more than ANGLE_TOL (a jump in Theta, as on a
     grid too coarse for the level). `iterations` counts the angles this call
@@ -541,7 +509,6 @@ def shooting_eigenvalue(
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")
-    shooter = problem if isinstance(problem, Shooter) else Shooter(problem)
     sweeps = shooter.sweeps
     target = (n + 1) * math.pi
     lam = _root(shooter, target, math.nan if start is None else float(start))

@@ -8,6 +8,7 @@ pin the tolerance of every check they report.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from gupmdm.core import (
     require_same_grid,
     sample,
 )
-from gupmdm.models import GupOscillatorParams, SwansonParams
-from gupmdm.solver import shooting_eigenvalue, solve_extrapolated, solve_sl
+from gupmdm.models import GupOscillatorParams, SwansonParams, normal_form_grid, normal_form_sl
+from gupmdm.solver import Shooter, shooting_eigenvalue, solve_extrapolated, solve_sl
 from gupmdm.algebra import (
     LadderRep,
     apply_ladder,
@@ -46,17 +47,20 @@ OMEGAS = (0.5, 1.0, 2.0)
 
 @pytest.fixture(scope="session")
 def cross_method_matrix():
-    """Extrapolated matrix eigenvalues and shooting eigenvalues for the
-    (tau, omega) grid, lowest 6 levels each; shared by criteria 3 and 9."""
+    """Extrapolated matrix eigenvalues and shooting eigenvalues of the normal
+    form for the (tau, omega) grid, lowest 6 levels each, mapped back to the
+    model's lam; shared by criteria 3 and 9."""
     results = {}
     for tau in TAUS:
         for omega in OMEGAS:
             params = GupOscillatorParams(omega=omega, tau=tau)
-            pmax = 12.0 / math.sqrt(omega)
-            grid = make_grid(-pmax, pmax, 1201)
-            lam, fine_slp, _ = solve_extrapolated(params.sl, grid, 6)
+            form = params.normal_form()
+            mus, fine_slp, _ = solve_extrapolated(
+                partial(normal_form_sl, form.eps), normal_form_grid(form.eps, 1201), 6)
+            shooter = Shooter(fine_slp.q)
+            lam = np.array([form.eigenvalue(mu) for mu in mus.tolist()])
             lam_shoot = np.array(
-                [shooting_eigenvalue(fine_slp, i).eigenvalue for i in range(6)]
+                [form.eigenvalue(shooting_eigenvalue(shooter, i).eigenvalue) for i in range(6)]
             )
             results[(tau, omega)] = (params, lam, lam_shoot)
     return results

@@ -293,6 +293,30 @@ class TestSolve:
         assert "Unable to allocate 7.28 TiB" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tau", [0.42, 0.5, 0.6, 0.68])
+    def test_barrier_band_exits_0_only_when_exact(self, tau, capsys):
+        # From tau ~ 0.404 on, Swanson (2, 0.3, 0.1) has eps^2 > 2: q is a
+        # barrier with its top at the centre, where shooting matches. A solve
+        # there may print a spectrum only if both columns are the closed form;
+        # otherwise it is a solver error, with nothing on stdout.
+        argv = ["--model", "swanson", "--omega", "2", "--alpha", "0.3", "--beta", "0.1",
+                "--tau", str(tau)]
+        rc = main(["solve", *argv])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if rc == 0:
+            params = RunConfig(model="swanson", omega=2.0, alpha=0.3, beta=0.1, tau=tau).params()
+            rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+            assert len(rows) == RunConfig().k
+            for row in rows:
+                exact = params.exact_energy(int(row[0]))
+                assert abs(float(row[2]) - exact) <= 1e-6
+                assert abs(float(row[3]) - exact) <= 1e-6
+        else:
+            assert rc == 3
+            assert "solver error" in captured.err
+            assert captured.out == ""
+
     def test_small_omega_shooting_levels_distinct(self, capsys):
         # A search that stops short prints one non-root for two levels; each
         # level must be a root of its own angle target.
@@ -304,7 +328,7 @@ class TestSolve:
         assert shot[0] < shot[1] < shot[2]
         cfg = RunConfig(omega=0.001, k=3)
         eps = cfg.params().normal_form().eps
-        shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, cfg.n).refined()))
+        shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, cfg.n).refined()).q)
         for n in range(3):
             assert shooting_eigenvalue(shooter, n).mismatch <= ANGLE_TOL
 

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gupmdm.models import (
     normal_form_sl,
     swanson_sl,
 )
-from gupmdm.solver import shooting_eigenvalue, solve_extrapolated, solve_sl
+from gupmdm.solver import Shooter, shooting_eigenvalue, solve_extrapolated, solve_sl
 
 
 GRID = make_grid(-6, 6, 241)
@@ -190,12 +191,20 @@ class TestSwansonSl:
         assert gaps[1] / gaps[2] == pytest.approx(4.0, abs=0.05)
 
     def test_cross_solver_spectrum(self):
-        # Deformed Swanson solved by two independent methods.
+        # Deformed Swanson's normal form solved by two independent methods,
+        # each against the closed form.
         params = SwansonParams(omega=1.0, alpha=0.2, beta=0.1, tau=0.05)
-        lams, fine_slp, _ = solve_extrapolated(params.sl, make_grid(-12, 12, 1201), 4)
-        for n, lam in enumerate(lams):
-            shot = shooting_eigenvalue(fine_slp, n).eigenvalue
+        form = params.normal_form()
+        mus, fine_slp, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                              normal_form_grid(form.eps, 1201), 4)
+        shooter = Shooter(fine_slp.q)
+        for n, mu in enumerate(mus.tolist()):
+            lam = form.eigenvalue(mu)
+            shot = form.eigenvalue(shooting_eigenvalue(shooter, n).eigenvalue)
+            exact = params.eigenvalue_from_energy(params.exact_energy(n))
             assert abs(lam - shot) <= 1e-6 * max(1.0, abs(shot))
+            assert abs(lam - exact) <= 1e-6 * max(1.0, abs(exact))
+            assert abs(shot - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 class TestNormalForm:

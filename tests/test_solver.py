@@ -343,89 +343,97 @@ class TestFold:
         assert worst(4801) < worst(1201)
 
 
+def normal_form_shooter(eps, n):
+    """A Shooter on the normal form at eps on `normal_form_grid(eps, n)`."""
+    return Shooter(normal_form_sl(eps, normal_form_grid(eps, n)).q)
+
+
+def exact_lambda(params, n):
+    """The model's closed-form lam_n."""
+    return params.eigenvalue_from_energy(params.exact_energy(n))
+
+
+# The barrier band: at Swanson (2, 0.3, 0.1) and tau = 0.6, eps^2 = 6.5 > 2
+# and q has its maximum at the centre node, where the sweeps meet.
+BARRIER_EPS = SwansonParams(2.0, 0.3, 0.1, 0.6).normal_form().eps
+
+
 class TestShooting:
+    # At (tau, omega) = (0, 1) the normal form is -y'' + x^2 y = mu y on
+    # [-12, 12] with lam = mu; the exact levels are lam_n = 2n + 1.
     def test_ground_state(self):
-        g = make_grid(-12, 12, 1201)
-        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.0), g)
-        rep = shooting_eigenvalue(slp, 0)
-        assert rep.eigenvalue == pytest.approx(1.0, abs=1e-7)
+        params = GupOscillatorParams(1.0, 0.0)
+        form = params.normal_form()
+        rep = shooting_eigenvalue(normal_form_shooter(form.eps, 1201), 0)
+        assert form.eigenvalue(rep.eigenvalue) == pytest.approx(exact_lambda(params, 0), abs=1e-7)
         assert rep.mismatch <= ANGLE_TOL
 
     def test_third_excited(self):
-        g = make_grid(-12, 12, 1201)
-        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.0), g)
-        rep = shooting_eigenvalue(slp, 3)
-        assert rep.eigenvalue == pytest.approx(7.0, abs=1e-6)
+        params = GupOscillatorParams(1.0, 0.0)
+        form = params.normal_form()
+        rep = shooting_eigenvalue(normal_form_shooter(form.eps, 1201), 3)
+        assert form.eigenvalue(rep.eigenvalue) == pytest.approx(exact_lambda(params, 3), abs=1e-6)
         assert rep.mismatch <= ANGLE_TOL
 
     def test_cross_method_deformed(self):
         params = GupOscillatorParams(omega=1.0, tau=0.05)
-        lams, fine_slp, _ = solve_extrapolated(params.sl, make_grid(-12, 12, 1201), 6)
-        for n, lam in enumerate(lams):
-            rep = shooting_eigenvalue(fine_slp, n)
-            assert abs(lam - rep.eigenvalue) <= 1e-6 * max(1.0, abs(lam))
+        form = params.normal_form()
+        mus, fine_slp, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                              normal_form_grid(form.eps, 1201), 6)
+        shooter = Shooter(fine_slp.q)
+        for n, mu in enumerate(mus.tolist()):
+            lam = form.eigenvalue(mu)
+            shot = form.eigenvalue(shooting_eigenvalue(shooter, n).eigenvalue)
+            assert abs(lam - shot) <= 1e-6 * max(1.0, abs(lam))
 
     def test_rejects_negative_index(self):
-        slp = laplace_problem(51)
         with pytest.raises(ValueError):
-            shooting_eigenvalue(slp, -1)
-
-    def test_rejects_grid_under_four_points(self):
-        # Three points build a grid, but not the spline's slope system.
-        with pytest.raises(ValueError, match="at least 4 grid points, got 3"):
-            Shooter(laplace_problem(3))
-        assert Shooter(laplace_problem(4)).n == 4
+            shooting_eigenvalue(normal_form_shooter(0.0, 51), -1)
 
     def test_solver_error_lives_in_core(self):
         assert solver.SolverError is core.SolverError
         assert issubclass(BracketError, core.SolverError)
 
     def test_levels_isolated_in_few_sweeps(self):
-        # The CLI default at (tau, omega) = (0.05, 1): box 12, 1201 -> 2401 points.
-        g = make_grid(-12, 12, 1201).refined()
-        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g)
+        # The CLI default at (tau, omega) = (0.05, 1): 1201 -> 2401 points.
+        eps = GupOscillatorParams(1.0, 0.05).normal_form().eps
+        q = normal_form_sl(eps, normal_form_grid(eps, 1201).refined()).q
         for n in range(6):
-            assert shooting_eigenvalue(slp, n).iterations <= 20
+            assert shooting_eigenvalue(Shooter(q), n).iterations <= 20
 
     def test_iterations_sum_to_distinct_sweeps(self, monkeypatch):
         sweeps = []
         sweep = Shooter._sweep
-        monkeypatch.setattr(Shooter, "_sweep", lambda self, lam, start, stop:
-                            sweeps.append(lam) or sweep(self, lam, start, stop))
-        # A grid centred on 0 is mirrored; the asymmetric one is two-sided.
-        for g, mirrored in ((make_grid(-12, 12, 1201), True), (make_grid(-3, 5, 977), False)):
-            sweeps.clear()
-            shooter = Shooter(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g))
-            assert shooter.mirrored is mirrored
-            total = sum(shooting_eigenvalue(shooter, n).iterations for n in range(6))
-            # One angle is one half-grid sweep on a mirrored problem, else two,
-            # left and right of the matching node.
-            assert len(sweeps) == (1 if mirrored else 2) * total
-            assert len(set(sweeps)) == total == shooter.sweeps
+        monkeypatch.setattr(Shooter, "_sweep", lambda self, lam:
+                            sweeps.append(lam) or sweep(self, lam))
+        eps = GupOscillatorParams(1.0, 0.05).normal_form().eps
+        shooter = normal_form_shooter(eps, 1201)
+        total = sum(shooting_eigenvalue(shooter, n).iterations for n in range(6))
+        # One angle is one half-grid sweep, from node 0 to the centre.
+        assert len(sweeps) == total
+        assert len(set(sweeps)) == total == shooter.sweeps
 
     def test_shared_shooter_sweep_budget(self):
         # The CLI default at (tau, omega) = (0.05, 1); the node-count and
         # Wronskian search took 77 sweeps for these six levels.
-        g = make_grid(-12, 12, 1201).refined()
-        shooter = Shooter(gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g))
+        eps = GupOscillatorParams(1.0, 0.05).normal_form().eps
+        shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, 1201).refined()).q)
         assert sum(shooting_eigenvalue(shooter, n).iterations for n in range(6)) <= 50
 
     def test_levels_order_independent(self):
-        g = make_grid(-12, 12, 1201).refined()
-        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), g)
-        shooter = Shooter(slp)
+        eps = GupOscillatorParams(1.0, 0.05).normal_form().eps
+        q = normal_form_sl(eps, normal_form_grid(eps, 1201).refined()).q
+        shooter = Shooter(q)
         shared = {n: shooting_eigenvalue(shooter, n).eigenvalue for n in range(5, -1, -1)}
         for n, lam in shared.items():
-            fresh = shooting_eigenvalue(Shooter(slp), n).eigenvalue
+            fresh = shooting_eigenvalue(Shooter(q), n).eigenvalue
             assert lam == pytest.approx(fresh, rel=1e-10)
 
     def test_angle_straddles_target_at_eigenvalue(self):
-        g = make_grid(-12, 12, 1201)
-        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.0), g)
-        rep = shooting_eigenvalue(slp, 3)
+        rep = shooting_eigenvalue(normal_form_shooter(0.0, 1201), 3)
         assert rep.eigenvalue == pytest.approx(7.0, abs=1e-6)
         assert rep.mismatch <= ANGLE_TOL
-        shooter = Shooter(slp)
+        shooter = normal_form_shooter(0.0, 1201)
         assert shooter.angle(rep.eigenvalue * (1 - 1e-8)) < 4 * math.pi
         assert shooter.angle(rep.eigenvalue * (1 + 1e-8)) > 4 * math.pi
 
@@ -439,14 +447,14 @@ class TestShooting:
     @pytest.mark.parametrize("angle, message", [
         (lambda lam: 0.5, "no angle above"),                   # never reaches 2 pi
         (lambda lam: 0.5 if lam < 2.0 else 10.0, "misses"),    # jumps over it
-        (lambda lam: 10.0, "already exceeds"),                 # above it at min(q/w)
+        (lambda lam: 10.0, "already exceeds"),                 # above it at min(q)
     ], ids=["no-bracket", "jump", "above-at-base"])
     def test_bracket_error(self, monkeypatch, angle, message):
         # Flat pieces have slope 0, so no step is Newton's.
         monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (angle(lam), 0.0))
-        slp = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, 201))
+        eps = GupOscillatorParams(1.0, 0.05).normal_form().eps
         with pytest.raises(BracketError, match=message):
-            shooting_eigenvalue(slp, 1)
+            shooting_eigenvalue(normal_form_shooter(eps, 201), 1)
 
     def test_step_cap(self, monkeypatch):
         # Theta = pi + atan(lam - 1.3) is bracketed by the second step, but
@@ -455,21 +463,23 @@ class TestShooting:
                             (math.pi + math.atan(lam - 1.3), 1.0 / (1.0 + (lam - 1.3) ** 2)))
         monkeypatch.setattr(solver, "MAX_STEPS", 2)
         with pytest.raises(BracketError, match="no root of Theta = 3.14159 after 2 steps"):
-            shooting_eigenvalue(laplace_problem(51), 0)
+            shooting_eigenvalue(normal_form_shooter(0.0, 51), 0)
 
     @pytest.mark.parametrize("tau, omega", [(0.05, 1.0), (0.1, 2.0)])
     def test_closed_form_on_wide_box(self, tau, omega):
         # Kempf-Mangano-Mann: E_n = omega[(n+1/2)(sqrt(1+g^2/4)+g/2) + g n^2/2],
-        # g = tau omega; the box 40/sqrt(omega) leaves no visible truncation.
+        # g = tau omega. Both points' normal forms span the whole interval
+        # |x| < pi/(2 eps), so no box truncates them.
         params = GupOscillatorParams(omega=omega, tau=tau)
-        pmax = 40.0 / math.sqrt(omega)
-        slp = gup_oscillator_sl(params, make_grid(-pmax, pmax, 4801))
+        form = params.normal_form()
+        assert normal_form_grid(form.eps, 4801).p_max == math.pi / (2 * form.eps)
+        shooter = normal_form_shooter(form.eps, 4801)
         gam = tau * omega
         for n in range(6):
             exact = omega * ((n + 0.5) * (math.sqrt(1 + gam * gam / 4) + gam / 2)
                              + gam * n * n / 2)
-            e = params.energy_from_eigenvalue(shooting_eigenvalue(slp, n).eigenvalue)
-            assert e == pytest.approx(exact, rel=1e-6)
+            lam = form.eigenvalue(shooting_eigenvalue(shooter, n).eigenvalue)
+            assert params.energy_from_eigenvalue(lam) == pytest.approx(exact, rel=1e-6)
 
 
 def _normal_form_solve(params, k=6):
@@ -493,7 +503,7 @@ class TestSeededShooting:
                              ids=repr)
     def test_seeded_matches_unseeded(self, params):
         mus, slp, _ = _normal_form_solve(params)
-        seeded, plain = Shooter(slp), Shooter(slp)
+        seeded, plain = Shooter(slp.q), Shooter(slp.q)
         for n, mu in enumerate(mus.tolist()):
             rep = shooting_eigenvalue(seeded, n, start=mu)
             ref = shooting_eigenvalue(plain, n).eigenvalue
@@ -504,7 +514,7 @@ class TestSeededShooting:
         # Six levels at (tau, omega) = (0.05, 1) on the default grid: 34 sweeps
         # unseeded, 11 from the matrix eigenvalues.
         mus, slp, _ = _normal_form_solve(GupOscillatorParams(1.0, 0.05))
-        shooter = Shooter(slp)
+        shooter = Shooter(slp.q)
         total = sum(shooting_eigenvalue(shooter, n, start=mu).iterations
                     for n, mu in enumerate(mus.tolist()))
         assert total == shooter.sweeps <= 14
@@ -514,18 +524,15 @@ class TestSeededShooting:
         (GupOscillatorParams(1.0, 1.2), 1201, False),
         # eps ~ 0.13: the state passes _CAP, so each sweep restarts.
         (GupOscillatorParams(1.0, 0.017), 4801, True),
-        # An asymmetric grid: two-sided shooting.
-        (GupOscillatorParams(1.0, 0.05), make_grid(-3, 5, 977), False),
+        # eps^2 > 2: q is a barrier, its top at the centre where the sweep ends.
+        (SwansonParams(2.0, 0.3, 0.1, 0.6), 1201, False),
     ], ids=repr)
     def test_sweep_slope_matches_angle(self, params, n, restarts, monkeypatch):
         # The sweep's dTheta/dlambda (Pruefer's identity) against a central
         # difference of Theta, at the eigenvalues and between them.
         eps = params.normal_form().eps
-        grid = normal_form_grid(eps, n) if isinstance(n, int) else n
-        mus, slp, _ = solve_extrapolated(partial(normal_form_sl, eps), grid, 3)
-        shooter = Shooter(slp)
-        # The refined grid has 2n - 1 points; centred on 0 it is mirrored.
-        assert shooter.mirrored is isinstance(n, int)
+        mus, slp, _ = solve_extrapolated(partial(normal_form_sl, eps), normal_form_grid(eps, n), 3)
+        shooter = Shooter(slp.q)
         solves = []
         dtbtrs = solver.dtbtrs
         monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
@@ -535,26 +542,24 @@ class TestSeededShooting:
             fd = (shooter.angle(lam + d) - shooter.angle(lam - d)) / (2 * d)
             shooter.angle(lam)                         # memoizes (Theta, slope)
             assert shooter._angles[lam][1] == pytest.approx(fd, rel=1e-4)
-        # One banded solve per angle on a mirrored problem, else two, one per
-        # side; more only when a sweep restarts.
-        per_angle = 1 if shooter.mirrored else 2
+        # One banded solve per angle, more only when a sweep restarts.
         if restarts:
-            assert len(solves) > per_angle * shooter.sweeps
+            assert len(solves) > shooter.sweeps
         else:
-            assert len(solves) == per_angle * shooter.sweeps
+            assert len(solves) == shooter.sweeps
 
     @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-slope", "inf-slope",
                                      "steep-slope", "negative-slope", "nan-slope"])
     def test_bad_start_recovers(self, bad, monkeypatch):
         # Level 2 at (0.05, 1) from a start that is wrong in one way each:
-        # another level's eigenvalue, min q/w, or a sweep at the start that
+        # another level's eigenvalue, min q, or a sweep at the start that
         # reports a wrong slope.
         mus, slp, _ = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=4)
         n = 2
-        ref = shooting_eigenvalue(slp, n)
+        ref = shooting_eigenvalue(Shooter(slp.q), n)
         # At steep-slope the first step is tiny, so only the angle check keeps
         # the search from stopping at lam0, off the root.
-        lam0 = {"next-level": mus[n + 1], "floor": Shooter(slp).qw_min,
+        lam0 = {"next-level": mus[n + 1], "floor": Shooter(slp.q).q_min,
                 "steep-slope": mus[n] * (1 + 1e-5)}.get(bad, mus[n])
         slope = {"zero-slope": 0.0, "inf-slope": math.inf, "steep-slope": 1e12,
                  "negative-slope": -1.0, "nan-slope": math.nan}.get(bad)
@@ -562,7 +567,7 @@ class TestSeededShooting:
             angle = Shooter._angle
             monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (
                 (angle(self, lam)[0], slope) if lam == lam0 else angle(self, lam)))
-        rep = shooting_eigenvalue(slp, n, start=lam0)
+        rep = shooting_eigenvalue(Shooter(slp.q), n, start=lam0)
         assert rep.eigenvalue == pytest.approx(ref.eigenvalue, rel=2e-10, abs=0)
         assert rep.mismatch <= ANGLE_TOL
         # No worse than no start at all.
@@ -574,13 +579,13 @@ class TestSeededShooting:
         monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (
             math.pi + math.atan(lam - 1.0),
             1e-3 if lam == 1.05 else 1.0 / (1.0 + (lam - 1.0) ** 2)))
-        shooter = Shooter(laplace_problem(51))
+        shooter = normal_form_shooter(0.0, 51)
         shooter.angle(0.9), shooter.angle(1.1)
         rep = shooting_eigenvalue(shooter, 0, start=1.05)
         swept = list(shooter._angles)
         # The step after 1.05 bisects its bracket (0.9, 1.05).
         assert swept[2:4] == [1.05, pytest.approx(0.975)]
-        # Nothing swept outside (0.9, 1.1) but the bracket's base, min q/w = 0.
+        # Nothing swept outside (0.9, 1.1) but the bracket's base, min q = 0.
         assert all(0.9 <= lam <= 1.1 for lam in swept if lam != 0.0)
         assert rep.eigenvalue == pytest.approx(1.0, abs=1e-9)
 
@@ -590,75 +595,98 @@ class TestSeededShooting:
         mus, slp, _ = _normal_form_solve(GupOscillatorParams(1.0, 0.05), k=2)
         monkeypatch.setattr(Shooter, "_angle", lambda self, lam: (0.5, 0.0))
         with pytest.raises(BracketError, match="no angle above"):
-            shooting_eigenvalue(slp, 1, start=mus[1])
+            shooting_eigenvalue(Shooter(slp.q), 1, start=mus[1])
 
 
-def _scalar_rk4_step(integ, lam, i, j):
-    """RK4 step from node i to the neighbouring node j, one float at a time."""
-    u, v = 0.6, -1.3
-    h = integ.h * (j - i)
-    im = min(i, j)
-    g0 = integ.q_n[i] - lam * integ.w_n[i]
-    gm = integ.q_m[im] - lam * integ.w_m[im]
-    g1 = integ.q_n[j] - lam * integ.w_n[j]
-    ic0, icm, ic1 = integ.ic_n[i], integ.ic_m[im], integ.ic_n[j]
-    k1u, k1v = v * ic0, g0 * u
-    k2u, k2v = (v + h / 2 * k1v) * icm, gm * (u + h / 2 * k1u)
-    k3u, k3v = (v + h / 2 * k2v) * icm, gm * (u + h / 2 * k2u)
-    k4u, k4v = (v + h * k3v) * ic1, g1 * (u + h * k3u)
-    return ((u, v), (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
-                     v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)))
+def _scalar_rk4_step(q_n, q_m, h, lam, i, j, u, v):
+    """RK4 step of -y'' + q y = lam y, (u, v) = (y, y'), from node i to the
+    neighbouring node j in either direction, one float at a time. q_n holds
+    q at the nodes, q_m at the step midpoints (q_m[k] between nodes k, k+1)."""
+    h = h * (j - i)
+    g0, gm, g1 = q_n[i] - lam, q_m[min(i, j)] - lam, q_n[j] - lam
+    k1u, k1v = v, g0 * u
+    k2u, k2v = v + h / 2 * k1v, gm * (u + h / 2 * k1u)
+    k3u, k3v = v + h / 2 * k2v, gm * (u + h / 2 * k2u)
+    k4u, k4v = v + h * k3v, g1 * (u + h * k3u)
+    return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+            v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-@pytest.mark.parametrize("start, stop", [(0, 200), (200, 0), (30, 140), (170, 60)])
-def test_step_matrix_matches_scalar_rk4(start, stop):
-    g = make_grid(-6, 6, 201)
-    integ = Shooter(gup_oscillator_sl(GupOscillatorParams(1.3, 0.2), g))
-    lam = 4.7
-    mats = integ.step_matrices(lam, start, stop)
-    step = 1 if stop > start else -1
-    assert all(m.size == abs(stop - start) for m in mats)
-    for k in (0, 1, 57, abs(stop - start) - 2, abs(stop - start) - 1):
-        i = start + k * step
-        (u, v), expected = _scalar_rk4_step(integ, lam, i, i + step)
+@pytest.mark.parametrize("eps", [0.0, 0.22, 1.2, pytest.param(BARRIER_EPS, id="barrier")])
+def test_step_matrix_matches_scalar_rk4(eps):
+    shooter = normal_form_shooter(eps, 201)
+    lam, u, v = 4.7, 0.6, -1.3
+    mats = shooter.step_matrices(lam)
+    assert all(m.size == 100 for m in mats)
+    q_n, q_m = shooter.q_n.tolist(), shooter.q_m.tolist()
+    for k in (0, 1, 57, 98, 99):
+        expected = _scalar_rk4_step(q_n, q_m, shooter.h, lam, k, k + 1, u, v)
         a, b, c, d = (m[k] for m in mats)
         got = (a * u + b * v, c * u + d * v)
         scale = max(abs(x) for x in expected)
         assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("eps", [0.13, 0.9])   # at 0.9 the grid ends are the singular points
-@pytest.mark.parametrize("backward", [False, True])
-def test_step_matrix_matches_scalar_rk4_normal_form(eps, backward):
-    shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, 2401)))
-    start, stop = (shooter.n - 1, 0) if backward else (0, shooter.n - 1)
-    step = 1 if stop > start else -1
-    for lam in (shooter.qw_min + x for x in (-10.0, 3.0, 1e3, 1e5)):
-        mats = shooter.step_matrices(lam, start, stop)
-        assert all(m.size == shooter.n - 1 for m in mats)
+# At 0.9 and in the barrier band the grid ends are the singular points.
+@pytest.mark.parametrize("eps", [0.13, 0.9, pytest.param(BARRIER_EPS, id="barrier")])
+def test_step_matrix_matches_scalar_rk4_normal_form(eps):
+    shooter = normal_form_shooter(eps, 2401)
+    q_n, q_m = shooter.q_n.tolist(), shooter.q_m.tolist()
+    u, v = 0.6, -1.3
+    for lam in (shooter.q_min + x for x in (-10.0, 3.0, 1e3, 1e5)):
+        mats = shooter.step_matrices(lam)
+        assert all(m.size == shooter.grid.n // 2 for m in mats)
         for k, (a, b, c, d) in enumerate(zip(*(m.tolist() for m in mats))):
-            i = start + k * step
-            (u, v), (u1, v1) = _scalar_rk4_step(shooter, lam, i, i + step)
+            u1, v1 = _scalar_rk4_step(q_n, q_m, shooter.h, lam, k, k + 1, u, v)
             # Each component against the size of the terms that make it up.
             assert abs(a * u + b * v - u1) <= 1e-12 * (abs(a * u) + abs(b * v))
             assert abs(c * u + d * v - v1) <= 1e-12 * (abs(c * u) + abs(d * v))
 
 
-def _loop_sweep(shooter, lam, start, stop):
-    """Reference for `Shooter._sweep`: the step matrices applied one step at a
-    time to Python floats, with w u^2 summed node by node (the last node at
-    half weight). Also returns how often the state was rescaled: past _CAP,
-    or below 1/_CAP in |u| + |v|."""
-    step = 1 if stop > start else -1
-    u, v = 0.0, float(step)
-    nodes = rescales = 0
+def _general_step_matrices(slp, lam):
+    """The RK4 step matrices of -(c y')' + q y = lam w y from node 0 to the
+    centre, by the closed form for any c and w (al = 1/c, g = q - lam w,
+    s = al_m g_m), summed in its order; c, q and w splined together."""
+    x, h, half = slp.grid.points, slp.grid.h, slp.grid.n // 2
+    c, q, w = slp.c.values, slp.q.values, slp.w.values
+    mids = _midpoint_spline(x, np.column_stack([c, q, w]))[:half]
+    al, g = 1.0 / c[:half + 1], q[:half + 1] - lam * w[:half + 1]
+    al_m, g_m = 1.0 / mids[:, 0], mids[:, 1] - lam * mids[:, 2]
+    g0, g1, al0, al1 = g[:-1], g[1:], al[:-1], al[1:]
+    s = al_m * g_m
+    h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * s, h**4 / 24.0 * s
+    return (1.0 + h2 * (al_m * g0 + s + al1 * g_m) + h4 * al1 * g0,
+            h / 6.0 * (al0 + 4.0 * al_m + al1) + h3 * (al0 + al1),
+            h / 6.0 * (g0 + 4.0 * g_m + g1) + h3 * (g0 + g1),
+            1.0 + h2 * (g_m * al0 + s + g1 * al_m) + h4 * g1 * al0)
+
+
+# At eps = 0.2 on 2401 points h/6 * 6 != h, so b must keep the form's h/6 * 6.
+@pytest.mark.parametrize("eps", [0.0, 0.13, 0.2, 0.9, pytest.param(BARRIER_EPS, id="barrier")])
+def test_step_matrices_equal_general_closed_form(eps):
+    # c = w = 1 written out in the general form's order of sums: every entry
+    # is the same to the bit, so are the sweeps built on them.
+    slp = normal_form_sl(eps, normal_form_grid(eps, 2401))
+    shooter = Shooter(slp.q)
+    for lam in (shooter.q_min + x for x in (-10.0, 3.0, 1e3, 1e5)):
+        for got, want in zip(shooter.step_matrices(lam), _general_step_matrices(slp, lam)):
+            assert np.array_equal(got, want)
+
+
+def _loop_sweep(step, m, v, h):
+    """Reference for `Shooter._sweep`: m steps (u, v) = step(k, u, v) from
+    (0, v), one at a time on Python floats, with u^2 summed node by node (the
+    last node at half weight). Also returns how often the sweep restarts: the
+    state is rescaled past _CAP, or below 1/_CAP in |u| + |v|, before the
+    last step (a last state is rescaled with no restart)."""
+    u = 0.0
+    nodes = restarts = 0
     norm = 0.0
     negative = None          # sign of the last nonzero u, None before the first
     cap = Shooter._CAP
-    mats = zip(*(m.tolist() for m in shooter.step_matrices(lam, start, stop)))
-    for i, (a, b, c, d) in zip(range(start + step, stop + step, step), mats):
-        u, v = a * u + b * v, c * u + d * v
-        norm += float(shooter.w_n[i]) * u * u * (0.5 if i == stop else 1.0)
+    for k in range(m):
+        u, v = step(k, u, v)
+        norm += u * u * (0.5 if k == m - 1 else 1.0)
         if u < 0.0:
             if negative is False:
                 nodes += 1
@@ -672,156 +700,164 @@ def _loop_sweep(shooter, lam, start, stop):
             u /= mag
             v /= mag
             norm /= mag * mag
-            rescales += 1
-    return u, v, nodes, shooter.h * norm, rescales
+            restarts += k < m - 1
+    return u, v, nodes, h * norm, restarts
+
+
+def _matrix_steps(shooter, lam):
+    """`_loop_sweep`'s step: the Shooter's step matrices at lam."""
+    a, b, c, d = (m.tolist() for m in shooter.step_matrices(lam))
+    return lambda k, u, v: (a[k] * u + b[k] * v, c[k] * u + d[k] * v)
 
 
 # (problem builder, whether a sweep must restart). At eps = 0.13,
-# kappa = 1/2 + 1/eps^2 is about 60 and the state grows past _CAP. On Swanson
-# at tau = 0, RK4 damps the state below 1/_CAP at min q/w + 1e5.
+# kappa = 1/2 + 1/eps^2 is about 60 and the state grows past _CAP. At eps = 0
+# on 1201 points, RK4 damps the state below 1/_CAP at min q + 1.5e4.
 SWEEP_PROBLEMS = (
     [pytest.param(partial(normal_form_sl, eps, normal_form_grid(eps, n)), eps == 0.13,
                   id=f"normal-form-eps{eps}-n{n}")
      for eps in (0.0, 0.13, 0.45, 0.9) for n in (201, 2401)]
-    + [pytest.param(partial(gup_oscillator_sl, GupOscillatorParams(1.0, 0.05),
-                            make_grid(-12, 12, 1201)), False, id="oscillator"),
-       pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, 0.05),
-                            make_grid(-10, 10, 1201)), False, id="swanson"),
-       pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, 0.0),
-                            make_grid(-10, 10, 1201)), True, id="swanson-tau0")]
+    + [pytest.param(partial(normal_form_sl, 0.0, normal_form_grid(0.0, 1201)), True,
+                    id="normal-form-eps0.0-n1201"),
+       pytest.param(partial(normal_form_sl, BARRIER_EPS, normal_form_grid(BARRIER_EPS, 1201)),
+                    False, id="barrier")]
 )
 
 
 @pytest.mark.parametrize("build, must_restart", SWEEP_PROBLEMS)
 def test_sweep_matches_loop(build, must_restart, monkeypatch):
-    shooter = Shooter(build())
+    shooter = Shooter(build().q)
     solves = []
     dtbtrs = solver.dtbtrs
     monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
                         solves.append(args) or dtbtrs(*args, **kwargs))
-    rescales = 0
-    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5]
-    for lam in (shooter.qw_min + x for x in offsets):
-        for start in (0, shooter.n - 1):
-            solves.clear()
-            u, v, nodes, norm = shooter._sweep(lam, start, shooter.match)
-            u_ref, v_ref, nodes_ref, norm_ref, restarts = _loop_sweep(
-                shooter, lam, start, shooter.match)
-            assert nodes == nodes_ref
-            assert norm == pytest.approx(norm_ref, rel=1e-12)
-            # The angle between the two final states, and their lengths: both
-            # were rescaled at the same steps.
-            assert abs(math.atan2(u * v_ref - v * u_ref, u * u_ref + v * v_ref)) <= 1e-12
-            assert math.hypot(u, v) == pytest.approx(math.hypot(u_ref, v_ref), rel=1e-12)
-            # One banded solve, and one more after each rescale.
-            assert len(solves) == 1 + restarts
-            rescales += restarts
+    total = 0
+    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 1e4, 1.5e4, 1e5]
+    for lam in (shooter.q_min + x for x in offsets):
+        solves.clear()
+        u, v, nodes, norm = shooter._sweep(lam)
+        u_ref, v_ref, nodes_ref, norm_ref, restarts = _loop_sweep(
+            _matrix_steps(shooter, lam), shooter.grid.n // 2, 1.0, shooter.h)
+        assert nodes == nodes_ref
+        assert norm == pytest.approx(norm_ref, rel=1e-12)
+        # The angle between the two final states, and their lengths: both
+        # were rescaled at the same steps.
+        assert abs(math.atan2(u * v_ref - v * u_ref, u * u_ref + v * v_ref)) <= 1e-12
+        assert math.hypot(u, v) == pytest.approx(math.hypot(u_ref, v_ref), rel=1e-12)
+        # One banded solve, and one more after each restart.
+        assert len(solves) == 1 + restarts
+        total += restarts
     if must_restart:
-        assert rescales > 0
+        assert total > 0
 
 
-# Even problems on odd grids centred on 0, matched at the centre node.
+def _two_sided_angle(slp, lam):
+    """Reference for `Shooter._angle`: explicit scalar RK4 sweeps
+    (`_scalar_rk4_step`) from both ends to the centre node, the right one
+    leftward from (u, v) = (0, -1), with q_m the whole grid's midpoint spline.
+
+    Returns both node counts, Theta = theta_L + theta_R with theta_R the
+    angle of the right state mirrored in v, and the sum of both sides'
+    dtheta/dlambda = int u^2 / (u^2 + v^2)."""
+    q = slp.q.values
+    q_n, q_m = q.tolist(), _midpoint_spline(slp.grid.points, q[:, None])[:, 0].tolist()
+    h, last, half = slp.grid.h, slp.grid.n - 1, slp.grid.n // 2
+    u_l, v_l, n_l, s_l, _ = _loop_sweep(
+        lambda k, u, v: _scalar_rk4_step(q_n, q_m, h, lam, k, k + 1, u, v), half, 1.0, h)
+    u_r, v_r, n_r, s_r, _ = _loop_sweep(
+        lambda k, u, v: _scalar_rk4_step(q_n, q_m, h, lam, last - k, last - k - 1, u, v),
+        half, -1.0, h)
+    return (n_l, n_r, _half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r),
+            s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r))
+
+
+# Even problems on odd grids centred on 0.
 MIRROR_PROBLEMS = (
     [pytest.param(partial(normal_form_sl, eps, normal_form_grid(eps, n)),
                   id=f"normal-form-eps{eps}-n{n}")
      for eps in (0.0, 0.13, 0.45, 0.9) for n in (201, 2401)]
-    + [pytest.param(partial(gup_oscillator_sl, GupOscillatorParams(1.0, tau),
-                            make_grid(-12, 12, 1201)), id=f"oscillator-tau{tau}")
-       for tau in (0.0, 0.05)]
-    + [pytest.param(partial(swanson_sl, SwansonParams(2.0, 0.3, 0.1, tau),
-                            make_grid(-10, 10, 1201)), id=f"swanson-tau{tau}")
-       for tau in (0.0, 0.05)]
-    + [pytest.param(lambda: _asymmetric(), id="p-squared")]
+    + [pytest.param(partial(normal_form_sl, BARRIER_EPS, normal_form_grid(BARRIER_EPS, 1201)),
+                    id="barrier")]
 )
 
 
 @pytest.mark.parametrize("build", MIRROR_PROBLEMS)
 def test_mirrored_angle_matches_two_sided(build):
-    # The angle from one left sweep against explicit left and right sweeps, at
-    # the levels' range and far above and below it. (At min q/w + 1e5 the Swanson
-    # tau = 0 state falls below 1/_CAP on 1201 points, so both routes rescale.)
-    shooter = Shooter(build())
-    assert shooter.mirrored and shooter.match == shooter.n // 2
+    # The angle from one left half-sweep against scalar sweeps from both
+    # ends, at the levels' range and far above and below it. (At min q + 1e5
+    # the states fall below 1/_CAP or pass _CAP, so both routes rescale.)
+    slp = build()
+    shooter = Shooter(slp.q)
     offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 3e3, 1e4, 1e5]
-    for lam in (shooter.qw_min + x for x in offsets):
+    for lam in (shooter.q_min + x for x in offsets):
         theta, slope = shooter._angle(lam)
-        u_l, v_l, n_l, s_l = shooter._sweep(lam, 0, shooter.match)
-        u_r, v_r, n_r, s_r = shooter._sweep(lam, shooter.n - 1, shooter.match)
+        n_l, n_r, two_sided, two_sided_slope = _two_sided_angle(slp, lam)
         assert n_l == n_r
-        assert abs(theta - (_half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r))) <= 1e-12
-        two_sided = s_l / (u_l * u_l + v_l * v_l) + s_r / (u_r * u_r + v_r * v_r)
-        assert slope == pytest.approx(two_sided, rel=1e-10)
+        assert abs(theta - two_sided) <= 1e-12
+        assert slope == pytest.approx(two_sided_slope, rel=1e-10)
 
 
-@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "two-sided"])
-def test_damped_state_is_rescaled(mirrored, monkeypatch):
-    # Far above the levels each RK4 step matrix has determinant about 0.26, so
-    # the state decays towards underflow. The sweep restarts below 1/_CAP: the
+def test_damped_state_is_rescaled(monkeypatch):
+    # Far above the levels (min q + 1.5e4 at h = 0.02) each RK4 step matrix
+    # has determinant about 0.25, so the state decays towards underflow. The sweep restarts below 1/_CAP: the
     # angle is finite and still rising, and the slope is the inf that _root
     # reads as no Newton step.
-    shooter = Shooter(swanson_sl(SwansonParams(2.0, 0.3, 0.1, 0.0), make_grid(-10, 10, 1201)))
-    assert shooter.mirrored
-    monkeypatch.setattr(shooter, "mirrored", mirrored)
+    shooter = normal_form_shooter(0.0, 1201)
     solves = []
     dtbtrs = solver.dtbtrs
     monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
                         solves.append(args) or dtbtrs(*args, **kwargs))
-    below, _ = shooter._angle(shooter.qw_min + 1e4)
+    below, _ = shooter._angle(shooter.q_min + 1e4)
     solves.clear()
-    theta, slope = shooter._angle(shooter.qw_min + 1e5)
-    assert len(solves) > (1 if mirrored else 2)
+    theta, slope = shooter._angle(shooter.q_min + 1.5e4)
+    assert len(solves) > 1
     assert below < theta < math.inf
     assert slope == math.inf
 
 
-def _asymmetric(q_scale=1.0, w_scale=1.0):
-    """p^2 on [-12, 12] with q, or w, scaled by another factor for p > 0
-    (even at the defaults): its minimum stays at the centre node 600 of 1201."""
-    g = make_grid(-12, 12, 1201)
-    return SturmLiouvilleProblem(c=constant(g, 1.0),
-                                 q=sample(g, lambda x: x * x * np.where(x > 0, q_scale, 1.0)),
-                                 w=sample(g, lambda x: np.where(x > 0, w_scale, 1.0)))
-
-
-def _normal_form_problem(params, n):
-    eps = params.normal_form().eps
-    return normal_form_sl(eps, normal_form_grid(eps, n))
-
-
-def _off_centre_box():
+def _off_centre_q():
     """(p - 1)^2 on [-3, 5], made an exact palindrome: even about p = 1, not
     about 0, so only the grid is asymmetric."""
     g = make_grid(-3, 5, 977)
     q = (g.points - 1.0) ** 2
-    return SturmLiouvilleProblem(c=constant(g, 1.0), q=SampledFunction(g, q + q[::-1]),
-                                 w=constant(g, 1.0))
+    return SampledFunction(g, q + q[::-1])
 
 
-@pytest.mark.parametrize("slp, centred", [
-    (gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-3, 5, 977)), False),
-    (_off_centre_box(), True),
-    (gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-12, 12, 1200)), False),
-    (_asymmetric(q_scale=2.0), True),
-    (_asymmetric(w_scale=1.5), True),
-    # Swanson at tau = 0.6 is a double well: the match is off the centre.
-    (_normal_form_problem(SwansonParams(2.0, 0.3, 0.1, 0.6), 2401), False),
-], ids=["asymmetric-grid", "off-centre-box", "even-n", "asymmetric-q", "asymmetric-w",
-        "off-centre-match"])
-def test_not_mirrored(slp, centred):
-    # `centred`: matched at the centre node, so only the asymmetry (of the
-    # grid, of q or of w) keeps the sweep two-sided.
-    shooter = Shooter(slp)
-    assert (shooter.match == shooter.n // 2) is centred
-    assert not shooter.mirrored
+def _uneven_q(scale):
+    """x^2 on the normal-form grid [-12, 12] of 1201 points, times `scale` for x > 0."""
+    g = normal_form_grid(0.0, 1201)
+    return sample(g, lambda x: x * x * np.where(x > 0, scale, 1.0))
+
+
+@pytest.mark.parametrize("q, message", [
+    (normal_form_sl(0.0, normal_form_grid(0.0, 3)).q, "at least 5 points, got 3"),
+    (normal_form_sl(0.0, normal_form_grid(0.0, 4)).q, "at least 5 points, got 4"),
+    (normal_form_sl(0.0, normal_form_grid(0.0, 1200)).q, "odd grid .* got 1200"),
+    (gup_oscillator_sl(GupOscillatorParams(1.0, 0.05), make_grid(-3, 5, 977)).q,
+     "centred on 0"),
+    (_off_centre_q(), "centred on 0"),
+    (_uneven_q(2.0), "even q"),
+    (_uneven_q(1.0 + 2.0**-52), "even q"),
+], ids=["n3", "n4", "even-n", "asymmetric-grid", "off-centre-box", "uneven-q", "uneven-q-ulp"])
+def test_rejects_input_without_mirror_symmetry(q, message):
+    # The half-sweep stands for both ends only on an exact mirror image.
+    with pytest.raises(ValueError, match=message):
+        Shooter(q)
+
+
+def test_accepts_five_points():
+    # Five points: two RK4 steps to the centre, and the spline's 4 points.
+    shooter = normal_form_shooter(0.0, 5)
+    assert shooter.grid.n == 5 and all(m.size == 2 for m in shooter.step_matrices(1.0))
 
 
 def _spline_problems():
-    """The Shooter's problems on normal-form and momentum-space grids."""
+    """The normal-form and momentum-space problems whose columns are splined."""
     problems = {}
     # eps 0 and 0.13 use the box of half-width 12; from eps = pi/24 (0.131) on,
     # the grid is the whole interval, with its end-patched q.
     for eps in (0.0, 0.13, 0.2, 0.9, 1.4):
-        for n in (4, 301, 2401):
+        for n in (4, 5, 301, 2401):
             problems[f"normal-form-eps{eps}-n{n}"] = normal_form_sl(eps, normal_form_grid(eps, n))
     for n in (4, 1201):
         problems[f"oscillator-n{n}"] = gup_oscillator_sl(GupOscillatorParams(1.0, 0.05),
@@ -839,8 +875,8 @@ def _columns(slp):
 
 
 def _spline_cases():
-    """(x, y) pairs: the Shooter's coefficient columns on normal-form and
-    momentum-space grids, and random data on seeded non-uniform grids."""
+    """(x, y) pairs: coefficient columns on normal-form and momentum-space
+    grids, and random data on seeded non-uniform grids."""
     cases = {name: _columns(slp) for name, slp in SPLINE_PROBLEMS.items()}
     rng = np.random.default_rng(7)
     for n in (4, 5, 97):
@@ -858,15 +894,22 @@ def test_midpoint_spline_equals_cubic_spline(x, y):
     assert np.array_equal(_midpoint_spline(x, y), CubicSpline(x, y)(mids))
 
 
-@pytest.mark.parametrize("slp", SPLINE_PROBLEMS.values(), ids=SPLINE_PROBLEMS.keys())
+# The normal-form problems a Shooter takes: odd grids.
+SHOOTER_PROBLEMS = {name: slp for name, slp in SPLINE_PROBLEMS.items()
+                    if name.startswith("normal-form") and slp.grid.n % 2}
+
+
+@pytest.mark.parametrize("slp", SHOOTER_PROBLEMS.values(), ids=SHOOTER_PROBLEMS.keys())
 def test_shooter_midpoints_equal_full_spline(slp):
-    # The Shooter splines only the columns that vary; a constant column's
-    # midpoints are its value, as the spline of all three columns gives them.
+    # The Shooter splines q alone and keeps its left half. The spline of all
+    # three columns has c and w midpoints of exactly 1, so writing 1/c = 1 and
+    # w = 1 out changes no bit.
     c_m, q_m, w_m = _midpoint_spline(*_columns(slp)).T
-    shooter = Shooter(slp)
-    assert np.array_equal(shooter.q_m, q_m)
-    assert np.array_equal(shooter.w_m, w_m)
-    assert np.array_equal(shooter.ic_m, 1.0 / c_m)
+    shooter = Shooter(slp.q)
+    half = slp.grid.n // 2
+    assert np.array_equal(shooter.q_n, slp.q.values[:half + 1])
+    assert np.array_equal(shooter.q_m, q_m[:half])
+    assert np.all(c_m == 1.0) and np.all(w_m == 1.0)
 
 
 def test_midpoint_spline_singular_system_is_solver_error():
@@ -896,8 +939,8 @@ LAPACK_SLP = normal_form_sl(LAPACK_EPS, normal_form_grid(LAPACK_EPS, 201))
 
 
 def _one_sweep():
-    shooter = Shooter(LAPACK_SLP)
-    shooter._sweep(shooter.qw_min + 2.0, 0, shooter.match)
+    shooter = Shooter(LAPACK_SLP.q)
+    shooter._sweep(shooter.q_min + 2.0)
 
 
 @pytest.mark.parametrize("name, run", [
