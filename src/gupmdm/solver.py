@@ -2,19 +2,20 @@
 
 Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
-pencil folded into its even and odd half blocks; bisection to an absolute
+pencil, folded into its even and odd half blocks; bisection to an absolute
 tolerance for the eigenvalues, inverse iteration for the eigenvectors when they
 are first read), and RK4 shooting on the even Liouville normal form
 -y'' + q y = mu y, one half-sweep from an end to the centre per trial
 eigenvalue. Shooting finds level n as the root of the Pruefer angle sum
-Theta(lambda) = (n + 1) pi, one monotone function for every level, memoized on
-a `Shooter`; each sweep writes its 2x2 RK4 step matrices in closed form with
-numpy and applies them in one banded triangular solve (LAPACK dtbtrs), and
-returns dTheta/dlambda with Theta by Pruefer's identity. The root search is
-safeguarded Newton (as in Numerical Recipes' rtsafe), started from a matrix
-eigenvalue alone where there is one, that falls back to the bisection and the
-false position of the bracket of the angles already computed when a step would
-leave it. Richardson extrapolation rounds out the toolbox.
+Theta(lambda) = (n + 1) pi, one function for every level, monotone up to RK4's
+stability bound and memoized on a `Shooter`; each sweep writes its 2x2 RK4 step
+matrices in closed form with numpy and applies them in one banded triangular
+solve (LAPACK dtbtrs), and returns dTheta/dlambda with Theta by Pruefer's
+identity. The root search is safeguarded Newton (as in Numerical Recipes'
+rtsafe), started from a matrix eigenvalue alone where there is one, that falls
+back to the bisection and the false position of the bracket of the angles
+already computed when a step would leave it. Richardson extrapolation rounds
+out the toolbox.
 
 The four LAPACK routines (dstebz, dstein, dgtsv, dtbtrs) come from scipy's
 compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the same
@@ -142,16 +143,16 @@ def _unfold(z: np.ndarray) -> np.ndarray:
 def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     """Lowest k generalized eigenpairs of A phi = lam B phi.
 
-    Symmetrized with B^(-1/2) to T. Where T is palindromic (an even problem
-    on a grid centred on 0) it is folded into its even and odd half blocks
-    (`_fold`). LAPACK dstebz bisects for the k lowest eigenvalues to the
-    absolute tolerance ABSTOL, in split-block order; dstein's inverse
-    iteration computes their eigenvectors only when the spectrum's
-    `eigenfunctions` are first read, as in `eigh_tridiagonal(select="i",
-    tol=ABSTOL)` on the pencil dstebz saw. Eigenfunctions are normalized to
+    Takes only a palindromic pencil of at least 2 rows, as an even problem on
+    a grid centred on 0 gives (`Shooter`'s input rule): symmetrized with
+    B^(-1/2) to T, T must equal its reversal, or ValueError. T is folded into
+    its even and odd half blocks (`_fold`); LAPACK dstebz bisects for the k
+    lowest eigenvalues to the absolute tolerance ABSTOL, in split-block order,
+    and dstein's inverse iteration computes their eigenvectors only when the
+    spectrum's `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
+    tol=ABSTOL)` does on the folded pencil. Eigenfunctions are normalized to
     integral phi^2 w dp = 1 (trapezoid rule), each with its largest-magnitude
-    component made positive (the leftmost of an odd level's two equal
-    extremes).
+    component made positive (the leftmost of an odd level's two extremes).
 
     Raises SolverError when two of the k eigenvalues are closer than
     ulp * ||T|| (Gershgorin bound), dstebz's own resolution at abstol 0: the
@@ -162,12 +163,12 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
         raise ValueError(f"need 1 <= k <= {m}, got {k}")
     s = 1.0 / np.sqrt(pair.b_diag)
     diag_t = np.asarray_chkfinite(pair.diag * s * s)
-    # The LAPACK wrappers want an off-diagonal of length >= 1; at m = 1 they read none.
     # s_i s_i+1 is formed first, so a palindromic pencil gives a palindromic off_t.
-    off_t = np.asarray_chkfinite(pair.offdiag * (s[:-1] * s[1:])) if m > 1 else np.zeros(1)
-    folded = (m > 1 and np.array_equal(diag_t, diag_t[::-1])
-              and np.array_equal(off_t, off_t[::-1]))
-    d, e = _fold(diag_t, off_t) if folded else (diag_t, off_t)
+    off_t = np.asarray_chkfinite(pair.offdiag * (s[:-1] * s[1:]))
+    if m < 2 or not (np.array_equal(diag_t, diag_t[::-1]) and np.array_equal(off_t, off_t[::-1])):
+        raise ValueError(f"eigen_solve needs a palindromic pencil of at least 2 rows (an even "
+                         f"problem on a grid centred on 0); this one has {m}")
+    d, e = _fold(diag_t, off_t)
     # range 2 ("I") selects the eigenvalues of indices 1..k.
     found, vals, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, ABSTOL, "B")
     if info != 0 or found < k:
@@ -176,7 +177,7 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     vals = vals[:k]
     order = np.argsort(vals)
     lams = vals[order]
-    radius = np.abs(np.append(e[:m - 1], 0.0))
+    radius = np.abs(np.append(e, 0.0))
     resolution = np.finfo(float).eps * float(np.max(np.abs(d) + radius + np.roll(radius, 1)))
     gap = np.diff(lams)
     if np.any(gap <= resolution):
@@ -184,20 +185,18 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
         raise SolverError(f"eigenvalues {lams[j]:.12g} and {lams[j + 1]:.12g} are not strictly "
                           f"ascending beyond ulp*||T|| = {resolution:.3g}: the grid does not "
                           "resolve them")
-    vectors = partial(_eigenfunctions, pair.problem.grid, s, d, e, folded,
-                      vals, iblock, isplit, order)
+    vectors = partial(_eigenfunctions, pair.problem.grid, s, d, e, vals, iblock, isplit, order)
     return Spectrum(eigenvalues=lams, compute_eigenfunctions=vectors)
 
 
-def _eigenfunctions(grid: Grid, s, d, e, folded, vals, iblock, isplit, order):
-    """`eigen_solve`'s eigenfunctions: dstein on its dstebz output, unfolded
-    where the pencil was folded, then B^(-1/2)."""
+def _eigenfunctions(grid: Grid, s, d, e, vals, iblock, isplit, order):
+    """`eigen_solve`'s eigenfunctions: dstein on its folded dstebz output,
+    mirrored back to T's vectors (`_unfold`), then B^(-1/2)."""
     vecs, info = dstein(d, e, vals, iblock, isplit)
     if info != 0:
         raise SolverError(f"{info} of {vals.size} eigenvectors failed to converge "
                           f"(dstein info {info})")
-    if folded:
-        vecs = _unfold(vecs)
+    vecs = _unfold(vecs)
     funcs = []
     for j in order:
         phi = np.zeros(grid.n)
@@ -257,6 +256,9 @@ REL_TOL = 1e-10
 ANGLE_TOL = 1e-6
 # Steps (one sweep each) a root search may take before it raises BracketError.
 MAX_STEPS = 100
+# RK4 is stable on y'' = -k^2 y only for (k h)^2 <= 8: past min q + 8/h^2 Theta
+# is not monotone in lambda, so no root search sweeps there.
+RK4_REACH = 8.0
 
 
 def _midpoint_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -440,13 +442,14 @@ class Shooter:
 def _root(shooter: Shooter, target: float, lam: float) -> float:
     """Root of Theta = target by Newton steps kept inside a bracket (rtsafe).
 
-    Starts at lam, or at min q when lam is not finite; each step is
-    Newton's, from the slope dTheta/dlambda that came with the angle. A
-    step is taken while it lands strictly inside the bracket of the memoized
-    angles, whose lower end is min q (Theta < pi there, as q - lam >= 0
-    keeps both solutions from turning) until an angle below the target is
-    known. Otherwise the search sweeps min q while no angle lies below the
-    target, doubles the reach from min q (plus one gap) while none lies
+    Starts at lam, or at min q when lam is not finite or lies above the reach
+    min q + RK4_REACH / h^2, where no sweep goes; each step is Newton's, from
+    the slope dTheta/dlambda that came with the angle. A step is taken while
+    it lands strictly inside the bracket of the memoized angles, whose lower
+    end is min q (Theta < pi there, as q - lam >= 0 keeps both solutions
+    from turning) until an angle below the target is known. Otherwise the
+    search sweeps min q while no angle lies below the target, doubles the
+    distance from min q (plus one gap), up to the reach, while none lies
     above it, or else takes the bracket's midpoint and false-position point
     by turns (Newton overshoots a root that sits next to an end, and
     bisection nears it one halving a step). Returns lam once a step is at most
@@ -455,7 +458,8 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
     """
     base, angles = shooter.q_min, shooter._angles
     gap = max(1.0, abs(base) * 0.5)
-    if not math.isfinite(lam):
+    reach = base + RK4_REACH / shooter.h**2
+    if not (math.isfinite(lam) and lam <= reach):
         lam = base
     theta, slope = shooter.angle(lam), angles[lam][1]
     false_position = False
@@ -472,7 +476,10 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
         if lo is not None and hi - lo <= tol:
             return min((lo, hi), key=lambda x: abs(angles[x][0] - target))
         low = base if lo is None else lo
-        top = hi if hi < math.inf else 2.0 * low - base + gap
+        top = hi if hi < math.inf else min(2.0 * low - base + gap, reach)
+        if top <= low:
+            raise BracketError(f"no angle above {target:.6g} below RK4's stability bound "
+                               f"min(q) + {RK4_REACH:g}/h^2 = {reach:g}")
         new = lam + step
         if not low < new < top:
             if lo is None or hi == math.inf:
@@ -502,10 +509,10 @@ def shooting_eigenvalue(
     to share its sweeps, which also bracket later levels.
 
     Raises BracketError when the angle at min q already exceeds the
-    target, MAX_STEPS steps find no angle above it or no root, or the root
-    misses the target angle by more than ANGLE_TOL (a jump in Theta, as on a
-    grid too coarse for the level). `iterations` counts the angles this call
-    swept (`Shooter.sweeps`).
+    target, no angle up to min q + RK4_REACH / h^2 or in MAX_STEPS steps lies
+    above it, no root is found, or the root misses the target angle by more
+    than ANGLE_TOL (a jump in Theta, as on a grid too coarse for the level).
+    `iterations` counts the angles this call swept (`Shooter.sweeps`).
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")

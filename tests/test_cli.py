@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,10 +36,12 @@ class TestConfig:
     def test_round_trip(self):
         text = ("model = swanson\nomega = 2\ntau = 0.050000000000000003\n"
                 "alpha = 0.29999999999999999\nbeta = 0.10000000000000001\n"
-                "n = 401\nk = 4\nformat = json\nplot = false\n")
+                "n = 401\nk = 4\nformat = json\nplot = false\nout = 1.csv\n")
         cfg = RunConfig(model="swanson", omega=2.0, alpha=0.3, beta=0.1,
-                        tau=0.05, n=401, k=4, format="json")
-        assert config_from_sources(parse_config_text(text), {}) == cfg
+                        tau=0.05, n=401, k=4, format="json", out="1.csv")
+        parsed = config_from_sources(parse_config_text(text), {})
+        assert parsed == cfg
+        assert (type(parsed.omega), type(parsed.n)) == (float, int)
 
     def test_cli_flags_win_over_file(self):
         file_values = parse_config_text("omega = 2.0\nn = 301\n")
@@ -57,6 +60,23 @@ class TestConfig:
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
             config_from_sources({"omega": "abc"}, {})
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("plot", "maybe", "cannot parse boolean plot = 'maybe'"),
+        ("n", "1e3", "cannot parse n = '1e3'"),
+        ("k", "2.5", "cannot parse k = '2.5'"),
+        ("tau", "0.1.2", "cannot parse tau = '0.1.2'"),
+    ])
+    def test_unparsable_value_names_its_key(self, key, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_sources({key: raw}, {})
+
+    def test_unknown_sweep_param_is_usage_error(self, capsys):
+        # --param's choices are the one rule; argparse exits 2 before any solve.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", "n", "--start", "0", "--stop", "1", "--count", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'n'" in capsys.readouterr().err
 
     def test_pmax_rejected_outside_profile(self, tmp_path, capsys):
         # solve and sweep work in the normal form, which has no box to set.
@@ -354,6 +374,19 @@ class TestSolve:
         assert len(rows) == 6
         for n, row in enumerate(rows):
             assert float(row[2]) == pytest.approx(params.exact_energy(n), rel=1e-8)
+
+    def test_even_n_folds_at_a_coupling(self, capsys):
+        # n = 1200 gives an even number of matrix rows on the coarse grid, so
+        # the fold's even-row branch runs; both columns stay on the closed form.
+        params = GupOscillatorParams(omega=1.0, tau=0.05)
+        rc = main(["solve", "--tau", "0.05", "--n", "1200"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        assert len(rows) == 6
+        for n, row in enumerate(rows):
+            assert abs(float(row[2]) - params.exact_energy(n)) <= 1e-8
+            assert abs(float(row[3]) - params.exact_energy(n)) <= 1e-8
 
     def test_swanson_huge_weight_solves(self, capsys):
         # The p-space weight exp(delta p^2) grows fast here; the normal form
@@ -802,6 +835,14 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["passed"] is True
+        assert {tuple(c["tolerance"]) for c in payload["checks"]} == {(3.6, 4.4)}
+
+    @pytest.mark.parametrize("measured, passed", [(3.6, True), (4.0, True), (4.5, False),
+                                                  (math.nan, False)])
+    def test_interval_check(self, measured, passed):
+        check = cli._check("ratio", measured, (3.6, 4.4))
+        assert check["tolerance"] == [3.6, 4.4]
+        assert check["passed"] is passed
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 from functools import partial
@@ -188,18 +189,31 @@ SYMMETRIC_CASES = [
 SYMMETRIC_IDS = ["normal-form", "p-space-box-50", "swanson", "normal-form-even-n"]
 
 
+def _normal_form_with_q(n, scale):
+    """The eps = 0 normal form on n points with q = x^2 times `scale` for x > 0."""
+    slp = normal_form_sl(0.0, normal_form_grid(0.0, n))
+    q = sample(slp.grid, lambda x: x * x * np.where(x > 0, scale, 1.0))
+    return SturmLiouvilleProblem(c=slp.c, q=q, w=slp.w)
+
+
+@pytest.mark.parametrize("slp", [
+    gup_oscillator_sl(GupOscillatorParams(omega=1.0, tau=0.05), make_grid(-3, 5, 977)),
+    _normal_form_with_q(1201, 2.0),
+    # On h = 0.4 an ulp of q is an ulp of the diagonal, so it reaches T.
+    _normal_form_with_q(61, 1.0 + 2.0**-52),
+    laplace_problem(3),
+], ids=["asymmetric-box", "uneven-q", "uneven-q-ulp", "1-row-pencil"])
+def test_eigen_solve_rejects_pencil_without_mirror_symmetry(slp):
+    # Only an exact palindrome of at least 2 rows folds into half blocks.
+    with pytest.raises(ValueError, match="palindromic pencil of at least 2 rows"):
+        eigen_solve(discretize(slp), 1)
+
+
 class TestLazyEigenvectors:
-    @pytest.mark.parametrize("slp, k, fold", [
-        *((slp, k, True) for slp, k in SYMMETRIC_CASES),
-        # The box [-3, 5] is not centred on 0: the pencil is solved unfolded.
-        (gup_oscillator_sl(GupOscillatorParams(omega=1.0, tau=0.05), make_grid(-3, 5, 977)),
-         6, False),
-        # eigh_tridiagonal solves a 1x1 pencil without LAPACK.
-        (laplace_problem(3), 1, False),
-    ], ids=[*SYMMETRIC_IDS, "asymmetric-box", "1x1-pencil"])
-    def test_bit_identical_to_eigh_tridiagonal(self, slp, k, fold):
+    @pytest.mark.parametrize("slp, k", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+    def test_bit_identical_to_eigh_tridiagonal(self, slp, k):
         pair = discretize(slp)
-        vals, funcs = eigh_tridiagonal_reference(pair, k, fold)
+        vals, funcs = eigh_tridiagonal_reference(pair, k, fold=True)
         spec = eigen_solve(pair, k)
         assert np.array_equal(spec.eigenvalues, vals)
         assert len(spec.eigenfunctions) == k
@@ -464,6 +478,28 @@ class TestShooting:
         monkeypatch.setattr(solver, "MAX_STEPS", 2)
         with pytest.raises(BracketError, match="no root of Theta = 3.14159 after 2 steps"):
             shooting_eigenvalue(normal_form_shooter(0.0, 51), 0)
+
+    def test_no_level_above_rk4_stability_bound(self):
+        # On h = 0.4 RK4 is stable only up to lam = min q + 8/h^2 = 50. Past it
+        # Theta is not monotone: searched on the sweeps of levels 0..21, level
+        # 24 returned 68.7558, where mu_24 = 49 and the matrix gives 36.41.
+        shooter = normal_form_shooter(0.0, 61)
+        reach = shooter.q_min + solver.RK4_REACH / shooter.h**2
+        assert reach == pytest.approx(50.0)
+        found = {}
+        for n in range(0, 25, 3):
+            with contextlib.suppress(BracketError):
+                found[n] = shooting_eigenvalue(shooter, n).eigenvalue
+        assert sorted(found) == [0, 3, 6]
+        assert max(shooter._angles) <= reach
+
+    @pytest.mark.parametrize("n", [8, 60])
+    def test_bracket_error_at_rk4_stability_bound(self, n):
+        # h = 0.8: no angle below min q + 8/h^2 = 12.5 reaches (n + 1) pi.
+        shooter = normal_form_shooter(0.0, 31)
+        with pytest.raises(BracketError, match="below RK4's stability bound"):
+            shooting_eigenvalue(shooter, n, start=1e3)
+        assert max(shooter._angles) == shooter.q_min + solver.RK4_REACH / shooter.h**2
 
     @pytest.mark.parametrize("tau, omega", [(0.05, 1.0), (0.1, 2.0)])
     def test_closed_form_on_wide_box(self, tau, omega):
