@@ -2,8 +2,9 @@
 
 Everything in here is immutable after construction, and operations are pure
 functions. The one deferred value is `Spectrum.eigenfunctions`: computed on
-first read, then cached, so a caller that reads only the eigenvalues never
-pays for the eigenvectors. Its computation is deterministic, so values can
+first read, then cached, so a caller that reads only the eigenvalues keeps no
+eigenvectors (a seeded solve computes some to find its eigenvalues, and keeps
+none). Its computation is deterministic, so values can
 still be shared freely across threads.
 """
 
@@ -188,7 +189,8 @@ class Spectrum:
     """Ascending eigenvalues with weight-normalized eigenfunctions.
 
     The eigenvalues are checked at construction. `compute_eigenfunctions`
-    runs on the first read of `eigenfunctions`, whose result is cached.
+    runs on the first read of `eigenfunctions`, whose result is cached; until
+    then the spectrum holds no eigenvectors.
     """
 
     eigenvalues: np.ndarray

@@ -3,7 +3,8 @@
 Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
 pencil, folded into its even and odd half blocks; bisection to an absolute
-tolerance for the eigenvalues, inverse iteration for the eigenvectors when they
+tolerance for the eigenvalues, or, given estimates of them, Rayleigh quotients
+certified to that tolerance; inverse iteration for the eigenvectors when they
 are first read), and RK4 shooting on the even Liouville normal form
 -y'' + q y = mu y, one half-sweep from an end to the centre per trial
 eigenvalue. Shooting finds level n as the root of the Pruefer angle sum
@@ -15,10 +16,10 @@ identity. The root search is safeguarded Newton (as in Numerical Recipes'
 rtsafe), started from a matrix eigenvalue alone where there is one, that falls
 back to the bisection and the false position of the bracket of the angles
 already computed when a step would leave it. Richardson extrapolation rounds
-out the toolbox.
+out the toolbox; its fine grid is seeded with the coarse grid's levels.
 
-The four LAPACK routines (dstebz, dstein, dgtsv, dtbtrs) come from scipy's
-compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the same
+The five LAPACK routines (dstebz, dstein, dpttrf, dgtsv, dtbtrs) come from
+scipy's compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
 wrappers `scipy.linalg.lapack` re-exports, so the numbers are the same, without
 the `scipy.linalg` package init, which imports numpy.testing, unittest and
 numpy.random and is most of a fresh process's start-up.
@@ -68,7 +69,8 @@ def _load_flapack(directory: str) -> ModuleType:
 # `import scipy` alone does not import scipy.linalg; it sets up the wheel's
 # bundled library path where a platform needs one.
 _flapack = _load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
-dgtsv, dstebz, dstein, dtbtrs = _flapack.dgtsv, _flapack.dstebz, _flapack.dstein, _flapack.dtbtrs
+dgtsv, dpttrf, dstebz, dstein, dtbtrs = (_flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz,
+                                         _flapack.dstein, _flapack.dtbtrs)
 
 
 class BracketError(SolverError):
@@ -140,7 +142,48 @@ def _unfold(z: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
+def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
+    """(rho, iblock, isplit): the k = near.size lowest eigenvalues of `_fold`'s
+    (d, e) as the Rayleigh quotients rho_j of dstein's unit vectors at `near`,
+    level j in the even block for even j and the odd block for odd j, in
+    dstein's block order and with its block arrays; or None.
+
+    None unless k >= 2, `near` ascends and the result is certified: the
+    intervals rho_j +- r_j (r_j = ||T z_j - rho_j z_j||) are disjoint inside
+    (lo, hi], half a gap beyond the outer rho's; T - lo I is positive definite
+    (dpttrf), so no eigenvalue is <= lo; dstebz counts k eigenvalues in
+    (lo, hi]; so each interval holds exactly one of the k lowest, and its
+    Kato-Temple bound r_j^2 / gap_j (Kato, J. Phys. Soc. Japan 4, 334 (1949))
+    is at most ABSTOL.
+    """
+    k, m = near.size, d.size
+    if k < 2 or not np.all(np.diff(near) > 0):
+        return None
+    levels = np.r_[0:k:2, 1:k:2]                # grouped by block, as dstein wants
+    iblock, isplit = np.zeros(m, np.int32), np.zeros(m, np.int32)
+    iblock[:k] = 1 + levels % 2
+    isplit[:2] = m - m // 2, m
+    z, info = dstein(d, e, near[levels], iblock, isplit)
+    if info != 0:
+        return None
+    tz = d[:, None] * z
+    tz[:-1] += e[:, None] * z[1:]
+    tz[1:] += e[:, None] * z[:-1]
+    rho = np.einsum("ij,ij->j", z, tz)
+    lam, r = np.empty(k), np.empty(k)
+    lam[levels], r[levels] = rho, np.linalg.norm(tz - rho * z, axis=0)
+    lo, hi = 1.5 * lam[0] - 0.5 * lam[1], 1.5 * lam[-1] - 0.5 * lam[-2]
+    a, b = np.append(lo, lam[:-1] + r[:-1]), np.append(lam[1:] - r[1:], hi)
+    if not (np.all(a < lam - r) and np.all(lam + r <= b) and np.all(
+            r * r <= ABSTOL * np.minimum(lam - a, b - lam))):
+        return None
+    # dstebz's range 1 ("V") counts (lo, hi]; at tol inf it bisects no further.
+    if dpttrf(d - lo, e)[2] != 0 or dstebz(d, e, 1, lo, hi, 0, 0, math.inf, "B")[::4] != (k, 0):
+        return None
+    return rho, iblock, isplit
+
+
+def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
     """Lowest k generalized eigenpairs of A phi = lam B phi.
 
     Takes only a palindromic pencil of at least 2 rows, as an even problem on
@@ -150,9 +193,17 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     lowest eigenvalues to the absolute tolerance ABSTOL, in split-block order,
     and dstein's inverse iteration computes their eigenvectors only when the
     spectrum's `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
-    tol=ABSTOL)` does on the folded pencil. Eigenfunctions are normalized to
-    integral phi^2 w dp = 1 (trapezoid rule), each with its largest-magnitude
-    component made positive (the leftmost of an odd level's two extremes).
+    tol=ABSTOL)` does on the folded pencil.
+
+    `near`, k ascending estimates of the levels, changes the cost, not the
+    levels found (as `shooting_eigenvalue`'s `start`): where `_polish`
+    certifies the Rayleigh quotients of dstein's vectors at `near` to ABSTOL,
+    they are the eigenvalues and no bisection runs; otherwise the result is
+    bit for bit the unseeded one. A `near` of another size is a ValueError.
+
+    Eigenfunctions are normalized to integral phi^2 w dp = 1 (trapezoid rule),
+    each with its largest-magnitude component made positive (the leftmost of
+    an odd level's two extremes).
 
     Raises SolverError when two of the k eigenvalues are closer than
     ulp * ||T|| (Gershgorin bound), dstebz's own resolution at abstol 0: the
@@ -161,6 +212,10 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
     m = pair.diag.size
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}, got {k}")
+    if near is not None:
+        near = np.asarray(near, dtype=float)
+        if near.shape != (k,):
+            raise ValueError(f"near needs one estimate per level, {k}; got shape {near.shape}")
     s = 1.0 / np.sqrt(pair.b_diag)
     diag_t = np.asarray_chkfinite(pair.diag * s * s)
     # s_i s_i+1 is formed first, so a palindromic pencil gives a palindromic off_t.
@@ -169,12 +224,16 @@ def eigen_solve(pair: DiscretizedPair, k: int) -> Spectrum:
         raise ValueError(f"eigen_solve needs a palindromic pencil of at least 2 rows (an even "
                          f"problem on a grid centred on 0); this one has {m}")
     d, e = _fold(diag_t, off_t)
-    # range 2 ("I") selects the eigenvalues of indices 1..k.
-    found, vals, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, ABSTOL, "B")
-    if info != 0 or found < k:
-        raise SolverError(f"tridiagonal bisection found {found} of {k} eigenvalues "
-                          f"(dstebz info {info})")
-    vals = vals[:k]
+    seeded = None if near is None else _polish(d, e, near)
+    if seeded is None:
+        # range 2 ("I") selects the eigenvalues of indices 1..k.
+        found, vals, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, ABSTOL, "B")
+        if info != 0 or found < k:
+            raise SolverError(f"tridiagonal bisection found {found} of {k} eigenvalues "
+                              f"(dstebz info {info})")
+        vals = vals[:k]
+    else:
+        vals, iblock, isplit = seeded
     order = np.argsort(vals)
     lams = vals[order]
     radius = np.abs(np.append(e, 0.0))
@@ -210,9 +269,9 @@ def _eigenfunctions(grid: Grid, s, d, e, vals, iblock, isplit, order):
     return funcs
 
 
-def solve_sl(slp: SturmLiouvilleProblem, k: int) -> Spectrum:
-    """Convenience wrapper: discretize then eigensolve."""
-    return eigen_solve(discretize(slp), k)
+def solve_sl(slp: SturmLiouvilleProblem, k: int, near=None) -> Spectrum:
+    """Convenience wrapper: discretize then eigensolve (`near` as in `eigen_solve`)."""
+    return eigen_solve(discretize(slp), k, near)
 
 
 def richardson(e_h: float, e_h2: float) -> float:
@@ -229,10 +288,13 @@ def solve_extrapolated(
     """Lowest k eigenvalues of build(grid) and build(grid.refined()), extrapolated.
 
     Returns the Richardson values with the fine-grid problem and its spectrum.
+    The coarse eigenvalues seed the fine solve (`eigen_solve`'s `near`), so
+    the fine levels are certified Rayleigh quotients, or bisected where the
+    seeds are not good enough.
     """
     coarse = solve_sl(build(grid), k)
     fine_slp = build(grid.refined())
-    fine = solve_sl(fine_slp, k)
+    fine = solve_sl(fine_slp, k, coarse.eigenvalues)
     return richardson(coarse.eigenvalues, fine.eigenvalues), fine_slp, fine
 
 

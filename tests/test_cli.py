@@ -284,10 +284,11 @@ class TestSolve:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("plot, calls", [(False, 0), (True, 1)])
+    @pytest.mark.parametrize("plot, calls", [(False, 1), (True, 2)])
     def test_dstein_runs_only_for_plot(self, plot, calls, dstein_calls, tmp_path):
-        # Shooting starts from the matrix eigenvalues alone, so only the
-        # --plot table reads the eigenvectors.
+        # The fine grid's levels, seeded by the coarse ones, take one dstein
+        # call; shooting starts from the matrix eigenvalues alone, so only the
+        # --plot table reads the eigenvectors, with one more.
         argv = ["solve", *FAST, "--out", str(tmp_path / "run.csv")]
         assert main(argv + ["--plot"] * plot) == 0
         assert len(dstein_calls) == calls
@@ -387,6 +388,18 @@ class TestSolve:
         for n, row in enumerate(rows):
             assert abs(float(row[2]) - params.exact_energy(n)) <= 1e-8
             assert abs(float(row[3]) - params.exact_energy(n)) <= 1e-8
+
+    def test_fine_levels_closer_than_bisection_at_large_n(self, capsys):
+        # At n = 50001 bisection stops near ulp * ||T||, 5.6e-9 (relative) off
+        # the closed form; the fine grid's Rayleigh quotients are not bound by it.
+        params = GupOscillatorParams(omega=1.0, tau=0.05)
+        rc = main(["solve", "--tau", "0.05", "--n", "50001"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        assert len(rows) == 6
+        for n, row in enumerate(rows):
+            assert abs(float(row[2]) / params.exact_energy(n) - 1.0) <= 1e-9
 
     def test_swanson_huge_weight_solves(self, capsys):
         # The p-space weight exp(delta p^2) grows fast here; the normal form

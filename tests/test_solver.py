@@ -177,15 +177,26 @@ def eigh_tridiagonal_reference(pair, k, fold):
     return vals, funcs
 
 
+def folded_levels(pair, k):
+    """The k lowest eigenvalues of the folded pencil, bisected to tol 1e-15."""
+    s = 1.0 / np.sqrt(pair.b_diag)
+    d, e, _ = fold_reference(pair.diag * s * s, pair.offdiag * (s[:-1] * s[1:]))
+    return np.sort(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                    select_range=(0, k - 1), tol=1e-15))
+
+
 NORMAL_FORM_EPS = GupOscillatorParams(omega=1.0, tau=0.05).normal_form().eps
-SYMMETRIC_CASES = [
-    (normal_form_sl(NORMAL_FORM_EPS, normal_form_grid(NORMAL_FORM_EPS, 1201)), 6),
-    (gup_oscillator_sl(GupOscillatorParams(omega=2.0, tau=0.1), make_grid(-50, 50, 4801)), 10),
-    (swanson_sl(SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05),
-                make_grid(-15, 15, 2401)), 10),
+# (build, grid, k); each case solves build(grid).
+SYMMETRIC_BUILDS = [
+    (partial(normal_form_sl, NORMAL_FORM_EPS), normal_form_grid(NORMAL_FORM_EPS, 1201), 6),
+    (partial(gup_oscillator_sl, GupOscillatorParams(omega=2.0, tau=0.1)),
+     make_grid(-50, 50, 4801), 10),
+    (partial(swanson_sl, SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05)),
+     make_grid(-15, 15, 2401), 10),
     # An even n gives an even number of rows, folded at a coupling, not a node.
-    (normal_form_sl(NORMAL_FORM_EPS, normal_form_grid(NORMAL_FORM_EPS, 1200)), 6),
+    (partial(normal_form_sl, NORMAL_FORM_EPS), normal_form_grid(NORMAL_FORM_EPS, 1200), 6),
 ]
+SYMMETRIC_CASES = [(build(grid), k) for build, grid, k in SYMMETRIC_BUILDS]
 SYMMETRIC_IDS = ["normal-form", "p-space-box-50", "swanson", "normal-form-even-n"]
 
 
@@ -235,12 +246,18 @@ class TestLazyEigenvectors:
             assert min(np.max(np.abs(phi.values - sign * ref)) for sign in signs) <= 1e-10 * scale
 
     def test_eigenvalues_alone_compute_no_vectors(self, dstein_calls):
+        # solve_sl computes no vectors; solve_extrapolated computes one set,
+        # on the fine pencil at the coarse eigenvalues, to seed its levels.
         params = GupOscillatorParams(omega=1.0, tau=0.05)
         g = make_grid(-10, 10, 401)
-        assert solve_sl(params.sl(g), 4).eigenvalues.size == 4
+        coarse = solve_sl(params.sl(g), 4)
+        assert coarse.eigenvalues.size == 4
+        assert dstein_calls == []
         lams, _, fine = solve_extrapolated(params.sl, g, 4)
         assert lams.size == fine.eigenvalues.size == 4
-        assert dstein_calls == []
+        [(d, _, w, _, _)] = dstein_calls
+        assert d.size == g.refined().n - 2
+        assert sorted(w) == coarse.eigenvalues.tolist()
 
     def test_eigenfunctions_computed_once(self, dstein_calls):
         spec = solve_sl(laplace_problem(), 3)
@@ -265,6 +282,101 @@ class TestLazyEigenvectors:
         monkeypatch.setattr(solver, "dstebz", failing)
         with pytest.raises(solver.SolverError, match=f"found {found} of 3 eigenvalues"):
             solve_sl(laplace_problem(), 3)
+
+
+@pytest.fixture
+def dstebz_ranges(monkeypatch):
+    """The range argument (1 for "V", 2 for "I") of every `solver.dstebz` call."""
+    ranges = []
+
+    def spy(d, e, rng, *args):
+        ranges.append(rng)
+        return real(d, e, rng, *args)
+
+    real = solver.dstebz
+    monkeypatch.setattr(solver, "dstebz", spy)
+    return ranges
+
+
+# Bad seeds of a k-level solve: (k, near) from the 8 lowest coarse levels of a case.
+BAD_SEEDS = {
+    "swapped-0-1": lambda near: (6, near[[1, 0, 2, 3, 4, 5]]),
+    "swapped-0-2": lambda near: (6, near[[2, 1, 0, 3, 4, 5]]),     # within one block
+    "shifted-by-a-gap": lambda near: (6, near[:6] + (near[1] - near[0])),
+    # Levels 2..7 have the parities of 0..5: only dpttrf sees the two below.
+    "levels-2-to-7": lambda near: (6, near[2:]),
+    "another-problem": lambda near: (6, solve_sl(SYMMETRIC_CASES[2][0], 6).eigenvalues),
+    "k-1": lambda near: (1, near[:1]),
+}
+
+
+class TestSeededSolve:
+    @pytest.mark.parametrize("build, grid, k", SYMMETRIC_BUILDS, ids=SYMMETRIC_IDS)
+    def test_coarse_levels_seed_fine_pencil(self, build, grid, k, dstebz_ranges):
+        # Seeded with the coarse levels, the fine levels are certified Rayleigh
+        # quotients: dstebz only counts over a range "V", bisects for none.
+        near = solve_sl(build(grid), k).eigenvalues
+        pair = discretize(build(grid.refined()))
+        dstebz_ranges.clear()
+        spec = eigen_solve(pair, k, near)
+        assert dstebz_ranges == [1]
+        assert np.max(np.abs(spec.eigenvalues - folded_levels(pair, k))) <= solver.ABSTOL
+        for phi, ref in zip(spec.eigenfunctions, eigen_solve(pair, k).eigenfunctions):
+            assert np.max(np.abs(phi.values - ref.values)) <= 1e-10 * np.max(np.abs(ref.values))
+
+    @pytest.mark.parametrize("bad", BAD_SEEDS)
+    def test_bad_seeds_give_unseeded_spectrum(self, bad, dstebz_ranges, dstein_calls):
+        build, grid, _ = SYMMETRIC_BUILDS[0]
+        k, near = BAD_SEEDS[bad](solve_sl(build(grid), 8).eigenvalues)
+        pair = discretize(build(grid.refined()))
+        plain = eigen_solve(pair, k)
+        dstebz_ranges.clear()
+        spec = eigen_solve(pair, k, near)
+        assert 2 in dstebz_ranges
+        assert np.array_equal(spec.eigenvalues, plain.eigenvalues)
+        for phi, ref in zip(spec.eigenfunctions, plain.eigenfunctions):
+            assert np.array_equal(phi.values, ref.values)
+        # dstein takes each block's eigenvalues ascending (else its input
+        # check prints an error), so seeds out of order never reach it.
+        for _, _, w, iblock, _ in dstein_calls:
+            blocks = iblock[:w.size]
+            assert all(np.all(np.diff(w[blocks == b]) > 0) for b in (1, 2))
+
+    @pytest.mark.parametrize("noise, info", [(0.0, 1), (1e-9, 0)],
+                             ids=["dstein-fails", "loose-vectors"])
+    def test_bad_vectors_fall_back_to_bisection(self, monkeypatch, noise, info):
+        # A dstein failure, or vectors whose Kato-Temple bound r^2 / gap
+        # exceeds ABSTOL (noise 1e-9 gives r ~ 4e-3 against gaps ~ 2), gives
+        # the bisected levels.
+        build, grid, k = SYMMETRIC_BUILDS[0]
+        near = solve_sl(build(grid), k).eigenvalues
+        pair = discretize(build(grid.refined()))
+        plain = eigen_solve(pair, k).eigenvalues
+
+        def loose(d, *args):
+            z, _ = real(d, *args)
+            return z + noise * np.sin(np.arange(d.size))[:, None], info
+
+        real = solver.dstein
+        monkeypatch.setattr(solver, "dstein", loose)
+        assert np.array_equal(eigen_solve(pair, k, near).eigenvalues, plain)
+
+    def test_even_row_pencil_seeded(self, dstebz_ranges):
+        # solve seeds only odd-row pencils (2n - 1 points); an even-row fold
+        # is certified too, here from its own levels off by 1e-3.
+        slp, k = SYMMETRIC_CASES[3]
+        pair = discretize(slp)
+        near = eigen_solve(pair, k).eigenvalues + 1e-3
+        dstebz_ranges.clear()
+        spec = eigen_solve(pair, k, near)
+        assert dstebz_ranges == [1]
+        assert np.max(np.abs(spec.eigenvalues - folded_levels(pair, k))) <= solver.ABSTOL
+
+    @pytest.mark.parametrize("near", [[1.0, 2.0], np.ones((6, 1)), []],
+                             ids=["short", "column", "empty"])
+    def test_near_of_wrong_size_is_value_error(self, near):
+        with pytest.raises(ValueError, match="near needs one estimate per level"):
+            eigen_solve(discretize(SYMMETRIC_CASES[0][0]), 6, near)
 
 
 @pytest.fixture
@@ -1036,7 +1148,10 @@ class TestRichardson:
         lams, fine_slp, fine = solve_extrapolated(params.sl, g1, 4)
         coarse = solve_sl(params.sl(g1), 4)
         assert fine_slp.grid == g1.refined()
-        assert fine.eigenvalues.tolist() == solve_sl(fine_slp, 4).eigenvalues.tolist()
+        # The fine levels, seeded by the coarse ones, are within ABSTOL of a
+        # tighter bisection.
+        ref = folded_levels(discretize(fine_slp), 4)
+        assert np.max(np.abs(fine.eigenvalues - ref)) <= solver.ABSTOL
         assert lams.tolist() == [
             richardson(float(a), float(b))
             for a, b in zip(coarse.eigenvalues, fine.eigenvalues)
