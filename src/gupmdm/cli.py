@@ -311,8 +311,10 @@ def _solve_rows(cfg: RunConfig):
 
     params = cfg.params()
     form = params.normal_form()
+    # The closed-form levels seed the coarse grid: a cost, not a bias (`solve_extrapolated`).
     mus, fine_slp, fine_spec = solve_extrapolated(
-        partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k
+        partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k,
+        form.exact_levels(cfg.k)
     )
     shooter = Shooter(fine_slp.q)
     rows = []

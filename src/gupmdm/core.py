@@ -3,9 +3,10 @@
 Everything in here is immutable after construction, and operations are pure
 functions. The one deferred value is `Spectrum.eigenfunctions`: computed on
 first read, then cached, so a caller that reads only the eigenvalues keeps no
-eigenvectors (a seeded solve computes some to find its eigenvalues, and keeps
-none). Its computation is deterministic, so values can
-still be shared freely across threads.
+eigenvectors (a seeded solve, as each grid of `gupmdm solve` is, computes k
+of them to certify its eigenvalues, and keeps none), and one that reads only
+`Spectrum.ground_state` computes one. Its computation is deterministic, so
+values can still be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -190,12 +191,14 @@ class Spectrum:
 
     The eigenvalues are checked at construction. `compute_eigenfunctions`
     runs on the first read of `eigenfunctions`, whose result is cached; until
-    then the spectrum holds no eigenvectors.
+    then the spectrum holds no eigenvectors. `compute_ground_state` computes
+    the level-0 eigenfunction alone for `ground_state`.
     """
 
     eigenvalues: np.ndarray
     compute_eigenfunctions: Callable[[], Sequence[SampledFunction]] = field(
         repr=False, compare=False)
+    compute_ground_state: Callable[[], SampledFunction] = field(repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -211,6 +214,15 @@ class Spectrum:
         if len(funcs) != self.eigenvalues.size:
             raise ValueError("one eigenfunction per eigenvalue required")
         return funcs
+
+    @cached_property
+    def ground_state(self) -> SampledFunction:
+        """eigenfunctions[0], by `compute_ground_state` alone while the
+        eigenfunctions are unread, so a caller that needs only level 0 pays
+        for one vector."""
+        if "eigenfunctions" in self.__dict__:
+            return self.eigenfunctions[0]
+        return self.compute_ground_state()
 
 
 def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:

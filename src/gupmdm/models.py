@@ -75,10 +75,16 @@ class NormalForm(NamedTuple):
         """The model's lam from a normal-form eigenvalue mu."""
         return self.b + self.sqrt_q * mu
 
-    def exact_eigenvalue(self, n: int) -> float:
-        """lam_n from mu_n = (2n+1)(1 + eps^2/2) + eps^2 n^2."""
+    def exact_levels(self, k: int) -> np.ndarray:
+        """The normal form's k lowest levels mu_n = (2n+1)(1 + eps^2/2) + eps^2 n^2
+        (Kempf, Mangano & Mann, Phys. Rev. D 52, 1108 (1995)), n = 0..k-1."""
         e2 = self.eps2
-        return self.eigenvalue((2 * n + 1) * (1.0 + 0.5 * e2) + e2 * n * n)
+        n = np.arange(k, dtype=float)
+        return (2.0 * n + 1.0) * (1.0 + 0.5 * e2) + e2 * n * n
+
+    def exact_eigenvalue(self, n: int) -> float:
+        """lam_n from `exact_levels`' mu_n."""
+        return self.eigenvalue(float(self.exact_levels(n + 1)[n]))
 
 
 def _normal_form(tau: float, s: float, b: float, k2: float) -> NormalForm:

@@ -16,7 +16,9 @@ identity. The root search is safeguarded Newton (as in Numerical Recipes'
 rtsafe), started from a matrix eigenvalue alone where there is one, that falls
 back to the bisection and the false position of the bracket of the angles
 already computed when a step would leave it. Richardson extrapolation rounds
-out the toolbox; its fine grid is seeded with the coarse grid's levels.
+out the toolbox; its fine grid is seeded with the coarse grid's levels, and
+its coarse grid with whatever estimates the caller has (`gupmdm solve` passes
+the normal form's closed-form levels), so neither grid need bisect.
 
 The five LAPACK routines (dstebz, dstein, dpttrf, dgtsv, dtbtrs) come from
 scipy's compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
@@ -193,7 +195,8 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
     lowest eigenvalues to the absolute tolerance ABSTOL, in split-block order,
     and dstein's inverse iteration computes their eigenvectors only when the
     spectrum's `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
-    tol=ABSTOL)` does on the folded pencil.
+    tol=ABSTOL)` does on the folded pencil. Its `ground_state`, read first, is
+    dstein's one vector at level 0, the same bits as eigenfunctions[0].
 
     `near`, k ascending estimates of the levels, changes the cost, not the
     levels found (as `shooting_eigenvalue`'s `start`): where `_polish`
@@ -244,8 +247,13 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
         raise SolverError(f"eigenvalues {lams[j]:.12g} and {lams[j + 1]:.12g} are not strictly "
                           f"ascending beyond ulp*||T|| = {resolution:.3g}: the grid does not "
                           "resolve them")
-    vectors = partial(_eigenfunctions, pair.problem.grid, s, d, e, vals, iblock, isplit, order)
-    return Spectrum(eigenvalues=lams, compute_eigenfunctions=vectors)
+    vectors = partial(_eigenfunctions, pair.problem.grid, s, d, e)
+    # Level 0 is vals[0], the lowest of the even block (T's off-diagonal is
+    # negative, so its ground state is even), which dstein takes first: its
+    # vector alone starts dstein's random stream as it does among all k.
+    return Spectrum(eigenvalues=lams,
+                    compute_eigenfunctions=partial(vectors, vals, iblock, isplit, order),
+                    compute_ground_state=lambda: vectors(vals[:1], iblock, isplit, order[:1])[0])
 
 
 def _eigenfunctions(grid: Grid, s, d, e, vals, iblock, isplit, order):
@@ -283,16 +291,23 @@ def richardson(e_h: float, e_h2: float) -> float:
 
 
 def solve_extrapolated(
-    build: Callable[[Grid], SturmLiouvilleProblem], grid: Grid, k: int
+    build: Callable[[Grid], SturmLiouvilleProblem], grid: Grid, k: int, near=None
 ) -> tuple[np.ndarray, SturmLiouvilleProblem, Spectrum]:
     """Lowest k eigenvalues of build(grid) and build(grid.refined()), extrapolated.
 
     Returns the Richardson values with the fine-grid problem and its spectrum.
-    The coarse eigenvalues seed the fine solve (`eigen_solve`'s `near`), so
-    the fine levels are certified Rayleigh quotients, or bisected where the
-    seeds are not good enough.
+    `near` seeds the coarse solve and the coarse eigenvalues the fine one
+    (`eigen_solve`'s `near`), so the levels of each grid are certified
+    Rayleigh quotients, or bisected where the seeds are not good enough.
+
+    A seed changes the cost, not the levels: the certificate checks that the
+    k intervals hold the k lowest eigenvalues of the discrete pencil itself
+    (dpttrf's inertia and dstebz's count) and bounds each level's distance to
+    its eigenvalue by ABSTOL (Kato-Temple). So seeds from a closed form, as
+    `gupmdm solve` passes, cannot pull the levels toward it, and the matrix
+    stays an independent check of that closed form.
     """
-    coarse = solve_sl(build(grid), k)
+    coarse = solve_sl(build(grid), k, near)
     fine_slp = build(grid.refined())
     fine = solve_sl(fine_slp, k, coarse.eigenvalues)
     return richardson(coarse.eigenvalues, fine.eigenvalues), fine_slp, fine

@@ -94,7 +94,7 @@ def _partner_spectrum_on_grid(tau: float, grid: Grid, k: int):
     slp = build_unweighted_problem(tau, grid)
     spec = solve_sl(slp, k + 1)
     xi = xi_gup(tau, grid)
-    theta = superpotential_from_ground_state(xi, spec.eigenfunctions[0])
+    theta = superpotential_from_ground_state(xi, spec.ground_state)
     rep = LadderRep(r=xi, s=theta)
     slp1 = SturmLiouvilleProblem(c=slp.c, q=slp.q + ladder_commutator(rep), w=slp.w)
     spec1 = solve_sl(slp1, k)

@@ -15,3 +15,17 @@ def dstein_calls(monkeypatch):
     real = solver.dstein
     monkeypatch.setattr(solver, "dstein", counted)
     return calls
+
+
+@pytest.fixture
+def dstebz_ranges(monkeypatch):
+    """The range argument (1 for "V", 2 for "I") of every `solver.dstebz` call."""
+    ranges = []
+
+    def spy(d, e, rng, *args):
+        ranges.append(rng)
+        return real(d, e, rng, *args)
+
+    real = solver.dstebz
+    monkeypatch.setattr(solver, "dstebz", spy)
+    return ranges

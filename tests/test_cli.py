@@ -25,7 +25,7 @@ from gupmdm.cli import (
     main,
     parse_config_text,
 )
-from gupmdm.core import SampledFunction, SturmLiouvilleProblem, make_grid
+from gupmdm.core import SampledFunction, Spectrum, SturmLiouvilleProblem, make_grid
 from gupmdm.models import GupOscillatorParams, gup_oscillator_sl, normal_form_grid, normal_form_sl
 from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue, solve_sl
 
@@ -284,14 +284,33 @@ class TestSolve:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("plot, calls", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("plot, calls", [(False, 2), (True, 3)])
     def test_dstein_runs_only_for_plot(self, plot, calls, dstein_calls, tmp_path):
-        # The fine grid's levels, seeded by the coarse ones, take one dstein
-        # call; shooting starts from the matrix eigenvalues alone, so only the
-        # --plot table reads the eigenvectors, with one more.
+        # The coarse grid's levels, seeded by the closed form, and the fine
+        # grid's, seeded by the coarse ones, take one dstein call each to
+        # certify; shooting starts from the matrix eigenvalues alone, so only
+        # the --plot table reads the eigenvectors, with one more.
         argv = ["solve", *FAST, "--out", str(tmp_path / "run.csv")]
         assert main(argv + ["--plot"] * plot) == 0
         assert len(dstein_calls) == calls
+
+    def test_default_solve_bisects_on_neither_grid(self, dstebz_ranges):
+        # The closed form seeds the coarse grid and the coarse levels the
+        # fine one: dstebz only counts over a range "V" on each.
+        assert main(["solve", "--out", os.devnull]) == 0
+        assert dstebz_ranges == [1, 1]
+
+    def test_k1_solve_is_unseeded_solve(self, monkeypatch, capsys, dstebz_ranges):
+        # `_polish` declines k < 2: both grids bisect (range "I"), and the
+        # rows are those of a solve given no seed, byte for byte.
+        assert main(["solve", "--k", "1"]) == 0
+        seeded = capsys.readouterr().out
+        assert dstebz_ranges == [2, 2]
+        real = solver.solve_extrapolated
+        monkeypatch.setattr(solver, "solve_extrapolated",
+                            lambda build, grid, k, near=None: real(build, grid, k))
+        assert main(["solve", "--k", "1"]) == 0
+        assert capsys.readouterr().out == seeded
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--n", "1000000000000"],
@@ -842,6 +861,18 @@ class TestVerify:
             "checks": [{"name": "too large", "measured": 2.0, "tolerance": 1.0,
                         "passed": False}],
         }
+
+    def test_susy_ground_state_alone_changes_no_byte(self, monkeypatch, capsys, dstein_calls):
+        # The partner check takes level 0's vector alone on each grid (the
+        # fine grid's mapped residuals then read all k + 1): its JSON is the
+        # one the first of all k + 1 vectors gives.
+        assert main(["verify", "susy"]) == 0
+        alone = capsys.readouterr().out
+        assert [w.size for _, _, w, _, _ in dstein_calls] == [1, 1, 6, 1, 1, 6]
+        monkeypatch.setattr(Spectrum, "ground_state",
+                            property(lambda self: self.eigenfunctions[0]))
+        assert main(["verify", "susy"]) == 0
+        assert capsys.readouterr().out == alone
 
     def test_vonroos_suite_passes(self, capsys):
         rc = main(["verify", "vonroos"])

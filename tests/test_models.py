@@ -229,6 +229,21 @@ class TestNormalForm:
         params = GupOscillatorParams(omega=omega, tau=tau)
         assert params.normal_form() == NormalForm(params.mu * params.mu, 0.0, tau)
 
+    @pytest.mark.parametrize("params", [GupOscillatorParams(omega=1.0, tau=0.0),
+                                        GupOscillatorParams(omega=0.3, tau=1.7),
+                                        SwansonParams(2.0, 0.3, 0.1, 0.05)],
+                             ids=["oscillator-0", "oscillator-1.7", "swanson"])
+    def test_exact_levels_are_exact_eigenvalue_formula(self, params):
+        # One formula, bit for bit: the levels exact_eigenvalue maps, and the
+        # scalar mu_n = (2n+1)(1 + eps^2/2) + eps^2 n^2 it used to compute inline.
+        form = params.normal_form()
+        e2 = form.eps2
+        levels = form.exact_levels(40)
+        assert levels.shape == (40,)
+        for n in range(40):
+            assert form.exact_eigenvalue(n) == form.eigenvalue(form.exact_levels(n + 1)[n])
+            assert levels[n] == (2 * n + 1) * (1.0 + 0.5 * e2) + e2 * n * n
+
     def test_oscillator_eps_depends_on_tau_omega_only(self):
         a = GupOscillatorParams(omega=2.0, tau=0.1).normal_form().eps2
         b = GupOscillatorParams(omega=0.5, tau=0.4).normal_form().eps2

@@ -265,6 +265,25 @@ class TestLazyEigenvectors:
         assert spec.eigenfunctions is first
         assert len(dstein_calls) == 1
 
+    @pytest.mark.parametrize("seeded", [False, True], ids=["bisected", "seeded"])
+    @pytest.mark.parametrize("slp, k", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+    def test_ground_state_alone_is_first_eigenfunction(self, slp, k, seeded, dstein_calls):
+        # ground_state runs dstein at level 0 alone. Level 0 leads dstein's
+        # block order, so its random start vector is the one it gets among
+        # all k, and the bits are eigenfunctions[0]'s.
+        pair = discretize(slp)
+        near = eigen_solve(pair, k).eigenvalues + 1e-3 if seeded else None
+        dstein_calls.clear()
+        phi0 = eigen_solve(pair, k, near).ground_state
+        assert dstein_calls[-1][2].size == 1
+        assert np.array_equal(phi0.values, eigen_solve(pair, k, near).eigenfunctions[0].values)
+
+    def test_ground_state_after_eigenfunctions_is_their_first(self, dstein_calls):
+        spec = solve_sl(laplace_problem(), 3)
+        first = spec.eigenfunctions[0]
+        assert spec.ground_state is first
+        assert len(dstein_calls) == 1
+
     def test_dstein_failure_is_solver_error_on_read(self, monkeypatch):
         monkeypatch.setattr(solver, "dstein", lambda d, e, w, *_: (np.zeros((d.size, w.size)), 2))
         spec = solve_sl(laplace_problem(), 3)
@@ -282,20 +301,6 @@ class TestLazyEigenvectors:
         monkeypatch.setattr(solver, "dstebz", failing)
         with pytest.raises(solver.SolverError, match=f"found {found} of 3 eigenvalues"):
             solve_sl(laplace_problem(), 3)
-
-
-@pytest.fixture
-def dstebz_ranges(monkeypatch):
-    """The range argument (1 for "V", 2 for "I") of every `solver.dstebz` call."""
-    ranges = []
-
-    def spy(d, e, rng, *args):
-        ranges.append(rng)
-        return real(d, e, rng, *args)
-
-    real = solver.dstebz
-    monkeypatch.setattr(solver, "dstebz", spy)
-    return ranges
 
 
 # Bad seeds of a k-level solve: (k, near) from the 8 lowest coarse levels of a case.
@@ -371,6 +376,40 @@ class TestSeededSolve:
         spec = eigen_solve(pair, k, near)
         assert dstebz_ranges == [1]
         assert np.max(np.abs(spec.eigenvalues - folded_levels(pair, k))) <= solver.ABSTOL
+
+    @pytest.mark.parametrize("params", [
+        GupOscillatorParams(omega=1.0, tau=0.0), GupOscillatorParams(omega=1.0, tau=0.05),
+        GupOscillatorParams(omega=1.0, tau=0.3), SwansonParams(2.0, 0.3, 0.1, 0.05),
+    ], ids=["oscillator-0", "oscillator-0.05", "oscillator-0.3", "swanson"])
+    def test_closed_form_seeds_coarse_grid(self, params, dstebz_ranges):
+        # gupmdm solve seeds its coarse grid with the normal form's closed-form
+        # levels. Certified, the levels are the discrete pencil's, within
+        # ABSTOL of its eigenvalues as bisection's are, and stay as far from
+        # the closed form as the grid's discretization error (> 2e-6 here).
+        form = params.normal_form()
+        slp = normal_form_sl(form.eps, normal_form_grid(form.eps, 1201))
+        plain = solve_sl(slp, 6).eigenvalues
+        dstebz_ranges.clear()
+        seeded = solve_sl(slp, 6, form.exact_levels(6)).eigenvalues
+        assert dstebz_ranges == [1]
+        assert np.max(np.abs(seeded - plain)) <= 2 * solver.ABSTOL
+        assert np.min(np.abs(seeded - form.exact_levels(6))) > 1e4 * solver.ABSTOL
+
+    @pytest.mark.parametrize("k, ranges", [(6, [1, 1]), (1, [2, 2])])
+    def test_solve_extrapolated_near_seeds_coarse_grid(self, k, ranges, dstebz_ranges):
+        # `near` seeds the coarse grid and the coarse levels the fine one, so
+        # neither bisects; at k = 1 `_polish` declines and both do, bit for
+        # bit as unseeded.
+        form = GupOscillatorParams(omega=1.0, tau=0.05).normal_form()
+        build, grid = partial(normal_form_sl, form.eps), normal_form_grid(form.eps, 601)
+        plain = solve_extrapolated(build, grid, k)[0]
+        dstebz_ranges.clear()
+        seeded = solve_extrapolated(build, grid, k, form.exact_levels(k))[0]
+        assert dstebz_ranges == ranges
+        # Each grid's levels are within 2 ABSTOL of bisection's: (4 * 2 + 2) / 3 after Richardson.
+        assert np.max(np.abs(seeded - plain)) <= 10 / 3 * solver.ABSTOL
+        if k == 1:
+            assert np.array_equal(seeded, plain)
 
     @pytest.mark.parametrize("near", [[1.0, 2.0], np.ones((6, 1)), []],
                              ids=["short", "column", "empty"])
