@@ -301,6 +301,12 @@ def svg_polyline(xs, ys, title: str) -> str:
 AGREE_RTOL = 1e-6
 
 
+def shooting_steps(n: int) -> int:
+    """A solve's shooting half-steps, ceil(4 (max(n, 1201) - 1) / 3): where kappa >= 5
+    RK4 in g = y/R on the fine grid's n - 1 misses right spectra at n <= 401 and k = 40."""
+    return -(-4 * (max(n, 1201) - 1) // 3)
+
+
 def _solve_rows(cfg: RunConfig):
     """Rows of one normal-form solve and its fine-grid spectrum in x.
 
@@ -312,11 +318,11 @@ def _solve_rows(cfg: RunConfig):
     params = cfg.params()
     form = params.normal_form()
     # The closed-form levels seed the coarse grid: a cost, not a bias (`solve_extrapolated`).
-    mus, fine_slp, fine_spec = solve_extrapolated(
+    mus, fine_spec = solve_extrapolated(
         partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k,
         form.exact_levels(cfg.k)
     )
-    shooter = Shooter(fine_slp.q)
+    shooter = Shooter(form.eps, shooting_steps(cfg.n))
     rows = []
     for idx, mu in enumerate(mus.tolist()):
         lam = form.eigenvalue(mu)

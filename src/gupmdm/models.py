@@ -20,7 +20,10 @@ tau G), Q = k^4/4 + S and eps = k Q^(-1/4), every model and tau becomes
 
 on the whole line at eps = 0, with lam = B + sqrt(Q) mu and exact levels
 mu_n = (2n+1)(1 + eps^2/2) + eps^2 n^2. Here x = Q^(1/4) rho, rho the Liouville
-variable arctan(sqrt(tau) p)/sqrt(tau G), and phi = (c w)^(-1/4) y.
+variable arctan(sqrt(tau) p)/sqrt(tau G), and phi = (c w)^(-1/4) y. Its ground
+state is R = cos^kappa(eps x), kappa = 1/2 + 1/eps^2, at mu_0 = 1 + eps^2/2; with
+y = R g it is -(R^2 g')' = (mu - mu_0) R^2 g, shape invariant (Cooper, Khare &
+Sukhatme, Phys. Rep. 251, 267 (1995)), the form `solver.Shooter` integrates.
 """
 
 from __future__ import annotations
@@ -294,18 +297,38 @@ def normal_form_grid(eps: float, n: int) -> Grid:
 def normal_form_sl(eps: float, grid: Grid) -> SturmLiouvilleProblem:
     """-y'' + (1 - eps^4/4)(tan(eps x)/eps)^2 y = mu y on a `normal_form_grid`.
 
-    c = w = 1; the potential is x^2 at eps = 0.
+    c = w = 1; the potential is x^2 at eps = 0. On the whole interval q at the
+    end nodes, the poles, is about (1e16/eps)^2; `discretize` drops those rows.
     """
     x = grid.points
     tan_x = np.tan(eps * x) / eps if eps > 0 else x
     e2 = eps * eps
     q = (1.0 - 0.25 * e2 * e2) * tan_x * tan_x
-    if eps > 0 and grid.p_max >= math.pi / (2.0 * eps):
-        # The end nodes are the exact Dirichlet ends, where q is infinite
-        # (np.tan gives about 1e16). `discretize` drops those rows, but the
-        # Shooter's spline and its first RK4 step still read them, so they
-        # take their neighbours' value.
-        q[0], q[-1] = q[1], q[-2]
     return SturmLiouvilleProblem(
         c=constant(grid, 1.0), q=SampledFunction(grid, q), w=constant(grid, 1.0)
     )
+
+
+def ground_level(eps: float) -> float:
+    """mu_0 = 1 + eps^2/2, the normal form's lowest level."""
+    return 1.0 + 0.5 * eps * eps
+
+
+def ground_state_sq(eps: float, x: np.ndarray) -> np.ndarray:
+    """R^2 = cos^(2 kappa)(eps x) at the points x, kappa = 1/2 + 1/eps^2; 0 at an exact end.
+
+    2 log R = kappa log1p(-z), z = sin^2(eps x), is summed as mu_0 s^2 log1p(-z)/z
+    with s = sin(eps x)/eps: no 1/eps^2 overflows, and at eps = 0 it is -x^2.
+    """
+    sn = np.sin(eps * x)
+    s, z = (sn / eps, sn * sn) if eps > 0 else (x, np.zeros_like(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(z > 0.0, np.log1p(-z) / z, -1.0)
+    return np.exp(ground_level(eps) * s * s * ratio)
+
+
+def ground_state_half_width(eps: float) -> float:
+    """X of the box {log R >= -72}, sin^2(eps X) = 1 - exp(-144/kappa): 12 at eps = 0,
+    short of pi/(2 eps) where kappa is large, pi/(2 eps) to rounding where it is small."""
+    a = 144.0 * eps * eps / ground_level(eps)
+    return math.asin(math.sqrt(-math.expm1(-a))) / eps if a > 0 else 12.0

@@ -5,23 +5,23 @@ solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
 pencil, folded into its even and odd half blocks; bisection to an absolute
 tolerance for the eigenvalues, or, given estimates of them, Rayleigh quotients
 certified to that tolerance; inverse iteration for the eigenvectors when they
-are first read), and RK4 shooting on the even Liouville normal form
--y'' + q y = mu y, one half-sweep from an end to the centre per trial
-eigenvalue. Shooting finds level n as the root of the Pruefer angle sum
-Theta(lambda) = (n + 1) pi, one function for every level, monotone up to RK4's
-stability bound and memoized on a `Shooter`; each sweep writes its 2x2 RK4 step
-matrices in closed form with numpy and applies them in one banded triangular
-solve (LAPACK dtbtrs), and returns dTheta/dlambda with Theta by Pruefer's
-identity. The root search is safeguarded Newton (as in Numerical Recipes'
-rtsafe), started from a matrix eigenvalue alone where there is one, that falls
-back to the bisection and the false position of the bracket of the angles
-already computed when a step would leave it. Richardson extrapolation rounds
-out the toolbox; its fine grid is seeded with the coarse grid's levels, and
-its coarse grid with whatever estimates the caller has (`gupmdm solve` passes
-the normal form's closed-form levels), so neither grid need bisect.
+are first read), and RK4 shooting on the even Liouville normal form at eps in
+g = y/R, R its closed-form ground state, one half-sweep from the box edge to
+the centre per trial eigenvalue. Shooting reads only eps, not the matrix's grid
+or q, and finds level n as the root of the Pruefer angle sum
+Theta(lambda) = (n + 1) pi, monotone up to RK4's stability bound and memoized
+on a `Shooter`; each sweep applies its RK4 step matrices, polynomials in lambda,
+in one banded triangular solve (LAPACK dtbtrs), and returns dTheta/dlambda by
+Pruefer's identity. The root search is safeguarded Newton (Numerical Recipes'
+rtsafe), started from a matrix eigenvalue where there is one, that takes the
+bisection or false position of the bracket of the angles already computed when
+a step would leave it or converge slowly. Richardson extrapolation rounds out
+the toolbox; its fine grid is seeded with the coarse grid's levels, and its
+coarse grid with whatever estimates the caller has (`gupmdm solve` passes the
+normal form's closed-form levels), so neither grid need bisect.
 
-The five LAPACK routines (dstebz, dstein, dpttrf, dgtsv, dtbtrs) come from
-scipy's compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
+The four LAPACK routines (dstebz, dstein, dpttrf, dtbtrs) come from scipy's
+compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
 wrappers `scipy.linalg.lapack` re-exports, so the numbers are the same, without
 the `scipy.linalg` package init, which imports numpy.testing, unittest and
 numpy.random and is most of a fresh process's start-up.
@@ -48,7 +48,9 @@ from .core import (
     Spectrum,
     SturmLiouvilleProblem,
     count_sign_changes,
+    make_grid,
 )
+from .models import ground_level, ground_state_half_width, ground_state_sq
 
 
 def _load_flapack(directory: str) -> ModuleType:
@@ -71,8 +73,8 @@ def _load_flapack(directory: str) -> ModuleType:
 # `import scipy` alone does not import scipy.linalg; it sets up the wheel's
 # bundled library path where a platform needs one.
 _flapack = _load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
-dgtsv, dpttrf, dstebz, dstein, dtbtrs = (_flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz,
-                                         _flapack.dstein, _flapack.dtbtrs)
+dpttrf, dstebz, dstein, dtbtrs = (_flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
+                                  _flapack.dtbtrs)
 
 
 class BracketError(SolverError):
@@ -189,12 +191,12 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
     """Lowest k generalized eigenpairs of A phi = lam B phi.
 
     Takes only a palindromic pencil of at least 2 rows, as an even problem on
-    a grid centred on 0 gives (`Shooter`'s input rule): symmetrized with
-    B^(-1/2) to T, T must equal its reversal, or ValueError. T is folded into
-    its even and odd half blocks (`_fold`); LAPACK dstebz bisects for the k
-    lowest eigenvalues to the absolute tolerance ABSTOL, in split-block order,
-    and dstein's inverse iteration computes their eigenvectors only when the
-    spectrum's `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
+    a grid centred on 0 gives: symmetrized with B^(-1/2) to T, T must equal
+    its reversal, or ValueError. T is folded into its even and odd half
+    blocks (`_fold`); LAPACK dstebz bisects for the k lowest eigenvalues to
+    the absolute tolerance ABSTOL, in split-block order, and dstein's inverse
+    iteration computes their eigenvectors only when the spectrum's
+    `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
     tol=ABSTOL)` does on the folded pencil. Its `ground_state`, read first, is
     dstein's one vector at level 0, the same bits as eigenfunctions[0].
 
@@ -292,10 +294,10 @@ def richardson(e_h: float, e_h2: float) -> float:
 
 def solve_extrapolated(
     build: Callable[[Grid], SturmLiouvilleProblem], grid: Grid, k: int, near=None
-) -> tuple[np.ndarray, SturmLiouvilleProblem, Spectrum]:
+) -> tuple[np.ndarray, Spectrum]:
     """Lowest k eigenvalues of build(grid) and build(grid.refined()), extrapolated.
 
-    Returns the Richardson values with the fine-grid problem and its spectrum.
+    Returns the Richardson values with the fine grid's spectrum.
     `near` seeds the coarse solve and the coarse eigenvalues the fine one
     (`eigen_solve`'s `near`), so the levels of each grid are certified
     Rayleigh quotients, or bisected where the seeds are not good enough.
@@ -308,9 +310,8 @@ def solve_extrapolated(
     stays an independent check of that closed form.
     """
     coarse = solve_sl(build(grid), k, near)
-    fine_slp = build(grid.refined())
-    fine = solve_sl(fine_slp, k, coarse.eigenvalues)
-    return richardson(coarse.eigenvalues, fine.eigenvalues), fine_slp, fine
+    fine = solve_sl(build(grid.refined()), k, coarse.eigenvalues)
+    return richardson(coarse.eigenvalues, fine.eigenvalues), fine
 
 
 @dataclass(frozen=True)
@@ -333,44 +334,13 @@ REL_TOL = 1e-10
 ANGLE_TOL = 1e-6
 # Steps (one sweep each) a root search may take before it raises BracketError.
 MAX_STEPS = 100
-# RK4 is stable on y'' = -k^2 y only for (k h)^2 <= 8: past min q + 8/h^2 Theta
-# is not monotone in lambda, so no root search sweeps there.
-RK4_REACH = 8.0
-
-
-def _midpoint_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic spline of the columns of y (x.size >= 4 rows) at the
-    midpoints of x.
-
-    The arithmetic of scipy's `CubicSpline(x, y)(mids)`, bit for bit: its
-    slope system, solved by LAPACK dgtsv as `solve_banded((1, 1), ...)` does,
-    then each interval's Hermite cubic in `PPoly`'s order of terms. It saves
-    importing scipy.interpolate (and with it scipy.optimize and scipy.special).
-    """
-    dx = np.diff(x)
-    dxc = dx[:, None]                     # dx against the columns of y
-    slope = np.diff(y, axis=0) / dxc
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    # Row 0 < i < n-1 is dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
-    # the not-a-knot end rows make the third derivative continuous at x_1, x_{n-2}.
-    b = np.empty_like(y)
-    b[0] = ((dxc[0] + 2 * d0) * dxc[1] * slope[0] + dxc[0] * dxc[0] * slope[1]) / d0
-    b[1:-1] = 3 * (dxc[1:] * slope[:-1] + dxc[:-1] * slope[1:])
-    b[-1] = (dxc[-1] * dxc[-1] * slope[-2] + (2 * d1 + dxc[-1]) * dxc[-2] * slope[-1]) / d1
-    diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
-    *_, s, info = dgtsv(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), b)
-    if info != 0:
-        raise SolverError(f"spline slope system is singular (dgtsv info {info})")
-    # On [x_i, x_i+1], y_i + s_i z + c1 z^2 + c0 z^3 with c1 = (slope_i - s_i)/dx_i - t
-    # and c0 = t/dx_i, summed in that order as PPoly does.
-    t = (s[:-1] + s[1:] - 2 * slope) / dxc
-    z = (0.5 * (x[:-1] + x[1:]) - x[:-1])[:, None]
-    z2 = z * z
-    return y[:-1] + s[:-1] * z + ((slope - s[:-1]) / dxc - t) * z2 + t / dxc * (z2 * z)
+# Theta stays monotone in lambda up to nu h^2 = 2.69-3.3 (nu = lambda - mu_0; eps^2 <= 0.08
+# on 10-200 half-steps), 4.6-6.2 from eps^2 = 0.1: no search sweeps past mu_0 + RK4_REACH/h^2.
+RK4_REACH = 2.5
 
 
 def _half_angle(u: float, v: float, nodes: int) -> float:
-    """Continuous angle of (u, v) after `nodes` sign changes of u, from u = 0+.
+    """Continuous angle of (u, v) after `nodes` sign changes of u, from u > 0.
 
     Where u < 0, (u, v) -> (-u, -v) turns the angle by pi, so atan2 lies in
     [0, pi] and measures the part past the last node. Its value pi (u rounded
@@ -383,21 +353,24 @@ def _half_angle(u: float, v: float, nodes: int) -> float:
 
 
 class Shooter:
-    """RK4 shooting on the normal form -y'' + q y = mu y with an even q.
+    """RK4 shooting on the even normal form at eps in g = y/R, on `steps` half-steps.
 
-    Takes q on an odd grid of at least 5 points centred on 0 (its points
-    exactly antisymmetric) and q an exact palindrome: the exact symmetry
-    `eigen_solve` folds. The right solution is then the mirror image of the
-    left one, so each angle costs one sweep, from node 0 to the centre node
-    n // 2, where the two are matched. Anything else is a ValueError.
+    With R = cos^kappa(eps x) its ground state at mu_0 (`models.ground_state_sq`,
+    `models.ground_level`) and y = R g, the normal form is -(R^2 g')' = nu R^2 g,
+    nu = lambda - mu_0: the system g' = P / R^2, P' = -nu R^2 g, run from
+    (g, P) = (1, 0) at the left edge of the box {log R >= -72}
+    (`models.ground_state_half_width`) to the centre. That start is the
+    principal solution for every kappa, and the natural condition on a
+    truncated box; the right solution is the left one's mirror image, so an
+    angle costs one sweep. R^2 is taken in closed form at the nodes and step
+    midpoints, so the Shooter reads only eps. Each RK4 step matrix is a
+    polynomial of degree 2 in nu, its coefficients built here once in LAPACK's
+    band layout; a sweep applies them in one banded triangular solve. Step 0
+    acts on (1, 0) alone, so its second column, with 1/R^2 at the edge (inf at
+    an exact end), is never formed. At nu = 0, g = 1 solves every step
+    exactly: Theta(mu_0) = pi, and level 0 is mu_0 by construction.
 
-    Integrates the first-order system (u, v) = (y, y') with fixed-step RK4,
-    q interpolated to step midpoints by a not-a-knot cubic spline
-    (`_midpoint_spline`). The system is linear, so for a given lambda each RK4
-    step is a 2x2 matrix with a closed form (`step_matrices`); a sweep writes
-    all its step matrices at once with numpy and applies them as one banded
-    triangular solve in LAPACK.
-
+    `grid` is the box with 2 steps + 1 points, its left half the nodes swept.
     `angle(lam)` is the Pruefer angle sum Theta at the centre, memoized per
     instance with its slope dTheta/dlambda, so every level solved on one
     Shooter reuses the sweeps of the levels before it.
@@ -405,22 +378,33 @@ class Shooter:
 
     _CAP = 1e100
 
-    def __init__(self, q: SampledFunction):
-        grid, x, q = q.grid, q.grid.points, q.values
-        if grid.n < 5 or grid.n % 2 == 0:
-            raise ValueError(f"shooting needs an odd grid of at least 5 points, got {grid.n}")
-        if not np.array_equal(x, -x[::-1]):
-            raise ValueError(f"shooting needs a grid centred on 0, got [{grid.p_min:g}, "
-                             f"{grid.p_max:g}]")
-        if not np.array_equal(q, q[::-1]):
-            raise ValueError("shooting needs an even q, an exact palindrome on the grid")
-        self.grid = grid
-        self.h = grid.h
-        # q at the nodes and step midpoints of the left half, node 0 to the centre.
-        centre = grid.n // 2
-        self.q_n = q[:centre + 1]
-        self.q_m = _midpoint_spline(x, q[:, None])[:centre, 0]
-        self.q_min = float(np.min(q))
+    def __init__(self, eps: float, steps: int):
+        if steps < 1:
+            raise ValueError(f"shooting needs at least 1 half-step, got {steps}")
+        half = ground_state_half_width(eps)
+        self.grid = make_grid(-half, half, 2 * steps + 1)
+        self.h = h = self.grid.h
+        self.mu0 = ground_level(eps)
+        x = self.grid.points[:steps + 1]
+        w = self._w = ground_state_sq(eps, x)
+        w_m = ground_state_sq(eps, 0.5 * (x[:-1] + x[1:]))
+        # 1/R^2 at the nodes; step 0's second column, the one node 0's enters, is left 0.
+        al = np.append(0.0, 1.0 / w[1:])
+        al_m = 1.0 / w_m
+        w0, w1, al0, al1 = w[:-1], w[1:], al[:-1], al[1:]
+        # The RK4 step [[a, b], [c, d]] of -(c y')' + q y = lam w y in closed form at
+        # c = w = R^2, q = 0 (al = 1/c, g = -nu w, al_m g_m = -nu), by powers of nu.
+        h2, h3, h4 = h * h / 6.0, h**3 / 12.0, h**4 / 24.0
+        powers = ((1.0, h / 6.0 * (al0 + 4.0 * al_m + al1), 0.0, 1.0),
+                  (-h2 * (al_m * w0 + 1.0 + al1 * w_m), -h3 * (al0 + al1),
+                   -h / 6.0 * (w0 + 4.0 * w_m + w1), -h2 * (w_m * al0 + 1.0 + w1 * al_m)),
+                  (h4 * al1 * w0, 0.0, h3 * (w0 + w1), h4 * w1 * al0))
+        # Each power's -M_k in LAPACK's lower band layout (`_band`), two zero columns after.
+        self._bands = []
+        for a, b, c, d in powers:
+            band = np.zeros((4, 2 * steps + 2), order="F")
+            band[2, :-2:2], band[3, :-2:2], band[1, 1:-2:2], band[2, 1:-2:2] = -a, -c, -b, -d
+            self._bands.append(band)
         self._angles: dict[float, tuple[float, float]] = {}
 
     @property
@@ -428,81 +412,67 @@ class Shooter:
         """Angles swept so far, one half-grid sweep per distinct lambda in the memo."""
         return len(self._angles)
 
-    def step_matrices(self, lam: float):
-        """Entries (a, b, c, d) of the RK4 step matrices [[a, b], [c, d]] that
-        carry (u, v) from node 0 to the centre, in stepping order.
+    def _band(self, lam: float) -> np.ndarray:
+        """-M_k for every step at nu = lam - mu_0, in the band layout, by Horner's rule.
 
-        With g = q - lam (0, m, 1 marking a step's start, midpoint and end),
-        A = [[0, 1], [g, 0]] has A_m^2 = g_m I, so RK4's matrix polynomial in
-        A_0, A_m, A_1 has the closed form
-          a = 1 + h^2/6 (g_0 + 2 g_m) + h^4/24 g_m g_0
-          b = h + h^3/6 g_m
-          c = h/6 (g_0 + 4 g_m + g_1) + h^3/12 g_m (g_0 + g_1)
-          d = 1 + h^2/6 (2 g_m + g_1) + h^4/24 g_m g_1,
-        each summed as the closed form for any c and w sums it at c = w = 1
-        (b = h/6 * 6 + h^3/12 g_m * 2), so the entries are that form's, bit
-        for bit.
+        Step k's -a and -c are band[2:4, 2k], its -b and -d band[1:3, 2k + 1];
+        step 0's b and d are those of 1/R^2 = 0 at the edge.
         """
-        h = self.h
-        g, g_m = self.q_n - lam, self.q_m - lam
-        g0, g1 = g[:-1], g[1:]
-        h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * g_m, h**4 / 24.0 * g_m
-        return (1.0 + h2 * (g0 + g_m + g_m) + h4 * g0,
-                h / 6.0 * 6.0 + h3 * 2.0,
-                h / 6.0 * (g0 + 4.0 * g_m + g1) + h3 * (g0 + g1),
-                1.0 + h2 * (g_m + g_m + g1) + h4 * g1)
+        nu = lam - self.mu0
+        p0, p1, p2 = self._bands
+        band = p2 * nu          # in place from here: a new band per operation costs 2x
+        band += p1
+        band *= nu
+        band += p0
+        return band
 
     def _sweep(self, lam: float):
-        """Integrate from node 0, where (u, v) = (0, 1), to the centre.
+        """Integrate from the box edge, where (g, P) = (1, 0), to the centre.
 
-        Returns (u, v, nodes, norm): the final scaled state, the number of
-        sign changes of u along the way, and the integral of u^2 over the
-        sweep in the final state's scale (trapezoid rule; u = 0 at node 0).
+        Returns (g, P, nodes, norm): the final scaled state, the sign changes
+        of g along the way, and the integral of R^2 g^2 over the sweep in the
+        final state's scale (trapezoid rule).
 
-        State k+1 is M_k times state k, so the states (u_1, v_1, ..., u_m,
-        v_m) solve one unit lower-triangular system with -M_k at sub-diagonal
-        offsets 1-3, which LAPACK's dtbtrs solves in one call. When u or v
-        passes _CAP, or |u| + |v| falls below 1/_CAP (RK4 damps an oscillation
-        far above the levels), the solve restarts from that state, scaled to
-        |u| + |v| = 1, and the sum of u^2 so far is scaled by the same factor
-        squared; it is inf once that overflows.
+        State k+1 is M_k times state k, so the states (g_1, P_1, ..., g_m,
+        P_m) solve one unit lower-triangular system with -M_k at sub-diagonal
+        offsets 1-3: one call to LAPACK's dtbtrs. When g or P passes _CAP, or
+        |g| + |P| falls below 1/_CAP (RK4 damps an oscillation far above the
+        levels), the solve restarts from that state, scaled to |g| + |P| = 1,
+        and so is the integral so far; it is inf once that overflows.
         """
-        a, b, c, d = self.step_matrices(lam)
-        m = a.size
-        band = np.zeros((4, 2 * m), order="F")   # band[:, 2k:] reaches LAPACK uncopied
-        band[2, :-2:2], band[3, :-2:2] = -a[1:], -c[1:]
-        band[1, 1:-2:2], band[2, 1:-2:2] = -b[1:], -d[1:]
-        u, v = 0.0, 1.0
-        u_all = np.empty(m)
-        k, norm = 0, 0.0         # (u, v) is state k
+        band = self._band(lam)          # band[:, 2k:] reaches LAPACK uncopied
+        w = self._w
+        m = w.size - 1
+        u, v = 1.0, 0.0
+        g_all = np.ones(m + 1)
+        k, norm = 0, 0.5 * float(w[0])     # (u, v) is state k
         while k < m:
             rhs = np.zeros((2 * (m - k), 1))
-            rhs[0], rhs[1] = a[k] * u + b[k] * v, c[k] * u + d[k] * v
-            x = dtbtrs(band[:, 2 * k:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
+            rhs[0] = -(band[2, 2 * k] * u + band[1, 2 * k + 1] * v)
+            rhs[1] = -(band[3, 2 * k] * u + band[2, 2 * k + 1] * v)
+            x = dtbtrs(band[:, 2 * k + 2:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
             ax = np.abs(x)
             au, av = ax[::2], ax[1::2]
             out = np.flatnonzero((np.maximum(au, av) > self._CAP) | (au + av < 1.0 / self._CAP))
             j = out[0] + 1 if out.size else m - k    # states this solve keeps
-            kept = u_all[k:k + j] = x[:2 * j:2]
-            norm += float(np.dot(kept, kept))
+            kept = g_all[k + 1:k + 1 + j] = x[:2 * j:2]
+            norm += float(np.dot(w[k + 1:k + 1 + j], kept * kept))
             u, v = float(x[2 * j - 2]), float(x[2 * j - 1])
             if out.size:
                 mag = abs(u) + abs(v)
                 u, v, norm = u / mag, v / mag, norm / mag / mag
             k += j
-        norm = self.h * (norm - 0.5 * u * u)      # the last node has half weight
-        return u, v, count_sign_changes(u_all), float(norm)
+        norm = self.h * (norm - 0.5 * float(w[m]) * u * u)   # the centre has half weight
+        return u, v, count_sign_changes(g_all), float(norm)
 
     def _angle(self, lam: float) -> tuple[float, float]:
         """(Theta, dTheta/dlambda) at lam from one sweep of the left half.
 
-        theta_L = atan2(u, v) is the Pruefer angle of the left solution at the
-        centre, 0 at node 0; the right solution is its mirror image, with
-        state (u, -v) there, the same node count and the same integral, so its
-        angle atan2(u, -v) from its own end is theta_L again. Theta = 2 theta_L
-        is continuous and increasing in lambda, and Theta(lambda_n) = (n + 1) pi.
-        Pruefer's identity gives dtheta_L/dlambda = int u^2 / (u^2 + v^2) at any
-        lambda, so dTheta/dlambda = 2 s_L / (u^2 + v^2).
+        theta_L = atan2(g, P), pi/2 at the box edge, is the left solution's
+        Pruefer angle at the centre; the right one, its mirror image with state
+        (g, -P) there, has the same. Theta = 2 theta_L is continuous and
+        increasing in lambda, pi at mu_0, and (n + 1) pi at level n. Pruefer's
+        identity dtheta_L/dlambda = int R^2 g^2 / (g^2 + P^2) gives the slope.
         """
         u, v, nodes, s = self._sweep(lam)
         return 2.0 * _half_angle(u, v, nodes), 2.0 * s / (u * u + v * v)
@@ -519,31 +489,28 @@ class Shooter:
 def _root(shooter: Shooter, target: float, lam: float) -> float:
     """Root of Theta = target by Newton steps kept inside a bracket (rtsafe).
 
-    Starts at lam, or at min q when lam is not finite or lies above the reach
-    min q + RK4_REACH / h^2, where no sweep goes; each step is Newton's, from
-    the slope dTheta/dlambda that came with the angle. A step is taken while
-    it lands strictly inside the bracket of the memoized angles, whose lower
-    end is min q (Theta < pi there, as q - lam >= 0 keeps both solutions
-    from turning) until an angle below the target is known. Otherwise the
-    search sweeps min q while no angle lies below the target, doubles the
-    distance from min q (plus one gap), up to the reach, while none lies
-    above it, or else takes the bracket's midpoint and false-position point
-    by turns (Newton overshoots a root that sits next to an end, and
-    bisection nears it one halving a step). Returns lam once a step is at most
-    REL_TOL * max(1, |lam|) with the angle within ANGLE_TOL, or, once the
-    bracket is that narrow, the end whose angle is nearer the target.
+    Starts at lam, or at mu_0 when lam is not finite or lies above the reach
+    mu_0 + RK4_REACH / h^2, where no sweep goes. A Newton step, from the slope
+    that came with the angle, is taken while it lands strictly inside the
+    bracket of the memoized angles (lower end mu_0, where Theta = pi exactly)
+    and, once both ends are known, is at most half the step before it: near
+    the reach Pruefer's identity can overstate the discrete Theta's slope by
+    tens of times, and Newton alone creeps. Otherwise the search sweeps mu_0
+    while no angle lies below the target, doubles the distance from mu_0 (plus
+    one gap), up to the reach, while none lies above it, or else takes the
+    bracket's midpoint and false-position point by turns. Returns lam once a
+    step is at most REL_TOL * max(1, |lam|) with the angle within ANGLE_TOL,
+    or, once the bracket is that narrow, the end whose angle is nearer the
+    target.
     """
-    base, angles = shooter.q_min, shooter._angles
+    base, angles = shooter.mu0, shooter._angles
     gap = max(1.0, abs(base) * 0.5)
     reach = base + RK4_REACH / shooter.h**2
     if not (math.isfinite(lam) and lam <= reach):
         lam = base
     theta, slope = shooter.angle(lam), angles[lam][1]
-    false_position = False
+    false_position, last = False, math.inf
     for _ in range(MAX_STEPS):
-        if base in angles and angles[base][0] > target:
-            raise BracketError(f"angle {angles[base][0]:.6g} at min(q) = {base:g} "
-                               f"already exceeds the target {target:.6g}")
         hi = min((x for x, a in angles.items() if a[0] > target), default=math.inf)
         lo = max((x for x, a in angles.items() if a[0] <= target and x < hi), default=None)
         tol = REL_TOL * max(1.0, abs(lam))
@@ -556,15 +523,17 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
         top = hi if hi < math.inf else min(2.0 * low - base + gap, reach)
         if top <= low:
             raise BracketError(f"no angle above {target:.6g} below RK4's stability bound "
-                               f"min(q) + {RK4_REACH:g}/h^2 = {reach:g}")
+                               f"mu_0 + {RK4_REACH:g}/h^2 = {reach:g}")
         new = lam + step
-        if not low < new < top:
-            if lo is None or hi == math.inf:
+        bracketed = lo is not None and hi < math.inf
+        if not (low < new < top and (abs(step) <= 0.5 * last or not bracketed)):
+            if not bracketed:
                 new = low if lo is None else top
             else:
                 d_lo, d_hi = angles[lo][0] - target, angles[hi][0] - target
                 new = lo - d_lo * (hi - lo) / (d_hi - d_lo) if false_position else 0.5 * (lo + hi)
                 false_position = not false_position
+        last = abs(new - lam)
         lam, theta, slope = new, shooter.angle(new), angles[new][1]
     if all(th <= target for th, _ in angles.values()):
         raise BracketError(f"no angle above {target:.6g} in [{base:g}, {max(angles):g}] "
@@ -581,14 +550,14 @@ def shooting_eigenvalue(
 
     Level n is the root of Theta(lam) = (n + 1) pi, found by `_root`. The
     search starts at `start`, say a matrix estimate of level n, or without
-    one at min q. Theta has one root per level, so the start changes the
+    one at mu_0. Theta has one root per level, so the start changes the
     cost, not the level found. Pass one Shooter for every level of a problem
     to share its sweeps, which also bracket later levels.
 
-    Raises BracketError when the angle at min q already exceeds the
-    target, no angle up to min q + RK4_REACH / h^2 or in MAX_STEPS steps lies
-    above it, no root is found, or the root misses the target angle by more
-    than ANGLE_TOL (a jump in Theta, as on a grid too coarse for the level).
+    Raises BracketError when no angle up to mu_0 + RK4_REACH / h^2 or in
+    MAX_STEPS steps lies above the target, no root is found, or the root
+    misses the target angle by more than ANGLE_TOL (a jump in Theta, as on a
+    grid too coarse for the level).
     `iterations` counts the angles this call swept (`Shooter.sweeps`).
     """
     if n < 0:

@@ -24,12 +24,13 @@ from gupmdm.cli import (
     config_from_sources,
     main,
     parse_config_text,
+    shooting_steps,
 )
 from gupmdm.core import SampledFunction, Spectrum, SturmLiouvilleProblem, make_grid
-from gupmdm.models import GupOscillatorParams, gup_oscillator_sl, normal_form_grid, normal_form_sl
+from gupmdm.models import GupOscillatorParams, gup_oscillator_sl
 from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue, solve_sl
 
-FAST = ["--n", "201", "--k", "3"]
+FAST = ["--n", "301", "--k", "3"]
 
 
 class TestConfig:
@@ -152,7 +153,7 @@ class TestSolve:
         rc = main(["solve", *FAST, "--format", "json", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["meta"]["config"]["n"] == 201
+        assert payload["meta"]["config"]["n"] == 301
         assert "pmax" not in payload["meta"]["config"]
         assert len(payload["rows"]) == 3
         e0 = payload["rows"][0]["energy"]
@@ -175,7 +176,7 @@ class TestSolve:
         assert "<polyline" in svg
         funcs = (tmp_path / "run_eigenfunctions.csv").read_text().splitlines()
         assert funcs[0] == "x,y0,y1,y2"
-        assert len(funcs) == 402  # header + refined grid (2n-1 points)
+        assert len(funcs) == 602  # header + refined grid (2n-1 points)
 
     @pytest.mark.parametrize("out, stem", [("./run", "run"), ("res.d/prof", "res.d/prof"),
                                            ("res.d/prof.csv", "res.d/prof")])
@@ -333,25 +334,39 @@ class TestSolve:
         assert "Unable to allocate 7.28 TiB" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("tau", [0.42, 0.5, 0.6, 0.68])
-    def test_barrier_band_exits_0_only_when_exact(self, tau, capsys):
+    @pytest.mark.parametrize("model, tau, n", [
         # From tau ~ 0.404 on, Swanson (2, 0.3, 0.1) has eps^2 > 2: q is a
-        # barrier with its top at the centre, where shooting matches. A solve
-        # there may print a spectrum only if both columns are the closed form;
-        # otherwise it is a solver error, with nothing on stdout.
-        argv = ["--model", "swanson", "--omega", "2", "--alpha", "0.3", "--beta", "0.1",
-                "--tau", str(tau)]
-        rc = main(["solve", *argv])
+        # barrier with its top at the centre, where shooting matches.
+        *(("swanson", tau, 1201) for tau in (0.42, 0.5, 0.6, 0.68)),
+        # Where kappa <= 2 the whole interval's ends decide the spectrum, and
+        # the matrix is 3.6e-7 to 1.3e-6 off here.
+        ("gup-oscillator", 1.2, 1201), ("gup-oscillator", 20.0, 1201),
+        *(("gup-oscillator", tau, 2401) for tau in (1.4, 1.45, 1.5)),
+        ("swanson", 0.3, 2401),
+        # Coarse grids where kappa >= 20: the matrix is 0.8-1.3e-6 off, and
+        # shooting on the fine grid's n - 1 half-steps errs with it.
+        ("gup-oscillator", 0.05, 201), ("gup-oscillator", 0.0, 301), ("swanson", 0.02, 201),
+        # Shooting below the floor n = 1201 errs with the matrix here, 3.2e-6 off.
+        ("swanson", 0.01, 201),
+    ], ids=str)
+    def test_barrier_band_exits_0_only_when_exact(self, model, tau, n, capsys):
+        # A solve may print a spectrum only if both columns are the closed
+        # form within 1e-6 (relative); otherwise it is a solver error, with
+        # nothing on stdout.
+        swanson = {"omega": 2.0, "alpha": 0.3, "beta": 0.1} if model == "swanson" else {}
+        cfg = RunConfig(model=model, tau=tau, n=n, **swanson)
+        rc = main(["solve", "--model", model, "--tau", str(tau), "--n", str(n),
+                   *(f"--{key}={value}" for key, value in swanson.items())])
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         if rc == 0:
-            params = RunConfig(model="swanson", omega=2.0, alpha=0.3, beta=0.1, tau=tau).params()
+            params = cfg.params()
             rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
             assert len(rows) == RunConfig().k
             for row in rows:
                 exact = params.exact_energy(int(row[0]))
-                assert abs(float(row[2]) - exact) <= 1e-6
-                assert abs(float(row[3]) - exact) <= 1e-6
+                assert abs(float(row[2]) - exact) <= 1e-6 * abs(exact)
+                assert abs(float(row[3]) - exact) <= 1e-6 * abs(exact)
         else:
             assert rc == 3
             assert "solver error" in captured.err
@@ -368,7 +383,7 @@ class TestSolve:
         assert shot[0] < shot[1] < shot[2]
         cfg = RunConfig(omega=0.001, k=3)
         eps = cfg.params().normal_form().eps
-        shooter = Shooter(normal_form_sl(eps, normal_form_grid(eps, cfg.n).refined()).q)
+        shooter = Shooter(eps, shooting_steps(cfg.n))
         for n in range(3):
             assert shooting_eigenvalue(shooter, n).mismatch <= ANGLE_TOL
 

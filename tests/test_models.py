@@ -5,7 +5,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gupmdm.core import constant, derivative, inner_slice, make_grid, sample
+from gupmdm.cli import shooting_steps
+from gupmdm.core import (
+    SampledFunction,
+    SturmLiouvilleProblem,
+    constant,
+    derivative,
+    inner_slice,
+    make_grid,
+    sample,
+)
 from gupmdm.models import (
     MODELS,
     GupOscillatorParams,
@@ -14,11 +23,14 @@ from gupmdm.models import (
     WeightOverflowError,
     NORMAL_FORM_HALF_WIDTH,
     gup_oscillator_sl,
+    ground_level,
+    ground_state_half_width,
+    ground_state_sq,
     normal_form_grid,
     normal_form_sl,
     swanson_sl,
 )
-from gupmdm.solver import Shooter, shooting_eigenvalue, solve_extrapolated, solve_sl
+from gupmdm.solver import Shooter, discretize, shooting_eigenvalue, solve_extrapolated, solve_sl
 
 
 GRID = make_grid(-6, 6, 241)
@@ -195,9 +207,9 @@ class TestSwansonSl:
         # each against the closed form.
         params = SwansonParams(omega=1.0, alpha=0.2, beta=0.1, tau=0.05)
         form = params.normal_form()
-        mus, fine_slp, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
-                                              normal_form_grid(form.eps, 1201), 4)
-        shooter = Shooter(fine_slp.q)
+        mus, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                    normal_form_grid(form.eps, 1201), 4)
+        shooter = Shooter(form.eps, shooting_steps(1201))
         for n, mu in enumerate(mus.tolist()):
             lam = form.eigenvalue(mu)
             shot = form.eigenvalue(shooting_eigenvalue(shooter, n).eigenvalue)
@@ -261,7 +273,7 @@ class TestNormalForm:
     def test_swanson_exact_energy_matches_momentum_space(self, args):
         # Independent of the normal form: the p-space problem on a wide box.
         params = SwansonParams(*args)
-        lams, _, _ = solve_extrapolated(params.sl, make_grid(-30, 30, 3001), 4)
+        lams, _ = solve_extrapolated(params.sl, make_grid(-30, 30, 3001), 4)
         for n, lam in enumerate(lams):
             assert params.energy_from_eigenvalue(lam) == pytest.approx(
                 params.exact_energy(n), rel=1e-7)
@@ -295,18 +307,63 @@ class TestNormalForm:
         assert np.array_equal(slp.q.values, grid.points**2)
         assert np.all(slp.c.values == 1.0) and np.all(slp.w.values == 1.0)
 
-    def test_singular_ends_get_finite_stand_in(self):
-        eps = 0.8
+    @pytest.mark.parametrize("eps", [0.8, 1.6])
+    def test_singular_ends_are_finite_and_dropped(self, eps):
+        # On the whole interval the end nodes are the poles of q: tan of the
+        # rounded pi/2 is about 1.6e16, so q there is large and finite, and
+        # `discretize` drops those rows, so no value there reaches the matrix.
         grid = normal_form_grid(eps, 201)
-        q = normal_form_sl(eps, grid).q.values
-        assert q[0] == q[1] and q[-1] == q[-2]
+        assert grid.p_max == math.pi / (2 * eps)
+        slp = normal_form_sl(eps, grid)
+        q = slp.q.values
+        assert np.all(np.isfinite(q)) and min(abs(q[0]), abs(q[-1])) > 1e30
         x = grid.points[100:103]
         inner = (1 - eps**4 / 4) * (np.tan(eps * x) / eps) ** 2
         assert np.allclose(q[100:103], inner, rtol=1e-14)
-        # Below the singular width the box is truncated and keeps its ends.
-        grid = normal_form_grid(0.05, 201)
-        q = normal_form_sl(0.05, grid).q.values
-        assert q[0] > q[1]
+        patched = q.copy()
+        patched[0], patched[-1] = q[1], q[-2]
+        pair = discretize(slp)
+        ref = discretize(SturmLiouvilleProblem(slp.c, SampledFunction(grid, patched), slp.w))
+        for got, want in ((pair.diag, ref.diag), (pair.offdiag, ref.offdiag),
+                          (pair.b_diag, ref.b_diag)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eps2", [0.0, 1e-8, 0.03, 0.05, 0.3, 1.15, 3.33, 6.55])
+    def test_ground_state_is_cos_to_kappa(self, eps2):
+        # R^2 = cos^(2 kappa)(eps x), exp(-x^2) at eps = 0, and its box
+        # {log R >= -72}. At eps^2 = 1e-8 the reference power's own rounding,
+        # about 2 kappa ulp, sets the tolerance.
+        eps = math.sqrt(eps2)
+        half = ground_state_half_width(eps)
+        x = np.linspace(-half, half, 101)[1:-1]
+        if eps2:
+            kappa = 0.5 + 1.0 / eps2
+            want = np.cos(eps * x) ** (2 * kappa)
+        else:
+            want = np.exp(-x * x)
+        assert np.allclose(ground_state_sq(eps, x), want, rtol=1e-7 if eps2 == 1e-8 else 1e-12,
+                           atol=0)
+        if eps2 == 0.0:
+            assert half == 12.0
+        elif eps2 < 0.1:
+            assert half < math.pi / (2 * eps)
+            assert math.log(ground_state_sq(eps, np.array([half]))[0]) == pytest.approx(-144.0)
+        else:
+            # kappa <= 4: the whole interval to rounding, and R = 0 at its ends.
+            assert half == math.pi / (2 * eps)
+            assert np.array_equal(ground_state_sq(eps, np.array([-half, half])), [0.0, 0.0])
+
+    @pytest.mark.parametrize("params", [
+        GupOscillatorParams(1.0, 0.0), GupOscillatorParams(1.0, 0.3),
+        SwansonParams(2.0, 0.3, 0.1, 0.6),
+    ], ids=repr)
+    def test_ground_level_is_exact_level_0(self, params):
+        form = params.normal_form()
+        assert ground_level(form.eps) == pytest.approx(form.exact_levels(1)[0], rel=1e-15)
+
+    def test_ground_state_box_at_eps2_003(self):
+        # Short of the interval where kappa is large: 8.38, not pi/(2 eps) = 9.07.
+        assert ground_state_half_width(math.sqrt(0.03)) == pytest.approx(8.3799, abs=1e-4)
 
     @pytest.mark.parametrize("params", [
         GupOscillatorParams(1.0, 0.05), GupOscillatorParams(2.0, 0.1),
