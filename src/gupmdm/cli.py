@@ -301,10 +301,10 @@ def svg_polyline(xs, ys, title: str) -> str:
 AGREE_RTOL = 1e-6
 
 
-def shooting_steps(n: int) -> int:
-    """A solve's shooting half-steps, ceil(4 (max(n, 1201) - 1) / 3): where kappa >= 5
-    RK4 in g = y/R on the fine grid's n - 1 misses right spectra at n <= 401 and k = 40."""
-    return -(-4 * (max(n, 1201) - 1) // 3)
+# A solve's shooting half-steps at any n, 4/3 of the default fine grid's: where
+# kappa >= 5, RK4 in g = y/R on the fine grid's n - 1 refuses right spectra at
+# n <= 401 and k = 40.
+SHOOTING_STEPS = 1600
 
 
 def _solve_rows(cfg: RunConfig):
@@ -322,7 +322,7 @@ def _solve_rows(cfg: RunConfig):
         partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k,
         form.exact_levels(cfg.k)
     )
-    shooter = Shooter(form.eps, shooting_steps(cfg.n))
+    shooter = Shooter(form.eps, SHOOTING_STEPS)
     rows = []
     for idx, mu in enumerate(mus.tolist()):
         lam = form.eigenvalue(mu)

@@ -390,14 +390,16 @@ class Shooter:
         w_m = ground_state_sq(eps, 0.5 * (x[:-1] + x[1:]))
         # 1/R^2 at the nodes; step 0's second column, the one node 0's enters, is left 0.
         al = np.append(0.0, 1.0 / w[1:])
-        al_m = 1.0 / w_m
-        w0, w1, al0, al1 = w[:-1], w[1:], al[:-1], al[1:]
+        w0, w1, al0, al1, al_m = w[:-1], w[1:], al[:-1], al[1:], 1.0 / w_m
         # The RK4 step [[a, b], [c, d]] of -(c y')' + q y = lam w y in closed form at
-        # c = w = R^2, q = 0 (al = 1/c, g = -nu w, al_m g_m = -nu), by powers of nu.
-        h2, h3, h4 = h * h / 6.0, h**3 / 12.0, h**4 / 24.0
+        # c = w = R^2, q = 0 (al = 1/c, g = -nu w, al_m g_m = -nu s) by powers of nu, each
+        # term with nu taken out in the form's order: where nu is a power of 2 the
+        # entries are the form's bit for bit.
+        s = al_m * w_m
+        h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * s, h**4 / 24.0 * s
         powers = ((1.0, h / 6.0 * (al0 + 4.0 * al_m + al1), 0.0, 1.0),
-                  (-h2 * (al_m * w0 + 1.0 + al1 * w_m), -h3 * (al0 + al1),
-                   -h / 6.0 * (w0 + 4.0 * w_m + w1), -h2 * (w_m * al0 + 1.0 + w1 * al_m)),
+                  (-(h2 * (al_m * w0 + s + al1 * w_m)), -(h3 * (al0 + al1)),
+                   -(h / 6.0 * (w0 + 4.0 * w_m + w1)), -(h2 * (w_m * al0 + s + w1 * al_m))),
                   (h4 * al1 * w0, 0.0, h3 * (w0 + w1), h4 * w1 * al0))
         # Each power's -M_k in LAPACK's lower band layout (`_band`), two zero columns after.
         self._bands = []
@@ -405,6 +407,7 @@ class Shooter:
             band = np.zeros((4, 2 * steps + 2), order="F")
             band[2, :-2:2], band[3, :-2:2], band[1, 1:-2:2], band[2, 1:-2:2] = -a, -c, -b, -d
             self._bands.append(band)
+        self._scratch = np.empty_like(band)
         self._angles: dict[float, tuple[float, float]] = {}
 
     @property
@@ -412,18 +415,16 @@ class Shooter:
         """Angles swept so far, one half-grid sweep per distinct lambda in the memo."""
         return len(self._angles)
 
-    def _band(self, lam: float) -> np.ndarray:
-        """-M_k for every step at nu = lam - mu_0, in the band layout, by Horner's rule.
+    def _band(self, nu: float) -> np.ndarray:
+        """-M_k for every step at nu = lam - mu_0 in the band layout, (p0 + nu p1) + nu^2 p2.
 
         Step k's -a and -c are band[2:4, 2k], its -b and -d band[1:3, 2k + 1];
         step 0's b and d are those of 1/R^2 = 0 at the edge.
         """
-        nu = lam - self.mu0
         p0, p1, p2 = self._bands
-        band = p2 * nu          # in place from here: a new band per operation costs 2x
-        band += p1
-        band *= nu
+        band = p1 * nu          # in place from here: a new band per operation costs 2x
         band += p0
+        band += np.multiply(p2, nu * nu, out=self._scratch)
         return band
 
     def _sweep(self, lam: float):
@@ -440,19 +441,16 @@ class Shooter:
         levels), the solve restarts from that state, scaled to |g| + |P| = 1,
         and so is the integral so far; it is inf once that overflows.
         """
-        band = self._band(lam)          # band[:, 2k:] reaches LAPACK uncopied
-        w = self._w
-        m = w.size - 1
-        u, v = 1.0, 0.0
+        band = self._band(lam - self.mu0)    # band[:, 2k:] reaches LAPACK uncopied
+        w, m = self._w, self._w.size - 1
         g_all = np.ones(m + 1)
-        k, norm = 0, 0.5 * float(w[0])     # (u, v) is state k
+        u, v, k, norm = 1.0, 0.0, 0, 0.5 * float(w[0])     # (u, v) is state k
         while k < m:
             rhs = np.zeros((2 * (m - k), 1))
             rhs[0] = -(band[2, 2 * k] * u + band[1, 2 * k + 1] * v)
             rhs[1] = -(band[3, 2 * k] * u + band[2, 2 * k + 1] * v)
             x = dtbtrs(band[:, 2 * k + 2:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
-            ax = np.abs(x)
-            au, av = ax[::2], ax[1::2]
+            au, av = np.abs(x[::2]), np.abs(x[1::2])
             out = np.flatnonzero((np.maximum(au, av) > self._CAP) | (au + av < 1.0 / self._CAP))
             j = out[0] + 1 if out.size else m - k    # states this solve keeps
             kept = g_all[k + 1:k + 1 + j] = x[:2 * j:2]
@@ -492,13 +490,15 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
     Starts at lam, or at mu_0 when lam is not finite or lies above the reach
     mu_0 + RK4_REACH / h^2, where no sweep goes. A Newton step, from the slope
     that came with the angle, is taken while it lands strictly inside the
-    bracket of the memoized angles (lower end mu_0, where Theta = pi exactly)
-    and, once both ends are known, is at most half the step before it: near
+    bracket of the memoized angles (lower end mu_0, where Theta = pi exactly,
+    until one at or below the target is swept) and, once one above is known,
+    is at most half the step before it, the first time half the bracket: near
     the reach Pruefer's identity can overstate the discrete Theta's slope by
-    tens of times, and Newton alone creeps. Otherwise the search sweeps mu_0
-    while no angle lies below the target, doubles the distance from mu_0 (plus
-    one gap), up to the reach, while none lies above it, or else takes the
-    bracket's midpoint and false-position point by turns. Returns lam once a
+    tens of times, and from far above the root Newton lands just above mu_0.
+    Otherwise the search sweeps mu_0 while no angle lies on either side of the
+    target, doubles the distance from mu_0 (plus one gap), up to the reach,
+    while none lies above it, or else takes the bracket's false-position point,
+    and its midpoint by turns once both ends are swept. Returns lam once a
     step is at most REL_TOL * max(1, |lam|) with the angle within ANGLE_TOL,
     or, once the bracket is that narrow, the end whose angle is nearer the
     target.
@@ -519,19 +519,19 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
             return lam
         if lo is not None and hi - lo <= tol:
             return min((lo, hi), key=lambda x: abs(angles[x][0] - target))
-        low = base if lo is None else lo
+        low, theta_low = (base, math.pi) if lo is None else (lo, angles[lo][0])
         top = hi if hi < math.inf else min(2.0 * low - base + gap, reach)
         if top <= low:
             raise BracketError(f"no angle above {target:.6g} below RK4's stability bound "
                                f"mu_0 + {RK4_REACH:g}/h^2 = {reach:g}")
-        new = lam + step
-        bracketed = lo is not None and hi < math.inf
-        if not (low < new < top and (abs(step) <= 0.5 * last or not bracketed)):
-            if not bracketed:
+        new, half = lam + step, 0.5 * (last if last < math.inf else top - low)
+        if not (low < new < top and (abs(step) <= half or hi == math.inf)):
+            if hi == math.inf:
                 new = low if lo is None else top
             else:
-                d_lo, d_hi = angles[lo][0] - target, angles[hi][0] - target
-                new = lo - d_lo * (hi - lo) / (d_hi - d_lo) if false_position else 0.5 * (lo + hi)
+                d_lo, d_hi = theta_low - target, angles[hi][0] - target
+                fp = false_position or lo is None
+                new = low - d_lo * (hi - low) / (d_hi - d_lo) if fp else 0.5 * (low + hi)
                 false_position = not false_position
         last = abs(new - lam)
         lam, theta, slope = new, shooter.angle(new), angles[new][1]
@@ -558,7 +558,6 @@ def shooting_eigenvalue(
     MAX_STEPS steps lies above the target, no root is found, or the root
     misses the target angle by more than ANGLE_TOL (a jump in Theta, as on a
     grid too coarse for the level).
-    `iterations` counts the angles this call swept (`Shooter.sweeps`).
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")

@@ -57,7 +57,7 @@ def cross_method_matrix():
             form = params.normal_form()
             mus, _ = solve_extrapolated(
                 partial(normal_form_sl, form.eps), normal_form_grid(form.eps, 1201), 6)
-            shooter = Shooter(form.eps, cli.shooting_steps(1201))
+            shooter = Shooter(form.eps, cli.SHOOTING_STEPS)
             lam = np.array([form.eigenvalue(mu) for mu in mus.tolist()])
             lam_shoot = np.array(
                 [form.eigenvalue(shooting_eigenvalue(shooter, i).eigenvalue) for i in range(6)]

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 import gupmdm
 from gupmdm import cli, solver
 from gupmdm.cli import (
+    SHOOTING_STEPS,
     ConfigError,
     RunConfig,
     config_from_sources,
     main,
     parse_config_text,
-    shooting_steps,
 )
 from gupmdm.core import SampledFunction, Spectrum, SturmLiouvilleProblem, make_grid
 from gupmdm.models import GupOscillatorParams, gup_oscillator_sl
@@ -334,39 +334,44 @@ class TestSolve:
         assert "Unable to allocate 7.28 TiB" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("model, tau, n", [
+    @pytest.mark.parametrize("model, tau, n, k, rtol", [
         # From tau ~ 0.404 on, Swanson (2, 0.3, 0.1) has eps^2 > 2: q is a
-        # barrier with its top at the centre, where shooting matches.
-        *(("swanson", tau, 1201) for tau in (0.42, 0.5, 0.6, 0.68)),
-        # Where kappa <= 2 the whole interval's ends decide the spectrum, and
-        # the matrix is 3.6e-7 to 1.3e-6 off here.
-        ("gup-oscillator", 1.2, 1201), ("gup-oscillator", 20.0, 1201),
-        *(("gup-oscillator", tau, 2401) for tau in (1.4, 1.45, 1.5)),
-        ("swanson", 0.3, 2401),
-        # Coarse grids where kappa >= 20: the matrix is 0.8-1.3e-6 off, and
+        # barrier with its top at the centre, where shooting matches. Held to
+        # 1e-6 absolute.
+        *(("swanson", tau, 1201, 6, False) for tau in (0.42, 0.5, 0.6, 0.68)),
+        # The rest are held to 1e-6 relative, the tolerance `solve` gates on;
+        # at tau = 1.4-1.5 the energies reach 27. Where kappa <= 2 the whole
+        # interval's ends decide the spectrum, and the matrix is 3.6e-7 to
+        # 1.3e-6 off here.
+        ("gup-oscillator", 1.2, 1201, 6, True), ("gup-oscillator", 20.0, 1201, 6, True),
+        *(("gup-oscillator", tau, 2401, 6, True) for tau in (1.4, 1.45, 1.5)),
+        ("swanson", 0.3, 2401, 6, True),
+        # Coarse grids where kappa >= 20: the matrix is 0.8-1.4e-6 off, and
         # shooting on the fine grid's n - 1 half-steps errs with it.
-        ("gup-oscillator", 0.05, 201), ("gup-oscillator", 0.0, 301), ("swanson", 0.02, 201),
-        # Shooting below the floor n = 1201 errs with the matrix here, 3.2e-6 off.
-        ("swanson", 0.01, 201),
+        ("gup-oscillator", 0.05, 201, 6, True), ("gup-oscillator", 0.0, 301, 6, True),
+        ("swanson", 0.02, 201, 6, True), ("gup-oscillator", 0.0, 201, 3, True),
+        # Shooting on fewer than 1600 half-steps errs with the matrix here, 3.2e-6 off.
+        ("swanson", 0.01, 201, 6, True),
     ], ids=str)
-    def test_barrier_band_exits_0_only_when_exact(self, model, tau, n, capsys):
+    def test_barrier_band_exits_0_only_when_exact(self, model, tau, n, k, rtol, capsys):
         # A solve may print a spectrum only if both columns are the closed
-        # form within 1e-6 (relative); otherwise it is a solver error, with
-        # nothing on stdout.
+        # form within 1e-6; otherwise it is a solver error, with nothing on
+        # stdout.
         swanson = {"omega": 2.0, "alpha": 0.3, "beta": 0.1} if model == "swanson" else {}
-        cfg = RunConfig(model=model, tau=tau, n=n, **swanson)
-        rc = main(["solve", "--model", model, "--tau", str(tau), "--n", str(n),
+        cfg = RunConfig(model=model, tau=tau, n=n, k=k, **swanson)
+        rc = main(["solve", "--model", model, "--tau", str(tau), "--n", str(n), "--k", str(k),
                    *(f"--{key}={value}" for key, value in swanson.items())])
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         if rc == 0:
             params = cfg.params()
             rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
-            assert len(rows) == RunConfig().k
+            assert len(rows) == k
             for row in rows:
                 exact = params.exact_energy(int(row[0]))
-                assert abs(float(row[2]) - exact) <= 1e-6 * abs(exact)
-                assert abs(float(row[3]) - exact) <= 1e-6 * abs(exact)
+                bound = 1e-6 * abs(exact) if rtol else 1e-6
+                assert abs(float(row[2]) - exact) <= bound
+                assert abs(float(row[3]) - exact) <= bound
         else:
             assert rc == 3
             assert "solver error" in captured.err
@@ -383,7 +388,7 @@ class TestSolve:
         assert shot[0] < shot[1] < shot[2]
         cfg = RunConfig(omega=0.001, k=3)
         eps = cfg.params().normal_form().eps
-        shooter = Shooter(eps, shooting_steps(cfg.n))
+        shooter = Shooter(eps, SHOOTING_STEPS)
         for n in range(3):
             assert shooting_eigenvalue(shooter, n).mismatch <= ANGLE_TOL
 

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gupmdm.cli import shooting_steps
+from gupmdm.cli import SHOOTING_STEPS
 from gupmdm.core import (
     SampledFunction,
     SturmLiouvilleProblem,
@@ -209,7 +209,7 @@ class TestSwansonSl:
         form = params.normal_form()
         mus, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
                                     normal_form_grid(form.eps, 1201), 4)
-        shooter = Shooter(form.eps, shooting_steps(1201))
+        shooter = Shooter(form.eps, SHOOTING_STEPS)
         for n, mu in enumerate(mus.tolist()):
             lam = form.eigenvalue(mu)
             shot = form.eigenvalue(shooting_eigenvalue(shooter, n).eigenvalue)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from gupmdm import core
-from gupmdm.cli import shooting_steps
+from gupmdm.cli import SHOOTING_STEPS
 from gupmdm.core import (
     SampledFunction,
     SturmLiouvilleProblem,
@@ -509,8 +509,8 @@ class TestFold:
         assert worst(4801) < worst(1201)
 
 
-# A solve's Shooter at the default n = 1201 (`cli.shooting_steps`).
-DEFAULT_STEPS = shooting_steps(1201)
+# A solve's Shooter (`cli.SHOOTING_STEPS`).
+DEFAULT_STEPS = SHOOTING_STEPS
 
 
 def step_matrices(shooter, lam):
@@ -518,7 +518,11 @@ def step_matrices(shooter, lam):
     at lam, edge to centre, read off its band of -M_k (`Shooter._band`):
       a = 1 + nu a1 + nu^2 a2,  b = b0 + nu b1,
       c = nu c1 + nu^2 c2,      d = 1 + nu d1 + nu^2 d2,  nu = lam - mu_0."""
-    band = shooter._band(lam)
+    return _entries(shooter._band(lam - shooter.mu0))
+
+
+def _entries(band):
+    """(a, b, c, d) of every step, read off a band of -M_k."""
     return -band[2, :-2:2], -band[1, 1:-2:2], -band[3, :-2:2], -band[2, 1:-2:2]
 
 
@@ -811,10 +815,10 @@ class TestSeededShooting:
         rep = shooting_eigenvalue(default_shooter(params), n, start=lam0)
         assert rep.eigenvalue == pytest.approx(ref.eigenvalue, rel=2e-10, abs=0)
         assert rep.mismatch <= ANGLE_TOL
-        # No worse than no start at all, but for one sweep from the next
-        # level's eigenvalue: its first Newton step lands just above mu_0, and
-        # the search then takes 8 sweeps against 7 from mu_0 itself.
-        assert rep.iterations <= ref.iterations + (bad == "next-level")
+        # No worse than no start at all. From the next level's eigenvalue the
+        # Newton step would land just above mu_0; the search takes the false
+        # position on (mu_0, start) instead.
+        assert rep.iterations <= ref.iterations
 
     def test_step_out_of_bracket_bisects(self, monkeypatch):
         # Theta = pi + atan(lam - 2) with angles known at 1.9 and 2.1: from
@@ -910,7 +914,7 @@ def _general_step_matrices(h, nodes, mids, lam):
     """The RK4 step matrices of -(c y')' + q y = lam w y by the closed form for
     any c and w (al = 1/c, g = q - lam w, s = al_m g_m), summed in its order;
     `nodes` and `mids` hold the columns (c, q, w) at the nodes and at the step
-    midpoints. Also returns each entry's scale, the sum of its terms' sizes."""
+    midpoints."""
     (c, q, w), (c_m, q_m, w_m) = nodes, mids
     with np.errstate(divide="ignore"):
         al, al_m = 1.0 / c, 1.0 / c_m
@@ -918,30 +922,27 @@ def _general_step_matrices(h, nodes, mids, lam):
     g0, g1, al0, al1 = g[:-1], g[1:], al[:-1], al[1:]
     s = al_m * g_m
     h2, h3, h4 = h * h / 6.0, h**3 / 12.0 * s, h**4 / 24.0 * s
-    terms = ((1.0, h2 * (al_m * g0 + s + al1 * g_m), h4 * al1 * g0),
-             (h / 6.0 * (al0 + 4.0 * al_m + al1), h3 * (al0 + al1)),
-             (h / 6.0 * (g0 + 4.0 * g_m + g1), h3 * (g0 + g1)),
-             (1.0, h2 * (g_m * al0 + s + g1 * al_m), h4 * g1 * al0))
     with np.errstate(invalid="ignore"):
-        return ([sum(t) for t in terms],
-                [sum(np.abs(x) for x in t) for t in terms])
+        return (1.0 + h2 * (al_m * g0 + s + al1 * g_m) + h4 * al1 * g0,
+                h / 6.0 * (al0 + 4.0 * al_m + al1) + h3 * (al0 + al1),
+                h / 6.0 * (g0 + 4.0 * g_m + g1) + h3 * (g0 + g1),
+                1.0 + h2 * (g_m * al0 + s + g1 * al_m) + h4 * g1 * al0)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.13, 0.2, 0.9, pytest.param(BARRIER_EPS, id="barrier")])
 def test_step_matrices_equal_general_closed_form(eps):
     # (c, q, w) = (R^2, 0, R^2) with R^2 exact at the midpoints, at lam = nu:
-    # every entry within a few ulps of its terms' sizes (the Shooter sums it
-    # as a polynomial in nu), but step 0's b and d, which hold 1/R^2 at the
-    # edge (inf at an exact end) and which the sweep never applies.
+    # every entry bit for bit, but step 0's b and d, which hold 1/R^2 at the
+    # edge (inf at an exact end) and which the sweep never applies. Each nu is
+    # a power of 2, so that the Shooter's nu^k times a coefficient rounds as
+    # the closed form's product with g = -nu w does (`Shooter.__init__`).
     shooter = Shooter(eps, 1200)
     w, w_m = _ground_state_samples(eps, _left_nodes(shooter))
-    for nu in (-10.0, 3.0, 1e3, 1e5):
-        want, scale = _general_step_matrices(shooter.h, (w, 0 * w, w), (w_m, 0 * w_m, w_m), nu)
-        for j, (got, ref, size) in enumerate(zip(step_matrices(shooter, shooter.mu0 + nu),
-                                                 want, scale)):
+    for nu in (-8.0, 4.0, 1024.0, 65536.0):
+        want = _general_step_matrices(shooter.h, (w, 0 * w, w), (w_m, 0 * w_m, w_m), nu)
+        for j, (got, ref) in enumerate(zip(_entries(shooter._band(nu)), want)):
             first = 1 if j in (1, 3) else 0
-            assert np.all(np.abs(got[first:] - ref[first:]) <= 4 * np.finfo(float).eps
-                          * size[first:])
+            assert np.array_equal(got[first:], ref[first:])
 
 
 def _loop_sweep(step, m, w, h):
