@@ -280,25 +280,24 @@ def p_space_sl(params: ModelParams, grid: Grid) -> SturmLiouvilleProblem:
 gup_oscillator_sl = swanson_sl = p_space_sl
 
 
-# Half-width of the normal-form box where the interval |x| < pi/(2 eps) is
-# longer (or infinite, eps = 0): 12 ground-state widths, as x is in units of
-# the ground-state width for every model and tau.
-NORMAL_FORM_HALF_WIDTH = 12.0
-
-
 def normal_form_grid(eps: float, n: int) -> Grid:
-    """n points on [-X, X], X = min(pi/(2 eps), NORMAL_FORM_HALF_WIDTH)."""
-    half = NORMAL_FORM_HALF_WIDTH
-    if eps > 0:
-        half = min(math.pi / (2.0 * eps), half)
+    """n points on the box {log R >= -72} of the ground state R = cos^kappa(eps x),
+    [-X, X] with sin^2(eps X) = 1 - exp(-144/kappa): X = 12 at eps = 0, short of
+    pi/(2 eps) where kappa is large, pi/(2 eps) to rounding where it is small.
+
+    The one box of both solvers, the matrix's and `solver.Shooter`'s.
+    """
+    a = 144.0 * eps * eps / ground_level(eps)
+    half = math.asin(math.sqrt(-math.expm1(-a))) / eps if a > 0 else 12.0
     return make_grid(-half, half, n)
 
 
 def normal_form_sl(eps: float, grid: Grid) -> SturmLiouvilleProblem:
     """-y'' + (1 - eps^4/4)(tan(eps x)/eps)^2 y = mu y on a `normal_form_grid`.
 
-    c = w = 1; the potential is x^2 at eps = 0. On the whole interval q at the
-    end nodes, the poles, is about (1e16/eps)^2; `discretize` drops those rows.
+    c = w = 1; the potential is x^2 at eps = 0. Where kappa is small the box is
+    the whole interval to rounding, and q at its end nodes, the poles, is about
+    (1e16/eps)^2; `discretize` drops those rows.
     """
     x = grid.points
     tan_x = np.tan(eps * x) / eps if eps > 0 else x
@@ -326,9 +325,3 @@ def ground_state_sq(eps: float, x: np.ndarray) -> np.ndarray:
         ratio = np.where(z > 0.0, np.log1p(-z) / z, -1.0)
     return np.exp(ground_level(eps) * s * s * ratio)
 
-
-def ground_state_half_width(eps: float) -> float:
-    """X of the box {log R >= -72}, sin^2(eps X) = 1 - exp(-144/kappa): 12 at eps = 0,
-    short of pi/(2 eps) where kappa is large, pi/(2 eps) to rounding where it is small."""
-    a = 144.0 * eps * eps / ground_level(eps)
-    return math.asin(math.sqrt(-math.expm1(-a))) / eps if a > 0 else 12.0

@@ -7,8 +7,9 @@ tolerance for the eigenvalues, or, given estimates of them, Rayleigh quotients
 certified to that tolerance; inverse iteration for the eigenvectors when they
 are first read), and RK4 shooting on the even Liouville normal form at eps in
 g = y/R, R its closed-form ground state, one half-sweep from the box edge to
-the centre per trial eigenvalue. Shooting reads only eps, not the matrix's grid
-or q, and finds level n as the root of the Pruefer angle sum
+the centre per trial eigenvalue. Shooting reads only eps, not the matrix's q;
+it shares the matrix's box (`models.normal_form_grid`), not its spacing, and
+finds level n as the root of the Pruefer angle sum
 Theta(lambda) = (n + 1) pi, monotone up to RK4's stability bound and memoized
 on a `Shooter`; each sweep applies its RK4 step matrices, polynomials in lambda,
 in one banded triangular solve (LAPACK dtbtrs), and returns dTheta/dlambda by
@@ -48,9 +49,8 @@ from .core import (
     Spectrum,
     SturmLiouvilleProblem,
     count_sign_changes,
-    make_grid,
 )
-from .models import ground_level, ground_state_half_width, ground_state_sq
+from .models import ground_level, ground_state_sq, normal_form_grid
 
 
 def _load_flapack(directory: str) -> ModuleType:
@@ -83,12 +83,12 @@ class BracketError(SolverError):
 
 @dataclass(frozen=True)
 class DiscretizedPair:
-    """Symmetric tridiagonal A and positive diagonal B on interior points."""
+    """Symmetric tridiagonal A and positive diagonal B on the interior points of `grid`."""
 
     diag: np.ndarray        # main diagonal of A, length n-2
     offdiag: np.ndarray     # sub/super diagonal of A, length n-3
     b_diag: np.ndarray      # diagonal of B, length n-2
-    problem: SturmLiouvilleProblem
+    grid: Grid
 
 
 def discretize(slp: SturmLiouvilleProblem) -> DiscretizedPair:
@@ -100,8 +100,7 @@ def discretize(slp: SturmLiouvilleProblem) -> DiscretizedPair:
     c_half = 0.5 * (c[:-1] + c[1:])          # c at i+1/2, length n-1
     diag = (c_half[:-1] + c_half[1:]) / h**2 + q[1:-1]
     offdiag = -c_half[1:-1] / h**2
-    return DiscretizedPair(diag=diag, offdiag=offdiag, b_diag=w[1:-1].copy(),
-                           problem=slp)
+    return DiscretizedPair(diag=diag, offdiag=offdiag, b_diag=w[1:-1].copy(), grid=slp.grid)
 
 
 # Absolute tolerance of dstebz's bisection. At abstol 0 it stops at ulp * ||T||,
@@ -249,7 +248,7 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
         raise SolverError(f"eigenvalues {lams[j]:.12g} and {lams[j + 1]:.12g} are not strictly "
                           f"ascending beyond ulp*||T|| = {resolution:.3g}: the grid does not "
                           "resolve them")
-    vectors = partial(_eigenfunctions, pair.problem.grid, s, d, e)
+    vectors = partial(_eigenfunctions, pair.grid, s, d, e)
     # Level 0 is vals[0], the lowest of the even block (T's off-diagonal is
     # negative, so its ground state is even), which dstein takes first: its
     # vector alone starts dstein's random stream as it does among all k.
@@ -359,9 +358,9 @@ class Shooter:
     `models.ground_level`) and y = R g, the normal form is -(R^2 g')' = nu R^2 g,
     nu = lambda - mu_0: the system g' = P / R^2, P' = -nu R^2 g, run from
     (g, P) = (1, 0) at the left edge of the box {log R >= -72}
-    (`models.ground_state_half_width`) to the centre. That start is the
-    principal solution for every kappa, and the natural condition on a
-    truncated box; the right solution is the left one's mirror image, so an
+    (`models.normal_form_grid`, the matrix's box too) to the centre. That
+    start is the principal solution for every kappa, and the natural condition
+    on a truncated box; the right solution is the left one's mirror image, so an
     angle costs one sweep. R^2 is taken in closed form at the nodes and step
     midpoints, so the Shooter reads only eps. Each RK4 step matrix is a
     polynomial of degree 2 in nu, its coefficients built here once in LAPACK's
@@ -381,8 +380,7 @@ class Shooter:
     def __init__(self, eps: float, steps: int):
         if steps < 1:
             raise ValueError(f"shooting needs at least 1 half-step, got {steps}")
-        half = ground_state_half_width(eps)
-        self.grid = make_grid(-half, half, 2 * steps + 1)
+        self.grid = normal_form_grid(eps, 2 * steps + 1)
         self.h = h = self.grid.h
         self.mu0 = ground_level(eps)
         x = self.grid.points[:steps + 1]

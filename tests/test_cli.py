@@ -440,6 +440,19 @@ class TestSolve:
         for n, row in enumerate(rows):
             assert abs(float(row[2]) / params.exact_energy(n) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("tau, bound", [(0.01, 3.5e-9), (0.02, 2.5e-9)])
+    def test_short_box_has_finer_h(self, tau, bound, capsys):
+        # The box {log R >= -72} is shorter than 12 here (10.9 and 9.4), so the
+        # same n has a finer h: the worst level is 3.0e-9 and 1.9e-9 off the
+        # closed form (relative), against 4.9e-9 and 3.7e-9 on [-12, 12].
+        params = GupOscillatorParams(omega=1.0, tau=tau)
+        rc = main(["solve", "--tau", str(tau)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        worst = max(abs(float(row[2]) / params.exact_energy(int(row[0])) - 1.0) for row in rows)
+        assert worst < bound
+
     def test_swanson_huge_weight_solves(self, capsys):
         # The p-space weight exp(delta p^2) grows fast here; the normal form
         # has no weight to overflow, and the spectrum is exact.
@@ -982,5 +995,52 @@ def test_main_fuzz_exit_codes(command, spoiled, extreme, **values):
         text = out.getvalue().lower()
         assert "nan" not in text and "inf" not in text
     else:
+        assert out.getvalue() == ""
+        assert "error: " in err.getvalue()
+
+
+def _log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _solve_inputs(draw) -> dict:
+    """A `solve` config over the whole family: the oscillator at omega and
+    tau omega log-uniform (tau omega up to 1000, or 0), Swanson with alpha,
+    beta <= 0.45 omega and tau from 0 to 1.25 times its Q <= 0 edge
+    2 (omega - 2 sqrt(alpha beta)) / G."""
+    values = {"n": draw(st.integers(201, 4801)), "k": draw(st.integers(1, 8))}
+    if draw(st.sampled_from(["gup-oscillator", "swanson"])) == "gup-oscillator":
+        omega = draw(_log_uniform(0.1, 10.0))
+        tau_omega = draw(st.one_of(st.just(0.0), _log_uniform(1e-4, 1000.0)))
+        return {"model": "gup-oscillator", "omega": omega, "tau": tau_omega / omega, **values}
+    omega = draw(st.floats(0.5, 4.0))
+    alpha, beta = draw(st.floats(0.0, 0.45 * omega)), draw(st.floats(0.0, 0.45 * omega))
+    edge = 2.0 * (omega - 2.0 * math.sqrt(alpha * beta)) / (omega * (omega + alpha + beta))
+    return {"model": "swanson", "omega": omega, "alpha": alpha, "beta": beta,
+            "tau": draw(st.floats(0.0, 1.25)) * edge, **values}
+
+
+@given(values=_solve_inputs())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_solve_exit_0_means_closed_form(values):
+    """Exit 0 means both energy columns are the closed form within 1e-6
+    (relative); any other outcome is exit 2 or 3 with a message and nothing
+    on stdout."""
+    argv = ["solve", *(f"--{key}={value}" for key, value in values.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        params = RunConfig(**values).params()
+        rows = [line.split(",") for line in out.getvalue().strip().splitlines()[1:]]
+        assert len(rows) == values["k"]
+        for row in rows:
+            exact = params.exact_energy(int(row[0]))
+            assert abs(float(row[2]) - exact) <= 1e-6 * abs(exact), argv
+            assert abs(float(row[3]) - exact) <= 1e-6 * abs(exact), argv
+    else:
+        assert rc in (2, 3), err.getvalue()
         assert out.getvalue() == ""
         assert "error: " in err.getvalue()

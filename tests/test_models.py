@@ -21,10 +21,8 @@ from gupmdm.models import (
     NormalForm,
     SwansonParams,
     WeightOverflowError,
-    NORMAL_FORM_HALF_WIDTH,
     gup_oscillator_sl,
     ground_level,
-    ground_state_half_width,
     ground_state_sq,
     normal_form_grid,
     normal_form_sl,
@@ -295,11 +293,18 @@ class TestNormalForm:
         # The check sits in normal_form(), not in the constructor.
         assert np.all(np.isfinite(mass(SwansonParams(2.0, 0.3, 0.1, 0.8)).values))
 
-    def test_grid_half_width(self):
-        assert normal_form_grid(0.0, 5).p_max == NORMAL_FORM_HALF_WIDTH
-        assert normal_form_grid(0.1, 5).p_max == NORMAL_FORM_HALF_WIDTH
-        assert normal_form_grid(0.5, 5).p_max == math.pi
-        assert normal_form_grid(0.5, 5).p_min == -math.pi
+    @pytest.mark.parametrize("eps, half, tol", [
+        (0.0, 12.0, 0.0), (0.1, 10.6043, 1e-4), (math.sqrt(0.03), 8.3799, 1e-4),
+        (0.5, 3.1415924, 1e-7), (0.8, math.pi / 1.6, 0.0), (1.6, math.pi / 3.2, 0.0),
+    ])
+    def test_one_box_for_matrix_and_shooting(self, eps, half, tol):
+        # The box {log R >= -72}: 12 at eps = 0, short of pi/(2 eps) where kappa
+        # is large (2.3e-7 short of pi at eps = 0.5, kappa = 4.5), the whole
+        # interval to rounding where it is small. The Shooter sweeps the same box.
+        grid, shooter = normal_form_grid(eps, 5), Shooter(eps, 10)
+        assert grid.p_max == shooter.grid.p_max == -grid.p_min
+        assert shooter.grid == normal_form_grid(eps, 21)
+        assert abs(grid.p_max - half) <= tol
 
     def test_eps_zero_is_harmonic(self):
         grid = normal_form_grid(0.0, 241)
@@ -334,7 +339,7 @@ class TestNormalForm:
         # {log R >= -72}. At eps^2 = 1e-8 the reference power's own rounding,
         # about 2 kappa ulp, sets the tolerance.
         eps = math.sqrt(eps2)
-        half = ground_state_half_width(eps)
+        half = normal_form_grid(eps, 5).p_max
         x = np.linspace(-half, half, 101)[1:-1]
         if eps2:
             kappa = 0.5 + 1.0 / eps2
@@ -363,7 +368,7 @@ class TestNormalForm:
 
     def test_ground_state_box_at_eps2_003(self):
         # Short of the interval where kappa is large: 8.38, not pi/(2 eps) = 9.07.
-        assert ground_state_half_width(math.sqrt(0.03)) == pytest.approx(8.3799, abs=1e-4)
+        assert normal_form_grid(math.sqrt(0.03), 5).p_max == pytest.approx(8.3799, abs=1e-4)
 
     @pytest.mark.parametrize("params", [
         GupOscillatorParams(1.0, 0.05), GupOscillatorParams(2.0, 0.1),

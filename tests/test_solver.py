@@ -22,7 +22,6 @@ from gupmdm.models import (
     GupOscillatorParams,
     SwansonParams,
     gup_oscillator_sl,
-    ground_state_half_width,
     ground_state_sq,
     normal_form_grid,
     normal_form_sl,
@@ -167,7 +166,7 @@ def eigh_tridiagonal_reference(pair, k, fold):
         d, e, n_even = fold_reference(d, e)
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
                                   tol=solver.ABSTOL)
-    grid = pair.problem.grid
+    grid = pair.grid
     funcs = []
     for j in range(k):
         phi = np.zeros(grid.n)
@@ -694,7 +693,7 @@ class TestShooting:
         params = GupOscillatorParams(omega=omega, tau=tau)
         form = params.normal_form()
         shooter = Shooter(form.eps, 2400)
-        assert shooter.grid.p_max == ground_state_half_width(form.eps) < math.pi / (2 * form.eps)
+        assert shooter.grid.p_max == normal_form_grid(form.eps, 5).p_max < math.pi / (2 * form.eps)
         gam = tau * omega
         for n in range(6):
             exact = omega * ((n + 0.5) * (math.sqrt(1 + gam * gam / 4) + gam / 2)
