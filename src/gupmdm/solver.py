@@ -21,7 +21,7 @@ the toolbox; its fine grid is seeded with the coarse grid's levels, and its
 coarse grid with whatever estimates the caller has (`gupmdm solve` passes the
 normal form's closed-form levels), so neither grid need bisect.
 
-The four LAPACK routines (dstebz, dstein, dpttrf, dtbtrs) come from scipy's
+The three LAPACK routines (dstebz, dstein, dtbtrs) come from scipy's
 compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
 wrappers `scipy.linalg.lapack` re-exports, so the numbers are the same, without
 the `scipy.linalg` package init, which imports numpy.testing, unittest and
@@ -73,8 +73,7 @@ def _load_flapack(directory: str) -> ModuleType:
 # `import scipy` alone does not import scipy.linalg; it sets up the wheel's
 # bundled library path where a platform needs one.
 _flapack = _load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
-dpttrf, dstebz, dstein, dtbtrs = (_flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
-                                  _flapack.dtbtrs)
+dstebz, dstein, dtbtrs = _flapack.dstebz, _flapack.dstein, _flapack.dtbtrs
 
 
 class BracketError(SolverError):
@@ -152,12 +151,11 @@ def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
     dstein's block order and with its block arrays; or None.
 
     None unless k >= 2, `near` ascends and the result is certified: the
-    intervals rho_j +- r_j (r_j = ||T z_j - rho_j z_j||) are disjoint inside
-    (lo, hi], half a gap beyond the outer rho's; T - lo I is positive definite
-    (dpttrf), so no eigenvalue is <= lo; dstebz counts k eigenvalues in
-    (lo, hi]; so each interval holds exactly one of the k lowest, and its
-    Kato-Temple bound r_j^2 / gap_j (Kato, J. Phys. Soc. Japan 4, 334 (1949))
-    is at most ABSTOL.
+    intervals rho_j +- r_j (r_j = ||T z_j - rho_j z_j||) each hold an
+    eigenvalue and are disjoint below hi, half a gap above the top rho;
+    dstebz counts k eigenvalues <= hi; so each interval holds exactly one of
+    the k lowest, and its Kato-Temple bound r_j^2 / gap_j (Kato, J. Phys. Soc.
+    Japan 4, 334 (1949); level 0 has no gap below) is at most ABSTOL.
     """
     k, m = near.size, d.size
     if k < 2 or not np.all(np.diff(near) > 0):
@@ -175,13 +173,13 @@ def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
     rho = np.einsum("ij,ij->j", z, tz)
     lam, r = np.empty(k), np.empty(k)
     lam[levels], r[levels] = rho, np.linalg.norm(tz - rho * z, axis=0)
-    lo, hi = 1.5 * lam[0] - 0.5 * lam[1], 1.5 * lam[-1] - 0.5 * lam[-2]
-    a, b = np.append(lo, lam[:-1] + r[:-1]), np.append(lam[1:] - r[1:], hi)
+    hi = 1.5 * lam[-1] - 0.5 * lam[-2]
+    a, b = np.append(-math.inf, lam[:-1] + r[:-1]), np.append(lam[1:] - r[1:], hi)
     if not (np.all(a < lam - r) and np.all(lam + r <= b) and np.all(
             r * r <= ABSTOL * np.minimum(lam - a, b - lam))):
         return None
-    # dstebz's range 1 ("V") counts (lo, hi]; at tol inf it bisects no further.
-    if dpttrf(d - lo, e)[2] != 0 or dstebz(d, e, 1, lo, hi, 0, 0, math.inf, "B")[::4] != (k, 0):
+    # dstebz's range 1 ("V") counts (-inf, hi]; at tol inf it bisects no further.
+    if dstebz(d, e, 1, -math.inf, hi, 0, 0, math.inf, "B")[::4] != (k, 0):
         return None
     return rho, iblock, isplit
 
@@ -303,7 +301,7 @@ def solve_extrapolated(
 
     A seed changes the cost, not the levels: the certificate checks that the
     k intervals hold the k lowest eigenvalues of the discrete pencil itself
-    (dpttrf's inertia and dstebz's count) and bounds each level's distance to
+    (dstebz's count up to the top interval) and bounds each level's distance to
     its eigenvalue by ABSTOL (Kato-Temple). So seeds from a closed form, as
     `gupmdm solve` passes, cannot pull the levels toward it, and the matrix
     stays an independent check of that closed form.
@@ -365,8 +363,8 @@ class Shooter:
     midpoints, so the Shooter reads only eps. Each RK4 step matrix is a
     polynomial of degree 2 in nu, its coefficients built here once in LAPACK's
     band layout; a sweep applies them in one banded triangular solve. Step 0
-    acts on (1, 0) alone, so its second column, with 1/R^2 at the edge (inf at
-    an exact end), is never formed. At nu = 0, g = 1 solves every step
+    acts on (1, 0) alone, so its second column takes 0 for 1/R^2 at the edge
+    (inf at an exact end). At nu = 0, g = 1 solves every step
     exactly: Theta(mu_0) = pi, and level 0 is mu_0 by construction.
 
     `grid` is the box with 2 steps + 1 points, its left half the nodes swept.
@@ -374,8 +372,6 @@ class Shooter:
     instance with its slope dTheta/dlambda, so every level solved on one
     Shooter reuses the sweeps of the levels before it.
     """
-
-    _CAP = 1e100
 
     def __init__(self, eps: float, steps: int):
         if steps < 1:
@@ -428,38 +424,26 @@ class Shooter:
     def _sweep(self, lam: float):
         """Integrate from the box edge, where (g, P) = (1, 0), to the centre.
 
-        Returns (g, P, nodes, norm): the final scaled state, the sign changes
-        of g along the way, and the integral of R^2 g^2 over the sweep in the
-        final state's scale (trapezoid rule).
+        Returns (g, P, nodes, norm): the final state, the sign changes of g
+        along the way, and the integral of R^2 g^2 over the sweep (trapezoid
+        rule).
 
-        State k+1 is M_k times state k, so the states (g_1, P_1, ..., g_m,
+        State k+1 is M_k times state k, so the states (g_0, P_0, ..., g_m,
         P_m) solve one unit lower-triangular system with -M_k at sub-diagonal
-        offsets 1-3: one call to LAPACK's dtbtrs. When g or P passes _CAP, or
-        |g| + |P| falls below 1/_CAP (RK4 damps an oscillation far above the
-        levels), the solve restarts from that state, scaled to |g| + |P| = 1,
-        and so is the integral so far; it is inf once that overflows.
+        offsets 1-3 and (1, 0) as the right-hand side's first rows: one call
+        to LAPACK's dtbtrs. Nothing rescales the state: on [mu_0, mu_0 +
+        RK4_REACH / h^2], where every search sweeps, |g| + |P| stays below 20
+        at every node, and above 1e-120 up to 2400 steps (it underflows only
+        near the reach on thousands of steps, where `_angle` guards its slope).
         """
-        band = self._band(lam - self.mu0)    # band[:, 2k:] reaches LAPACK uncopied
-        w, m = self._w, self._w.size - 1
-        g_all = np.ones(m + 1)
-        u, v, k, norm = 1.0, 0.0, 0, 0.5 * float(w[0])     # (u, v) is state k
-        while k < m:
-            rhs = np.zeros((2 * (m - k), 1))
-            rhs[0] = -(band[2, 2 * k] * u + band[1, 2 * k + 1] * v)
-            rhs[1] = -(band[3, 2 * k] * u + band[2, 2 * k + 1] * v)
-            x = dtbtrs(band[:, 2 * k + 2:], rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
-            au, av = np.abs(x[::2]), np.abs(x[1::2])
-            out = np.flatnonzero((np.maximum(au, av) > self._CAP) | (au + av < 1.0 / self._CAP))
-            j = out[0] + 1 if out.size else m - k    # states this solve keeps
-            kept = g_all[k + 1:k + 1 + j] = x[:2 * j:2]
-            norm += float(np.dot(w[k + 1:k + 1 + j], kept * kept))
-            u, v = float(x[2 * j - 2]), float(x[2 * j - 1])
-            if out.size:
-                mag = abs(u) + abs(v)
-                u, v, norm = u / mag, v / mag, norm / mag / mag
-            k += j
-        norm = self.h * (norm - 0.5 * float(w[m]) * u * u)   # the centre has half weight
-        return u, v, count_sign_changes(g_all), float(norm)
+        band = self._band(lam - self.mu0)
+        rhs = np.zeros((band.shape[1], 1))
+        rhs[0] = 1.0
+        x = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)[0][:, 0]
+        w, g, u, v = self._w, x[::2], float(x[-2]), float(x[-1])
+        norm = 0.5 * float(w[0]) + float(np.dot(w[1:], g[1:] * g[1:]))
+        norm = self.h * (norm - 0.5 * float(w[-1]) * u * u)   # the centre has half weight
+        return u, v, count_sign_changes(g), norm
 
     def _angle(self, lam: float) -> tuple[float, float]:
         """(Theta, dTheta/dlambda) at lam from one sweep of the left half.
@@ -468,10 +452,13 @@ class Shooter:
         Pruefer angle at the centre; the right one, its mirror image with state
         (g, -P) there, has the same. Theta = 2 theta_L is continuous and
         increasing in lambda, pi at mu_0, and (n + 1) pi at level n. Pruefer's
-        identity dtheta_L/dlambda = int R^2 g^2 / (g^2 + P^2) gives the slope.
+        identity dtheta_L/dlambda = int R^2 g^2 / (g^2 + P^2) gives the slope,
+        inf where g^2 + P^2 underflows to 0 (near the reach on 4800 or more
+        steps), so `_root` takes a bracket step there.
         """
         u, v, nodes, s = self._sweep(lam)
-        return 2.0 * _half_angle(u, v, nodes), 2.0 * s / (u * u + v * v)
+        r2 = u * u + v * v
+        return 2.0 * _half_angle(u, v, nodes), 2.0 * s / r2 if r2 > 0.0 else math.inf
 
     def angle(self, lam: float) -> float:
         """Theta(lam), memoized with its slope in `_angles`: a repeated lambda
@@ -485,8 +472,10 @@ class Shooter:
 def _root(shooter: Shooter, target: float, lam: float) -> float:
     """Root of Theta = target by Newton steps kept inside a bracket (rtsafe).
 
-    Starts at lam, or at mu_0 when lam is not finite or lies above the reach
-    mu_0 + RK4_REACH / h^2, where no sweep goes. A Newton step, from the slope
+    Starts at lam, or at mu_0 when lam lies outside [mu_0, mu_0 + RK4_REACH /
+    h^2] or is not finite: every sweep lies in that range, where the state
+    needs no rescale (`Shooter._sweep`) and below whose top Theta is monotone.
+    A Newton step, from the slope
     that came with the angle, is taken while it lands strictly inside the
     bracket of the memoized angles (lower end mu_0, where Theta = pi exactly,
     until one at or below the target is swept) and, once one above is known,
@@ -504,7 +493,7 @@ def _root(shooter: Shooter, target: float, lam: float) -> float:
     base, angles = shooter.mu0, shooter._angles
     gap = max(1.0, abs(base) * 0.5)
     reach = base + RK4_REACH / shooter.h**2
-    if not (math.isfinite(lam) and lam <= reach):
+    if not base <= lam <= reach:
         lam = base
     theta, slope = shooter.angle(lam), angles[lam][1]
     false_position, last = False, math.inf

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -308,7 +309,8 @@ BAD_SEEDS = {
     "swapped-0-1": lambda near: (6, near[[1, 0, 2, 3, 4, 5]]),
     "swapped-0-2": lambda near: (6, near[[2, 1, 0, 3, 4, 5]]),     # within one block
     "shifted-by-a-gap": lambda near: (6, near[:6] + (near[1] - near[0])),
-    # Levels 2..7 have the parities of 0..5: only dpttrf sees the two below.
+    # Levels 2..7 have the parities of 0..5: only dstebz's count of the
+    # eigenvalues up to hi sees the two below.
     "levels-2-to-7": lambda near: (6, near[2:]),
     "another-problem": lambda near: (6, solve_sl(SYMMETRIC_CASES[2][0], 6).eigenvalues),
     "k-1": lambda near: (1, near[:1]),
@@ -672,6 +674,26 @@ class TestShooting:
             shooting_eigenvalue(shooter, n, start=1e3)
         assert max(shooter._angles) == shooter.mu0 + solver.RK4_REACH / shooter.h**2
 
+    def test_start_far_below_ground_level(self):
+        # No sweep goes below mu_0: from a start of -1e4, which overflowed a
+        # sweep and ended in a BracketError, the search begins at mu_0 and
+        # finds the unseeded root to the bit.
+        ref = shooting_eigenvalue(Shooter(0.0, DEFAULT_STEPS), 3)
+        shooter = Shooter(0.0, DEFAULT_STEPS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = shooting_eigenvalue(shooter, 3, start=-1e4)
+        assert rep.eigenvalue == ref.eigenvalue
+        assert min(shooter._angles) == shooter.mu0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.22])
+    def test_start_just_below_ground_level(self, eps):
+        # A matrix level 0 a little below mu_0 starts the search at mu_0,
+        # where Theta = pi exactly: level 0 is mu_0 in one sweep.
+        shooter = Shooter(eps, DEFAULT_STEPS)
+        rep = shooting_eigenvalue(shooter, 0, start=shooter.mu0 * (1 - 1e-11))
+        assert (rep.eigenvalue, rep.iterations) == (shooter.mu0, 1)
+
     def test_slow_newton_hands_over_to_bracket(self):
         # On h = 0.2 the doubling search for level 21 reaches mu_0 + 2.5/h^2 =
         # 63.5, where Pruefer's identity gives a slope tens of times the
@@ -755,7 +777,7 @@ class TestSeededShooting:
 
     def test_sweep_budget(self):
         # Six levels at (tau, omega) = (0.05, 1) on the default steps: 30
-        # sweeps unseeded, 9 from the matrix eigenvalues.
+        # sweeps unseeded, 8 from the matrix eigenvalues ([1, 1, 1, 1, 2, 2]).
         params = GupOscillatorParams(1.0, 0.05)
         mus = _normal_form_levels(params)
         shooter = default_shooter(params)
@@ -766,8 +788,8 @@ class TestSeededShooting:
     @pytest.mark.parametrize("params, steps", [
         (SwansonParams(2.0, 0.3, 0.1, 0.05), 600),
         (GupOscillatorParams(1.0, 1.2), 600),
-        # eps ~ 0.13, where the y-form's state passed _CAP and each sweep
-        # restarted; g stays of order 1.
+        # eps ~ 0.13, where the y-form's state passed 1e100; g stays of
+        # order 1.
         (GupOscillatorParams(1.0, 0.017), 2400),
         # eps^2 > 2: q is a barrier, its top at the centre where the sweep ends.
         (SwansonParams(2.0, 0.3, 0.1, 0.6), 600),
@@ -788,7 +810,7 @@ class TestSeededShooting:
             fd = (shooter.angle(lam + d) - shooter.angle(lam - d)) / (2 * d)
             shooter.angle(lam)                         # memoizes (Theta, slope)
             assert shooter._angles[lam][1] == pytest.approx(fd, rel=1e-4)
-        # One banded solve per angle: no sweep restarts.
+        # One banded solve per angle.
         assert len(solves) == shooter.sweeps
 
     @pytest.mark.parametrize("bad", ["next-level", "floor", "zero-slope", "inf-slope",
@@ -947,15 +969,11 @@ def test_step_matrices_equal_general_closed_form(eps):
 def _loop_sweep(step, m, w, h):
     """Reference for `Shooter._sweep`: m steps (g, P) = step(k, g, P) from
     (1, 0), one at a time on Python floats, with R^2 g^2 summed node by node
-    (w holds R^2 at the m + 1 nodes; the first and the last at half weight).
-    Also returns how often the sweep restarts: the state is rescaled past
-    _CAP, or below 1/_CAP in |g| + |P|, before the last step (a last state is
-    rescaled with no restart)."""
+    (w holds R^2 at the m + 1 nodes; the first and the last at half weight)."""
     u, v = 1.0, 0.0
-    nodes = restarts = 0
+    nodes = 0
     norm = 0.5 * w[0]
     negative = False         # sign of the last nonzero g
-    cap = Shooter._CAP
     for k in range(m):
         u, v = step(k, u, v)
         norm += w[k + 1] * u * u * (0.5 if k == m - 1 else 1.0)
@@ -967,13 +985,7 @@ def _loop_sweep(step, m, w, h):
             if negative:
                 nodes += 1
             negative = False
-        if u > cap or u < -cap or v > cap or v < -cap or abs(u) + abs(v) < 1.0 / cap:
-            mag = abs(u) + abs(v)
-            u /= mag
-            v /= mag
-            norm /= mag * mag
-            restarts += k < m - 1
-    return u, v, nodes, h * norm, restarts
+    return u, v, nodes, h * norm
 
 
 def _matrix_steps(shooter, lam):
@@ -982,16 +994,21 @@ def _matrix_steps(shooter, lam):
     return lambda k, u, v: (a[k] * u + b[k] * v, c[k] * u + d[k] * v)
 
 
-# (eps, half-steps). A sweep restarts only far above the reach: where some
-# offset has nu h^2 >= 6, RK4 damps the state below 1/_CAP (at eps = 0 on 600
-# steps, h = 0.02, at mu_0 + 1.5e4) or grows it past _CAP.
+# (eps, half-steps).
 SWEEP_CASES = (
     [pytest.param(eps, steps, id=f"eps{eps}-steps{steps}")
      for eps in (0.0, 0.13, 0.45, 0.9) for steps in (100, 1200)]
     + [pytest.param(0.0, 600, id="eps0.0-steps600"),
        pytest.param(BARRIER_EPS, 600, id="barrier")]
 )
-SWEEP_OFFSETS = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 1e4, 1.5e4, 1e5]
+SWEEP_OFFSETS = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 3e3, 1e4]
+
+
+def _sweep_lambdas(shooter):
+    """mu_0 plus each of SWEEP_OFFSETS below the reach RK4_REACH / h^2, and the
+    reach itself: no search sweeps above it."""
+    reach = solver.RK4_REACH / shooter.h**2
+    return [shooter.mu0 + x for x in SWEEP_OFFSETS if x < reach] + [shooter.mu0 + reach]
 
 
 @pytest.mark.parametrize("eps, steps", SWEEP_CASES)
@@ -1002,39 +1019,47 @@ def test_sweep_matches_loop(eps, steps, monkeypatch):
     dtbtrs = solver.dtbtrs
     monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
                         solves.append(args) or dtbtrs(*args, **kwargs))
-    total = 0
-    for lam in (shooter.mu0 + x for x in SWEEP_OFFSETS):
+    for lam in _sweep_lambdas(shooter):
         solves.clear()
         u, v, nodes, norm = shooter._sweep(lam)
-        u_ref, v_ref, nodes_ref, norm_ref, restarts = _loop_sweep(
+        u_ref, v_ref, nodes_ref, norm_ref = _loop_sweep(
             _matrix_steps(shooter, lam), steps, w, shooter.h)
         assert nodes == nodes_ref
         assert norm == pytest.approx(norm_ref, rel=1e-12)
-        # The angle between the two final states, and their lengths: both
-        # were rescaled at the same steps.
+        # The angle between the two final states, and their lengths.
         assert abs(math.atan2(u * v_ref - v * u_ref, u * u_ref + v * v_ref)) <= 1e-12
         assert math.hypot(u, v) == pytest.approx(math.hypot(u_ref, v_ref), rel=1e-12)
-        # One banded solve, and one more after each restart.
-        assert len(solves) == 1 + restarts
-        total += restarts
-    assert (total > 0) == (max(SWEEP_OFFSETS) * shooter.h**2 >= 6.0)
+        # The whole sweep is one banded solve.
+        assert len(solves) == 1
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.13, 0.45, 0.9, 1.2,
                                  pytest.param(BARRIER_EPS, id="barrier")])
-@pytest.mark.parametrize("steps", [30, 100, 600, DEFAULT_STEPS])
+@pytest.mark.parametrize("steps", [30, 100, 600, DEFAULT_STEPS, 2400])
 def test_state_stays_small_up_to_reach(eps, steps):
-    # From (1, 0), |g| + |P| <= 16.3 at every node for 0 <= nu <= RK4_REACH / h^2
-    # (the y-form's state passed 1e100 at eps = 0.13): no sweep a search makes
-    # restarts on growth.
+    # From (1, 0), 1e-120 <= |g| + |P| <= 20 at every node for 0 <= nu <=
+    # RK4_REACH / h^2, where every search sweeps (the y-form's state passed
+    # 1e100 at eps = 0.13): a sweep needs no rescale to stay in range.
     shooter = Shooter(eps, steps)
     for nu in np.linspace(0.0, solver.RK4_REACH / shooter.h**2, 25):
         a, b, c, d = step_matrices(shooter, shooter.mu0 + nu)
-        u, v, peak = 1.0, 0.0, 1.0
+        u, v, peak, floor = 1.0, 0.0, 1.0, 1.0
         for k in range(steps):
             u, v = a[k] * u + b[k] * v, c[k] * u + d[k] * v
-            peak = max(peak, abs(u) + abs(v))
+            peak, floor = max(peak, abs(u) + abs(v)), min(floor, abs(u) + abs(v))
         assert peak <= 20.0
+        assert floor >= 1e-120
+
+
+def test_slope_of_underflowed_state_is_inf():
+    # On 4800 half-steps the state at the reach falls to 1e-197, so g^2 + P^2
+    # underflows to 0: the angle is finite and its slope inf, which sends the
+    # root search to its bracket, not a division by zero.
+    shooter = Shooter(0.0, 4800)
+    reach = shooter.mu0 + solver.RK4_REACH / shooter.h**2
+    theta = shooter.angle(reach)
+    assert math.isfinite(theta) and theta > shooter.angle(0.9 * reach)
+    assert shooter._angles[reach][1] == math.inf
 
 
 def _two_sided_angle(eps, steps, lam):
@@ -1048,9 +1073,9 @@ def _two_sided_angle(eps, steps, lam):
     shooter = Shooter(eps, steps)
     nu, h, last = lam - shooter.mu0, shooter.h, 2 * steps
     w_n, w_m = (w.tolist() for w in _ground_state_samples(eps, shooter.grid.points))
-    u_l, v_l, n_l, s_l, _ = _loop_sweep(
+    u_l, v_l, n_l, s_l = _loop_sweep(
         lambda k, u, v: _scalar_rk4_step(w_n, w_m, h, nu, k, k + 1, u, v), steps, w_n, h)
-    u_r, v_r, n_r, s_r, _ = _loop_sweep(
+    u_r, v_r, n_r, s_r = _loop_sweep(
         lambda k, u, v: _scalar_rk4_step(w_n, w_m, h, nu, last - k, last - k - 1, u, v),
         steps, w_n[::-1], h)
     return (n_l, n_r, _half_angle(u_l, v_l, n_l) + _half_angle(u_r, -v_r, n_r),
@@ -1067,35 +1092,14 @@ MIRROR_CASES = (
 @pytest.mark.parametrize("eps, steps", MIRROR_CASES)
 def test_mirrored_angle_matches_two_sided(eps, steps):
     # The angle from one left half-sweep against scalar sweeps from both
-    # edges, at the levels' range and far above and below it. (At mu_0 + 1e5
-    # the states fall below 1/_CAP or pass _CAP, so both routes rescale.)
+    # edges, below mu_0 and up to the reach.
     shooter = Shooter(eps, steps)
-    offsets = [-10.0, -1.0, 0.0, 0.5, 2.0, 10.0, 1e2, 1e3, 3e3, 1e4, 1e5]
-    for lam in (shooter.mu0 + x for x in offsets):
+    for lam in _sweep_lambdas(shooter):
         theta, slope = shooter._angle(lam)
         n_l, n_r, two_sided, two_sided_slope = _two_sided_angle(eps, steps, lam)
         assert n_l == n_r
         assert abs(theta - two_sided) <= 1e-12
         assert slope == pytest.approx(two_sided_slope, rel=1e-10)
-
-
-def test_damped_state_is_rescaled(monkeypatch):
-    # Far above the levels (mu_0 + 1.5e4 at h = 0.02, nu h^2 = 6) each RK4 step
-    # matrix has determinant about 0.25, so the state decays towards
-    # underflow. The sweep restarts below 1/_CAP: the angle is finite and
-    # still rising, and the slope, int R^2 g^2 over a final state 1e-200 times
-    # the start's, is far too steep for a Newton step to move lambda.
-    shooter = Shooter(0.0, 600)
-    solves = []
-    dtbtrs = solver.dtbtrs
-    monkeypatch.setattr(solver, "dtbtrs", lambda *args, **kwargs:
-                        solves.append(args) or dtbtrs(*args, **kwargs))
-    below, _ = shooter._angle(shooter.mu0 + 1e4)
-    solves.clear()
-    theta, slope = shooter._angle(shooter.mu0 + 1.5e4)
-    assert len(solves) > 1
-    assert below < theta < math.inf
-    assert slope > 1e200
 
 
 @pytest.mark.parametrize("steps", [0, -3])
