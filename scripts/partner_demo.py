@@ -7,7 +7,10 @@ Example:
 """
 
 import argparse
+import sys
 
+from gupmdm.cli import EXIT_SOLVER
+from gupmdm.core import SolverError
 from gupmdm.susy import partner_check
 
 
@@ -19,7 +22,14 @@ def main() -> None:
     ap.add_argument("-k", type=int, default=5)
     args = ap.parse_args()
 
-    pc = partner_check(args.tau, args.pmax, args.n, k=args.k)
+    # Exit codes as `gupmdm`'s: 2 for a bad argument, 3 for a solver failure.
+    try:
+        pc = partner_check(args.tau, args.pmax, args.n, k=args.k)
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_SOLVER)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(f"tau = {pc.tau}")
     print(f"{'n':>3s}  {'Lambda_n+1':>16s}  {'Lambda_1,n':>16s}  "
           f"{'|shift defect|':>14s}  {'mapped resid':>12s}")

@@ -318,7 +318,7 @@ def _solve_rows(cfg: RunConfig):
     params = cfg.params()
     form = params.normal_form()
     # The closed-form levels seed the coarse grid: a cost, not a bias (`solve_extrapolated`).
-    mus, fine_spec = solve_extrapolated(
+    mus, _, fine_spec = solve_extrapolated(
         partial(normal_form_sl, form.eps), normal_form_grid(form.eps, cfg.n), cfg.k,
         form.exact_levels(cfg.k)
     )

@@ -16,10 +16,12 @@ in one banded triangular solve (LAPACK dtbtrs), and returns dTheta/dlambda by
 Pruefer's identity. The root search is safeguarded Newton (Numerical Recipes'
 rtsafe), started from a matrix eigenvalue where there is one, that takes the
 bisection or false position of the bracket of the angles already computed when
-a step would leave it or converge slowly. Richardson extrapolation rounds out
-the toolbox; its fine grid is seeded with the coarse grid's levels, and its
+a step would leave it or converge slowly. Richardson extrapolation
+(`solve_extrapolated`, the one path that solves a grid pair) rounds out the
+toolbox; its fine grid is seeded with the coarse grid's levels, and its
 coarse grid with whatever estimates the caller has (`gupmdm solve` passes the
-normal form's closed-form levels), so neither grid need bisect.
+normal form's closed-form levels; `verify susy` passes the partner problem the
+original's levels 1..k), so neither grid need bisect.
 
 The three LAPACK routines (dstebz, dstein, dtbtrs) come from scipy's
 compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
@@ -194,8 +196,7 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
     the absolute tolerance ABSTOL, in split-block order, and dstein's inverse
     iteration computes their eigenvectors only when the spectrum's
     `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
-    tol=ABSTOL)` does on the folded pencil. Its `ground_state`, read first, is
-    dstein's one vector at level 0, the same bits as eigenfunctions[0].
+    tol=ABSTOL)` does on the folded pencil.
 
     `near`, k ascending estimates of the levels, changes the cost, not the
     levels found (as `shooting_eigenvalue`'s `start`): where `_polish`
@@ -246,13 +247,8 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
         raise SolverError(f"eigenvalues {lams[j]:.12g} and {lams[j + 1]:.12g} are not strictly "
                           f"ascending beyond ulp*||T|| = {resolution:.3g}: the grid does not "
                           "resolve them")
-    vectors = partial(_eigenfunctions, pair.grid, s, d, e)
-    # Level 0 is vals[0], the lowest of the even block (T's off-diagonal is
-    # negative, so its ground state is even), which dstein takes first: its
-    # vector alone starts dstein's random stream as it does among all k.
-    return Spectrum(eigenvalues=lams,
-                    compute_eigenfunctions=partial(vectors, vals, iblock, isplit, order),
-                    compute_ground_state=lambda: vectors(vals[:1], iblock, isplit, order[:1])[0])
+    return Spectrum(eigenvalues=lams, compute_eigenfunctions=partial(
+        _eigenfunctions, pair.grid, s, d, e, vals, iblock, isplit, order))
 
 
 def _eigenfunctions(grid: Grid, s, d, e, vals, iblock, isplit, order):
@@ -291,10 +287,11 @@ def richardson(e_h: float, e_h2: float) -> float:
 
 def solve_extrapolated(
     build: Callable[[Grid], SturmLiouvilleProblem], grid: Grid, k: int, near=None
-) -> tuple[np.ndarray, Spectrum]:
+) -> tuple[np.ndarray, Spectrum, Spectrum]:
     """Lowest k eigenvalues of build(grid) and build(grid.refined()), extrapolated.
 
-    Returns the Richardson values with the fine grid's spectrum.
+    Returns (values, coarse, fine): the Richardson values, then the spectra
+    of the two grids, whose eigenfunctions are computed on first read.
     `near` seeds the coarse solve and the coarse eigenvalues the fine one
     (`eigen_solve`'s `near`), so the levels of each grid are certified
     Rayleigh quotients, or bisected where the seeds are not good enough.
@@ -308,7 +305,7 @@ def solve_extrapolated(
     """
     coarse = solve_sl(build(grid), k, near)
     fine = solve_sl(build(grid.refined()), k, coarse.eigenvalues)
-    return richardson(coarse.eigenvalues, fine.eigenvalues), fine
+    return richardson(coarse.eigenvalues, fine.eigenvalues), coarse, fine
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ the verification pipeline is V(p) = p^2/(1+tau p^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .core import (
     require_same_grid,
     sample,
 )
-from .solver import richardson, solve_sl
+from .solver import solve_extrapolated
 
 
 def xi_gup(tau: float, grid: Grid) -> SampledFunction:
@@ -90,15 +91,13 @@ class PartnerCheck:
     mapped_residuals: np.ndarray   # relative H1 residuals of A phi_{n+1}
 
 
-def _partner_spectrum_on_grid(tau: float, grid: Grid, k: int):
-    slp = build_unweighted_problem(tau, grid)
-    spec = solve_sl(slp, k + 1)
-    xi = xi_gup(tau, grid)
-    theta = superpotential_from_ground_state(xi, spec.ground_state)
-    rep = LadderRep(r=xi, s=theta)
-    slp1 = SturmLiouvilleProblem(c=slp.c, q=slp.q + ladder_commutator(rep), w=slp.w)
-    spec1 = solve_sl(slp1, k)
-    return spec, rep, slp1, spec1
+def partner_problem(tau: float, phi0: SampledFunction) -> tuple[LadderRep, SturmLiouvilleProblem]:
+    """(A, H_1): the intertwiner with A phi0 = 0 and the partner problem on
+    phi0's grid, H_1 = H + [A, A+] for the demo problem H."""
+    slp = build_unweighted_problem(tau, phi0.grid)
+    xi = xi_gup(tau, phi0.grid)
+    rep = LadderRep(r=xi, s=superpotential_from_ground_state(xi, phi0))
+    return rep, SturmLiouvilleProblem(c=slp.c, q=slp.q + ladder_commutator(rep), w=slp.w)
 
 
 def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
@@ -108,21 +107,31 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
     superpotential is isospectral with the original problem shifted by one
     level, and that the mapped functions A phi_{n+1} are near-eigenfunctions
     of the partner.
-    """
-    g1 = make_grid(-p_max, p_max, n)
-    g2 = g1.refined()
-    spec_c, _, _, spec1_c = _partner_spectrum_on_grid(tau, g1, k)
-    spec_f, rep_f, slp1_f, spec1_f = _partner_spectrum_on_grid(tau, g2, k)
 
-    lam = richardson(spec_c.eigenvalues, spec_f.eigenvalues)
-    lam1 = richardson(spec1_c.eigenvalues, spec1_f.eigenvalues)
+    Both problems are solved by `solver.solve_extrapolated`. Each grid's
+    partner is built from that grid's own ground state, and its coarse grid
+    is seeded with the original's coarse levels 1..k, which the
+    factorization says are its levels; each fine grid is seeded with its
+    coarse levels. A seed changes the cost, not the levels: every level is
+    the partner pencil's own, certified or else bisected (`eigen_solve`).
+    """
+    grid = make_grid(-p_max, p_max, n)
+    lam, coarse, fine = solve_extrapolated(partial(build_unweighted_problem, tau), grid, k + 1)
+    spectra = {grid: coarse, grid.refined(): fine}
+
+    @cache
+    def partner(g: Grid) -> tuple[LadderRep, SturmLiouvilleProblem]:
+        return partner_problem(tau, spectra[g].eigenfunctions[0])
+
+    lam1, _, _ = solve_extrapolated(lambda g: partner(g)[1], grid, k, coarse.eigenvalues[1:])
     defects = np.abs(lam1 - lam[1:])
 
     # Mapped-eigenfunction residual on the fine grid, inner 80%.
+    rep_f, slp1_f = partner(grid.refined())
     residuals = []
     for m in range(k):
-        psi = apply_ladder(rep_f, spec_f.eigenfunctions[m + 1])
-        defect = slp1_f.residual(psi, float(spec_f.eigenvalues[m + 1]))
+        psi = apply_ladder(rep_f, fine.eigenfunctions[m + 1])
+        defect = slp1_f.residual(psi, float(fine.eigenvalues[m + 1]))
         residuals.append(inner_relative_norm(defect, psi))
     return PartnerCheck(
         tau=tau,
@@ -131,4 +140,3 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
         shift_defects=defects,
         mapped_residuals=np.array(residuals),
     )
-

@@ -55,7 +55,7 @@ def cross_method_matrix():
         for omega in OMEGAS:
             params = GupOscillatorParams(omega=omega, tau=tau)
             form = params.normal_form()
-            mus, _ = solve_extrapolated(
+            mus, _, _ = solve_extrapolated(
                 partial(normal_form_sl, form.eps), normal_form_grid(form.eps, 1201), 6)
             shooter = Shooter(form.eps, cli.SHOOTING_STEPS)
             lam = np.array([form.eigenvalue(mu) for mu in mus.tolist()])
@@ -68,7 +68,7 @@ def cross_method_matrix():
 
 def test_criterion_01_undeformed_oscillator_spectrum():
     params = GupOscillatorParams(omega=1.0, tau=0.0)
-    lams, _ = solve_extrapolated(params.sl, make_grid(-12, 12, 1201), 10)
+    lams, _, _ = solve_extrapolated(params.sl, make_grid(-12, 12, 1201), 10)
     worst = max(abs(params.energy_from_eigenvalue(lam) - (n + 0.5))
                 for n, lam in enumerate(lams.tolist()))
     ok = worst <= 1e-6
@@ -79,7 +79,7 @@ def test_criterion_01_undeformed_oscillator_spectrum():
 def test_criterion_02_swanson_spectrum():
     params = SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.0)
     omega_bar = math.sqrt(3.88)
-    lams, _ = solve_extrapolated(params.sl, make_grid(-10, 10, 1601), 6)
+    lams, _, _ = solve_extrapolated(params.sl, make_grid(-10, 10, 1601), 6)
     worst = max(abs(params.energy_from_eigenvalue(lam) - (n + 0.5) * omega_bar)
                 for n, lam in enumerate(lams.tolist()))
     ok = worst <= 1e-5

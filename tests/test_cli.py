@@ -26,7 +26,7 @@ from gupmdm.cli import (
     main,
     parse_config_text,
 )
-from gupmdm.core import SampledFunction, Spectrum, SturmLiouvilleProblem, make_grid
+from gupmdm.core import SampledFunction, SturmLiouvilleProblem, make_grid
 from gupmdm.models import GupOscillatorParams, gup_oscillator_sl
 from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue, solve_sl
 
@@ -895,17 +895,29 @@ class TestVerify:
                         "passed": False}],
         }
 
-    def test_susy_ground_state_alone_changes_no_byte(self, monkeypatch, capsys, dstein_calls):
-        # The partner check takes level 0's vector alone on each grid (the
-        # fine grid's mapped residuals then read all k + 1): its JSON is the
-        # one the first of all k + 1 vectors gives.
-        assert main(["verify", "susy"]) == 0
-        alone = capsys.readouterr().out
-        assert [w.size for _, _, w, _, _ in dstein_calls] == [1, 1, 6, 1, 1, 6]
-        monkeypatch.setattr(Spectrum, "ground_state",
-                            property(lambda self: self.eigenfunctions[0]))
-        assert main(["verify", "susy"]) == 0
-        assert capsys.readouterr().out == alone
+    def test_susy_bisects_only_the_coarse_originals(self, monkeypatch):
+        # Each partner_check bisects (range "I") only the original on its
+        # coarse grid, 2999 rows at n = 3001. The original's fine grid is
+        # seeded with its coarse levels, the partner's coarse grid with the
+        # original's coarse levels 1..k and its fine grid with its own coarse
+        # levels: dstebz only counts (range "V") to certify each of them.
+        calls, certified = [], []
+
+        def dstebz(d, e, rng, *args):
+            calls.append((rng, d.size))
+            return real_dstebz(d, e, rng, *args)
+
+        def polish(*args):
+            result = real_polish(*args)
+            certified.append(result is not None)
+            return result
+
+        real_dstebz, real_polish = solver.dstebz, solver._polish
+        monkeypatch.setattr(solver, "dstebz", dstebz)
+        monkeypatch.setattr(solver, "_polish", polish)
+        assert main(["verify", "susy", "--out", os.devnull]) == 0
+        assert calls == [(2, 2999), (1, 5999), (1, 2999), (1, 5999)] * 2
+        assert certified == [True] * 6
 
     def test_vonroos_suite_passes(self, capsys):
         rc = main(["verify", "vonroos"])
@@ -922,20 +934,19 @@ class TestVerify:
         assert check["passed"] is passed
 
 
-def _run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports this checkout's gupmdm."""
+def _run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` (say "-c", code) with this checkout's gupmdm."""
     src = str(Path(gupmdm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_solver_imports_no_scipy_interpolate():
     # solver loads scipy's LAPACK extension alone: no scipy.interpolate, and
     # no scipy.linalg package init with the numpy.testing and unittest it imports.
     run = _run_fresh(
-        "import sys, gupmdm.solver; "
+        "-c", "import sys, gupmdm.solver; "
         "print(sorted(m for m in sys.modules for p in "
         "('scipy.interpolate', 'scipy.linalg', 'numpy.testing', 'unittest') "
         "if m == p or m.startswith(p + '.')))")
@@ -948,12 +959,21 @@ def test_commands_without_eigensolve_load_no_scipy(tmp_path):
     # eigensolve, so a profile or an operator-identity suite starts without it.
     out = str(tmp_path / "out")
     run = _run_fresh(
-        "import sys; from gupmdm.cli import main; "
+        "-c", "import sys; from gupmdm.cli import main; "
         f"codes = [main(argv + ['--out', {out!r}]) for argv in "
         "(['profile', 'mass'], ['verify', 'reduction'], ['verify', 'vonroos'])]; "
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[0, 0, 0] []"
+
+
+def test_partner_demo_bad_k_is_usage_error():
+    # partner_demo.py maps a ValueError to an argparse error, exit 2, as `gupmdm` does.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "partner_demo.py"
+    run = _run_fresh(str(script), "-k", "0")
+    assert run.returncode == 2
+    assert "error:" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])

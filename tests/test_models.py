@@ -205,8 +205,8 @@ class TestSwansonSl:
         # each against the closed form.
         params = SwansonParams(omega=1.0, alpha=0.2, beta=0.1, tau=0.05)
         form = params.normal_form()
-        mus, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
-                                    normal_form_grid(form.eps, 1201), 4)
+        mus, _, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                       normal_form_grid(form.eps, 1201), 4)
         shooter = Shooter(form.eps, SHOOTING_STEPS)
         for n, mu in enumerate(mus.tolist()):
             lam = form.eigenvalue(mu)
@@ -271,7 +271,7 @@ class TestNormalForm:
     def test_swanson_exact_energy_matches_momentum_space(self, args):
         # Independent of the normal form: the p-space problem on a wide box.
         params = SwansonParams(*args)
-        lams, _ = solve_extrapolated(params.sl, make_grid(-30, 30, 3001), 4)
+        lams, _, _ = solve_extrapolated(params.sl, make_grid(-30, 30, 3001), 4)
         for n, lam in enumerate(lams):
             assert params.energy_from_eigenvalue(lam) == pytest.approx(
                 params.exact_energy(n), rel=1e-7)

@@ -254,7 +254,7 @@ class TestLazyEigenvectors:
         coarse = solve_sl(params.sl(g), 4)
         assert coarse.eigenvalues.size == 4
         assert dstein_calls == []
-        lams, fine = solve_extrapolated(params.sl, g, 4)
+        lams, _, fine = solve_extrapolated(params.sl, g, 4)
         assert lams.size == fine.eigenvalues.size == 4
         [(d, _, w, _, _)] = dstein_calls
         assert d.size == g.refined().n - 2
@@ -264,25 +264,6 @@ class TestLazyEigenvectors:
         spec = solve_sl(laplace_problem(), 3)
         first = spec.eigenfunctions
         assert spec.eigenfunctions is first
-        assert len(dstein_calls) == 1
-
-    @pytest.mark.parametrize("seeded", [False, True], ids=["bisected", "seeded"])
-    @pytest.mark.parametrize("slp, k", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
-    def test_ground_state_alone_is_first_eigenfunction(self, slp, k, seeded, dstein_calls):
-        # ground_state runs dstein at level 0 alone. Level 0 leads dstein's
-        # block order, so its random start vector is the one it gets among
-        # all k, and the bits are eigenfunctions[0]'s.
-        pair = discretize(slp)
-        near = eigen_solve(pair, k).eigenvalues + 1e-3 if seeded else None
-        dstein_calls.clear()
-        phi0 = eigen_solve(pair, k, near).ground_state
-        assert dstein_calls[-1][2].size == 1
-        assert np.array_equal(phi0.values, eigen_solve(pair, k, near).eigenfunctions[0].values)
-
-    def test_ground_state_after_eigenfunctions_is_their_first(self, dstein_calls):
-        spec = solve_sl(laplace_problem(), 3)
-        first = spec.eigenfunctions[0]
-        assert spec.ground_state is first
         assert len(dstein_calls) == 1
 
     def test_dstein_failure_is_solver_error_on_read(self, monkeypatch):
@@ -413,6 +394,18 @@ class TestSeededSolve:
         if k == 1:
             assert np.array_equal(seeded, plain)
 
+    @pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+    def test_solve_extrapolated_coarse_is_solve_sl(self, seeded):
+        # The coarse spectrum returned is the coarse grid's own solve, bit for bit.
+        form = GupOscillatorParams(omega=1.0, tau=0.05).normal_form()
+        build, grid = partial(normal_form_sl, form.eps), normal_form_grid(form.eps, 601)
+        near = form.exact_levels(6) if seeded else None
+        _, coarse, _ = solve_extrapolated(build, grid, 6, near)
+        ref = solve_sl(build(grid), 6, near)
+        assert np.array_equal(coarse.eigenvalues, ref.eigenvalues)
+        for phi, ref_phi in zip(coarse.eigenfunctions, ref.eigenfunctions, strict=True):
+            assert np.array_equal(phi.values, ref_phi.values)
+
     @pytest.mark.parametrize("near", [[1.0, 2.0], np.ones((6, 1)), []],
                              ids=["short", "column", "empty"])
     def test_near_of_wrong_size_is_value_error(self, near):
@@ -481,13 +474,18 @@ class TestFold:
 
     @pytest.mark.parametrize("n", [601, 600])
     def test_susy_demo_and_partner_fold(self, n, dstebz_offdiags):
-        from gupmdm.susy import _partner_spectrum_on_grid
+        from gupmdm.susy import build_unweighted_problem, partner_problem
 
-        spec, _, _, partner = _partner_spectrum_on_grid(0.05, make_grid(-14, 14, n), 4)
+        spec = solve_sl(build_unweighted_problem(0.05, make_grid(-14, 14, n)), 5)
+        _, partner_slp = partner_problem(0.05, spec.eigenfunctions[0])
+        # Seeded with the original's levels 1..4, as `partner_check` seeds it.
+        partner = solve_sl(partner_slp, 4, spec.eigenvalues[1:])
         assert [junction(e) for e in dstebz_offdiags] == [0.0, 0.0]
         assert_parity(spec)
         assert_parity(partner)
 
+    # verify susy's 8 dstebz calls are 2 bisections (each tau's coarse
+    # original) and 6 counts certifying the seeded grids.
     @pytest.mark.parametrize("suite, solves", [("susy", 8), ("hermitize", 1)])
     def test_verify_suites_fold(self, suite, solves, dstebz_offdiags):
         from gupmdm.cli import VERIFY_SUITES
@@ -502,8 +500,8 @@ class TestFold:
         form = params.normal_form()
 
         def worst(n):
-            lams, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
-                                        normal_form_grid(form.eps, n), 6)
+            lams, _, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                           normal_form_grid(form.eps, n), 6)
             return max(abs(params.energy_from_eigenvalue(form.eigenvalue(mu))
                            / params.exact_energy(j) - 1.0) for j, mu in enumerate(lams))
 
@@ -558,8 +556,8 @@ class TestShooting:
     def test_cross_method_deformed(self):
         params = GupOscillatorParams(omega=1.0, tau=0.05)
         form = params.normal_form()
-        mus, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
-                                    normal_form_grid(form.eps, 1201), 6)
+        mus, _, _ = solve_extrapolated(partial(normal_form_sl, form.eps),
+                                       normal_form_grid(form.eps, 1201), 6)
         shooter = Shooter(form.eps, DEFAULT_STEPS)
         for n, mu in enumerate(mus.tolist()):
             lam = form.eigenvalue(mu)
@@ -798,8 +796,8 @@ class TestSeededShooting:
         # The sweep's dTheta/dlambda (Pruefer's identity) against a central
         # difference of Theta, at the eigenvalues and between them.
         eps = params.normal_form().eps
-        mus, _ = solve_extrapolated(partial(normal_form_sl, eps),
-                                    normal_form_grid(eps, 2 * steps + 1), 3)
+        mus, _, _ = solve_extrapolated(partial(normal_form_sl, eps),
+                                       normal_form_grid(eps, 2 * steps + 1), 3)
         shooter = Shooter(eps, steps)
         solves = []
         dtbtrs = solver.dtbtrs
@@ -1195,7 +1193,7 @@ class TestRichardson:
     ])
     def test_solve_extrapolated_matches_per_level(self, params):
         g1 = make_grid(-10, 10, 601)
-        lams, fine = solve_extrapolated(params.sl, g1, 4)
+        lams, _, fine = solve_extrapolated(params.sl, g1, 4)
         coarse = solve_sl(params.sl(g1), 4)
         fine_slp = params.sl(g1.refined())
         # The fine levels, seeded by the coarse ones, are within ABSTOL of a
