@@ -114,8 +114,13 @@ def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
     factorization says are its levels; each fine grid is seeded with its
     coarse levels. A seed changes the cost, not the levels: every level is
     the partner pencil's own, certified or else bisected (`eigen_solve`).
+
+    A k outside 1..n - 3 (the original needs k + 1 of the n - 2 interior
+    levels) is a ValueError.
     """
     grid = make_grid(-p_max, p_max, n)
+    if not 1 <= k <= grid.n - 3:
+        raise ValueError(f"need 1 <= k <= {grid.n - 3}, got {k}")
     lam, coarse, fine = solve_extrapolated(partial(build_unweighted_problem, tau), grid, k + 1)
     spectra = {grid: coarse, grid.refined(): fine}
 

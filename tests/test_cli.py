@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupmdm
-from gupmdm import cli, solver
+from gupmdm import cli, solver, susy
 from gupmdm.cli import (
+    EXIT_SOLVER,
     SHOOTING_STEPS,
     ConfigError,
     RunConfig,
@@ -967,13 +969,40 @@ def test_commands_without_eigensolve_load_no_scipy(tmp_path):
     assert run.stdout.strip() == "[0, 0, 0] []"
 
 
+PARTNER_DEMO = Path(__file__).resolve().parents[1] / "scripts" / "partner_demo.py"
+
+
 def test_partner_demo_bad_k_is_usage_error():
     # partner_demo.py maps a ValueError to an argparse error, exit 2, as `gupmdm` does.
-    script = Path(__file__).resolve().parents[1] / "scripts" / "partner_demo.py"
-    run = _run_fresh(str(script), "-k", "0")
+    run = _run_fresh(str(PARTNER_DEMO), "-k", "0")
     assert run.returncode == 2
     assert "error:" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "5"], "need 1 <= k <= 2, got 5"),
+    (["--tau", "-1"], "tau must be non-negative, got -1.0"),
+], ids=["n5", "tau-1"])
+def test_partner_demo_bad_grid_or_tau_is_usage_error(argv, message):
+    # The message names the values the user gave: at --n 5 the -k 5 asked
+    # for, not the original's k + 1 levels.
+    run = _run_fresh(str(PARTNER_DEMO), *argv)
+    assert run.returncode == 2
+    assert f"error: {message}" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_partner_demo_solver_failure_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("levels not resolved")
+
+    monkeypatch.setattr(susy, "partner_check", fail)
+    monkeypatch.setattr(sys, "argv", [str(PARTNER_DEMO)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(PARTNER_DEMO), run_name="__main__")
+    assert exit_info.value.code == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver error: levels not resolved\n"
 
 
 EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])

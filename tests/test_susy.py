@@ -7,11 +7,13 @@ import pytest
 
 from gupmdm.algebra import LadderRep, apply_ladder, ladder_commutator
 from gupmdm.core import SampledFunction, derivative, inner_slice, make_grid, sample
-from gupmdm.solver import solve_sl
+from gupmdm import solver
+from gupmdm.solver import ABSTOL, solve_sl
 from gupmdm.susy import (
     build_unweighted_problem,
     demo_potential,
     partner_check,
+    partner_problem,
     superpotential_from_ground_state,
     xi_gup,
 )
@@ -147,6 +149,38 @@ class TestPartner:
         chk = partner_check(tau, p_max, 1501, k=4)
         assert np.max(chk.shift_defects) < 1e-6
         assert np.max(chk.mapped_residuals) < 1e-3
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [600, 601, 1501, 3001])
+    def test_every_seeded_grid_is_certified(self, n, tau, monkeypatch):
+        # Three grids are seeded: the original's fine grid, the partner's
+        # coarse grid (with the original's coarse levels 1..k) and its fine
+        # grid. Each seed is certified, so none of them is bisected.
+        certified = []
+
+        def polish(*args):
+            result = real_polish(*args)
+            certified.append(result is not None)
+            return result
+
+        real_polish = solver._polish
+        monkeypatch.setattr(solver, "_polish", polish)
+        partner_check(tau, 14.0, n)
+        assert certified == [True] * 3
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.0])
+    def test_seeded_partner_levels_are_its_own(self, tau):
+        # The original's levels 1..k seed the partner's solve; the levels
+        # found are the partner pencil's own, within ABSTOL of its bisected
+        # ones each, not the seeds: each is over 1000 ABSTOL from its seed
+        # (9e-7 at tau = 0, 1e-4 and more above).
+        g = make_grid(-14, 14, 601)
+        spec = solve_sl(build_unweighted_problem(tau, g), 6)
+        _, partner = partner_problem(tau, spec.eigenfunctions[0])
+        seeded = solve_sl(partner, 5, spec.eigenvalues[1:]).eigenvalues
+        bisected = solve_sl(partner, 5).eigenvalues
+        assert np.max(np.abs(seeded - bisected)) <= 2 * ABSTOL
+        assert np.min(np.abs(seeded - spec.eigenvalues[1:])) > 1000 * ABSTOL
 
 
 class TestDemoProblem:
