@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Factorization demo: extract the superpotential from the numerical ground
-state, build the partner problem, and show the one-level spectral shift.
+"""Factorization demo: factorize the omega = 1 oscillator's Liouville normal
+form with its closed-form superpotential W = -R'/R, solve the partner
+H + 2W', and show the one-level spectral shift in normal-form levels mu.
 
 Example:
-    python scripts/partner_demo.py --tau 0.05 --pmax 14 --n 3001 -k 5
+    python scripts/partner_demo.py --tau 0.05 --n 3001 -k 5
 """
 
 import argparse
@@ -11,27 +12,27 @@ import sys
 
 from gupmdm.cli import EXIT_SOLVER
 from gupmdm.core import SolverError
+from gupmdm.models import GupOscillatorParams
 from gupmdm.susy import partner_check
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tau", type=float, default=0.05)
-    ap.add_argument("--pmax", type=float, default=14.0)
     ap.add_argument("--n", type=int, default=3001)
     ap.add_argument("-k", type=int, default=5)
     args = ap.parse_args()
 
     # Exit codes as `gupmdm`'s: 2 for a bad argument, 3 for a solver failure.
     try:
-        pc = partner_check(args.tau, args.pmax, args.n, k=args.k)
+        pc = partner_check(GupOscillatorParams(1.0, args.tau).normal_form(), args.n, k=args.k)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         sys.exit(EXIT_SOLVER)
     except ValueError as exc:
         ap.error(str(exc))
-    print(f"tau = {pc.tau}")
-    print(f"{'n':>3s}  {'Lambda_n+1':>16s}  {'Lambda_1,n':>16s}  "
+    print(f"tau = {args.tau}, eps = {pc.eps:.10g}")
+    print(f"{'n':>3s}  {'mu_n+1':>16s}  {'mu_1,n':>16s}  "
           f"{'|shift defect|':>14s}  {'mapped resid':>12s}")
     for n in range(args.k):
         print(

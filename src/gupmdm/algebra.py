@@ -2,7 +2,7 @@
 
 The annihilation operator is taken in the general first-order form
 eta = r(p) D + s(p) with real r, s; `susy` uses the same operator, with
-(r, s) = (xi, theta), as its intertwiner. From it: the deformed commutator
+(r, s) = (1, W), as its intertwiner. From it: the deformed commutator
 [eta, eta+] = 2 r s' - r r'', the second-order Swanson differential operator
 coefficients (r~, s~, w~), the similarity weight rho removing the
 first-derivative term, and the resulting Hermitian Sturm-Liouville problem.

@@ -19,9 +19,9 @@ bisection or false position of the bracket of the angles already computed when
 a step would leave it or converge slowly. Richardson extrapolation
 (`solve_extrapolated`, the one path that solves a grid pair) rounds out the
 toolbox; its fine grid is seeded with the coarse grid's levels, and its
-coarse grid with whatever estimates the caller has (`gupmdm solve` passes the
-normal form's closed-form levels; `verify susy` passes the partner problem the
-original's levels 1..k), so neither grid need bisect.
+coarse grid with whatever estimates the caller has (`gupmdm solve` and
+`verify susy` pass the normal form's closed-form levels, and `verify susy` its
+partner the original's levels 1..k), so neither grid need bisect.
 
 The three LAPACK routines (dstebz, dstein, dtbtrs) come from scipy's
 compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the

@@ -1,147 +1,96 @@
-"""Factorization / intertwining machinery for the deformed problems.
+"""Factorization of the models' Liouville normal form.
 
-The intertwiner A = xi(p) d/dp + theta(p) is the `algebra` ladder operator
-with (r, s) = (xi, theta): xi = sqrt(1+tau p^2), and the superpotential theta
-is extracted from a nodeless ground state so that A phi0 = 0. The partner
-potential is V_1 = V + [A, A+], the `algebra.ladder_commutator` of that
-operator, from the factorization identity A A+ = A+ A + [A, A+].
-
-This module works on unweighted operators H = -D xi^2 D + V (w = 1); the
-deformation enters only through xi. The demonstration potential used by
-the verification pipeline is V(p) = p^2/(1+tau p^2).
+The normal form H = -D^2 + (1 - eps^4/4)(tan(eps x)/eps)^2 (`models.normal_form_sl`)
+has the ground state R = cos^kappa(eps x), kappa = 1/2 + 1/eps^2, at mu_0 =
+1 + eps^2/2, so H = A+ A + mu_0 with the `algebra` ladder operator A = D + W,
+(r, s) = (1, W), and the superpotential W = -R'/R = kappa eps tan(eps x) in
+closed form. Its partner H_1 = A A+ + mu_0 = H + 2W' is
+-y'' + [kappa(kappa+1) eps^2 tan^2(eps x) + 2 kappa eps^2] y, shape invariant
+(Cooper, Khare & Sukhatme, Phys. Rep. 251, 267 (1995)) with the levels
+mu_1, mu_2, ... of H; A maps H's level n + 1 to H_1's level n. At eps = 0 it is
+the oscillator: W = x and H_1 = H + 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
-from .algebra import LadderRep, apply_ladder, ladder_commutator
-from .core import (
-    Grid,
-    SampledFunction,
-    SturmLiouvilleProblem,
-    constant,
-    derivative,
-    inner_relative_norm,
-    inner_slice,
-    make_grid,
-    require_same_grid,
-    sample,
-)
+from .algebra import LadderRep, apply_ladder
+from .core import Grid, SampledFunction, SturmLiouvilleProblem, constant, inner_relative_norm
+from .models import NormalForm, ground_level, normal_form_grid, normal_form_sl
 from .solver import solve_extrapolated
 
 
-def xi_gup(tau: float, grid: Grid) -> SampledFunction:
-    """xi(p) = sqrt(1+tau p^2), the intertwiner's leading coefficient."""
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    return sample(grid, lambda p: np.sqrt(1.0 + tau * p * p))
+def superpotential(eps: float, grid: Grid) -> SampledFunction:
+    """W = -R'/R = kappa eps tan(eps x) = mu_0 tan(eps x)/eps; x at eps = 0."""
+    x = grid.points
+    tan_x = np.tan(eps * x) / eps if eps > 0 else x
+    return SampledFunction(grid, ground_level(eps) * tan_x)
 
 
-def superpotential_from_ground_state(
-    xi: SampledFunction, phi0: SampledFunction
-) -> SampledFunction:
-    """theta = -xi phi0'/phi0, the unique choice with A phi0 = 0.
+def partner_sl(eps: float, grid: Grid) -> SturmLiouvilleProblem:
+    """`normal_form_sl` with q + 2W', W' = kappa eps^2 (1 + tan^2(eps x)) in closed form.
 
-    The quotient is evaluated on the inner 80% of the grid, where the
-    ground state has support, and extended linearly to the ends (phi0
-    underflows near the Dirichlet boundaries).
+    W' = mu_0 + eps^2 W^2/mu_0, as kappa eps^2 = mu_0; it is 1 at eps = 0. Like
+    q it is about (1e16)^2 at the end nodes where the box is the whole
+    interval, and `discretize` drops those rows.
     """
-    grid = require_same_grid(xi, phi0)
-    sl = inner_slice(grid.n)
-    core_vals = phi0.values[sl]
-    signs = np.sign(core_vals[np.abs(core_vals) > 0])
-    if signs.size == 0 or np.any(signs != signs[0]):
-        raise ValueError("phi0 changes sign on the inner region; not a ground state")
-    d1 = derivative(phi0, 1)
-    theta = np.empty(grid.n)
-    theta[sl] = -xi.values[sl] * d1.values[sl] / phi0.values[sl]
-    lo, hi = sl.start, sl.stop
-    h = grid.h
-    slope_l = (theta[lo + 1] - theta[lo]) / h
-    slope_r = (theta[hi - 1] - theta[hi - 2]) / h
-    theta[:lo] = theta[lo] - slope_l * h * np.arange(lo, 0, -1)
-    theta[hi:] = theta[hi - 1] + slope_r * h * np.arange(1, grid.n - hi + 1)
-    return SampledFunction(grid, theta)
-
-
-def demo_potential(tau: float, grid: Grid) -> SampledFunction:
-    """V(p) = p^2/(1+tau p^2), the demonstration potential of the pipeline."""
-    return sample(grid, lambda p: p * p / (1.0 + tau * p * p))
-
-
-def build_unweighted_problem(tau: float, grid: Grid) -> SturmLiouvilleProblem:
-    """H = -D (1+tau p^2) D + V with unit weight and V the demo potential."""
-    xi = xi_gup(tau, grid)
-    return SturmLiouvilleProblem(c=xi * xi, q=demo_potential(tau, grid),
-                                 w=constant(grid, 1.0))
+    slp = normal_form_sl(eps, grid)
+    mu0, w = ground_level(eps), superpotential(eps, grid)
+    return SturmLiouvilleProblem(c=slp.c, q=slp.q + 2.0 * (mu0 + eps * eps * w * w / mu0),
+                                 w=slp.w)
 
 
 @dataclass(frozen=True)
 class PartnerCheck:
-    """Isospectrality diagnostics for one deformation value."""
+    """Isospectrality diagnostics for one normal form."""
 
-    tau: float
-    lam: np.ndarray          # Lambda_0 .. Lambda_{k}   (extrapolated)
-    lam_partner: np.ndarray  # Lambda_{1,0} .. Lambda_{1,k-1} (extrapolated)
-    shift_defects: np.ndarray      # |Lambda_{1,n} - Lambda_{n+1}|
-    mapped_residuals: np.ndarray   # relative H1 residuals of A phi_{n+1}
-
-
-def partner_problem(tau: float, phi0: SampledFunction) -> tuple[LadderRep, SturmLiouvilleProblem]:
-    """(A, H_1): the intertwiner with A phi0 = 0 and the partner problem on
-    phi0's grid, H_1 = H + [A, A+] for the demo problem H."""
-    slp = build_unweighted_problem(tau, phi0.grid)
-    xi = xi_gup(tau, phi0.grid)
-    rep = LadderRep(r=xi, s=superpotential_from_ground_state(xi, phi0))
-    return rep, SturmLiouvilleProblem(c=slp.c, q=slp.q + ladder_commutator(rep), w=slp.w)
+    eps: float
+    lam: np.ndarray          # mu_0 .. mu_k of H         (extrapolated)
+    lam_partner: np.ndarray  # mu_{1,0} .. mu_{1,k-1} of H_1 (extrapolated)
+    shift_defects: np.ndarray      # |mu_{1,n} - mu_{n+1}|
+    mapped_residuals: np.ndarray   # relative H_1 residuals of A y_{n+1}
 
 
-def partner_check(tau: float, p_max: float, n: int, k: int = 5) -> PartnerCheck:
-    """Run the factorization pipeline on grids n and 2n-1 and extrapolate.
+def partner_check(form: NormalForm, n: int, k: int = 5) -> PartnerCheck:
+    """Solve H and H_1 on grids n and 2n - 1 of `normal_form_grid` and extrapolate.
 
-    Verifies that the partner problem built from the numerically extracted
-    superpotential is isospectral with the original problem shifted by one
-    level, and that the mapped functions A phi_{n+1} are near-eigenfunctions
-    of the partner.
+    Checks that H_1's levels are H's shifted by one, and that the mapped
+    functions A y_{n+1} on the fine grid are near-eigenfunctions of H_1.
 
-    Both problems are solved by `solver.solve_extrapolated`. Each grid's
-    partner is built from that grid's own ground state, and its coarse grid
-    is seeded with the original's coarse levels 1..k, which the
-    factorization says are its levels; each fine grid is seeded with its
-    coarse levels. A seed changes the cost, not the levels: every level is
-    the partner pencil's own, certified or else bisected (`eigen_solve`).
+    Both problems are solved by `solver.solve_extrapolated`: H's coarse grid
+    is seeded with the closed-form levels, H_1's with H's coarse levels
+    1..k, which the factorization says are its levels, and each fine grid
+    with its coarse levels. A seed changes the cost, not the levels: every
+    level is the pencil's own, certified or else bisected (`eigen_solve`).
 
-    A k outside 1..n - 3 (the original needs k + 1 of the n - 2 interior
-    levels) is a ValueError.
+    A k outside 1..n - 3 (H needs k + 1 of the n - 2 interior levels) is a
+    ValueError.
     """
-    grid = make_grid(-p_max, p_max, n)
+    eps = form.eps
+    grid = normal_form_grid(eps, n)
     if not 1 <= k <= grid.n - 3:
         raise ValueError(f"need 1 <= k <= {grid.n - 3}, got {k}")
-    lam, coarse, fine = solve_extrapolated(partial(build_unweighted_problem, tau), grid, k + 1)
-    spectra = {grid: coarse, grid.refined(): fine}
-
-    @cache
-    def partner(g: Grid) -> tuple[LadderRep, SturmLiouvilleProblem]:
-        return partner_problem(tau, spectra[g].eigenfunctions[0])
-
-    lam1, _, _ = solve_extrapolated(lambda g: partner(g)[1], grid, k, coarse.eigenvalues[1:])
-    defects = np.abs(lam1 - lam[1:])
+    lam, coarse, fine = solve_extrapolated(partial(normal_form_sl, eps), grid, k + 1,
+                                           form.exact_levels(k + 1))
+    lam1, _, _ = solve_extrapolated(partial(partner_sl, eps), grid, k, coarse.eigenvalues[1:])
 
     # Mapped-eigenfunction residual on the fine grid, inner 80%.
-    rep_f, slp1_f = partner(grid.refined())
+    fine_grid = grid.refined()
+    rep = LadderRep(r=constant(fine_grid, 1.0), s=superpotential(eps, fine_grid))
+    slp1 = partner_sl(eps, fine_grid)
     residuals = []
     for m in range(k):
-        psi = apply_ladder(rep_f, fine.eigenfunctions[m + 1])
-        defect = slp1_f.residual(psi, float(fine.eigenvalues[m + 1]))
+        psi = apply_ladder(rep, fine.eigenfunctions[m + 1])
+        defect = slp1.residual(psi, float(fine.eigenvalues[m + 1]))
         residuals.append(inner_relative_norm(defect, psi))
     return PartnerCheck(
-        tau=tau,
+        eps=eps,
         lam=lam,
         lam_partner=lam1,
-        shift_defects=defects,
+        shift_defects=np.abs(lam1 - lam[1:]),
         mapped_residuals=np.array(residuals),
     )

@@ -897,12 +897,12 @@ class TestVerify:
                         "passed": False}],
         }
 
-    def test_susy_bisects_only_the_coarse_originals(self, monkeypatch):
-        # Each partner_check bisects (range "I") only the original on its
-        # coarse grid, 2999 rows at n = 3001. The original's fine grid is
-        # seeded with its coarse levels, the partner's coarse grid with the
-        # original's coarse levels 1..k and its fine grid with its own coarse
-        # levels: dstebz only counts (range "V") to certify each of them.
+    def test_susy_bisects_no_grid(self, monkeypatch):
+        # Each partner_check seeds all four grids at n = 3001 and 2n - 1: the
+        # original's coarse grid with the closed-form levels, the partner's
+        # coarse grid with the original's coarse levels 1..k, and each fine
+        # grid with its own coarse levels. dstebz only counts (range "V") to
+        # certify them, and bisects (range "I") none.
         calls, certified = [], []
 
         def dstebz(d, e, rng, *args):
@@ -918,8 +918,8 @@ class TestVerify:
         monkeypatch.setattr(solver, "dstebz", dstebz)
         monkeypatch.setattr(solver, "_polish", polish)
         assert main(["verify", "susy", "--out", os.devnull]) == 0
-        assert calls == [(2, 2999), (1, 5999), (1, 2999), (1, 5999)] * 2
-        assert certified == [True] * 6
+        assert calls == [(1, 2999), (1, 5999), (1, 2999), (1, 5999)] * 2
+        assert certified == [True] * 8
 
     def test_vonroos_suite_passes(self, capsys):
         rc = main(["verify", "vonroos"])
@@ -934,6 +934,42 @@ class TestVerify:
         check = cli._check("ratio", measured, (3.6, 4.4))
         assert check["tolerance"] == [3.6, 4.4]
         assert check["passed"] is passed
+
+
+class TestTracedCounts:
+    """The counts the benchmark's traced pass checks (bench/run.py,
+    `traced_phase`): an ok `solve` makes `SOLVE_K` = 6 shooting levels and 2
+    eigen_solve calls (the coarse and the fine grid), and no other command
+    shoots. This mirrors that check and changes only with it (ROADMAP item 1)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eigen_solve": 0, "shooting_eigenvalue": 0}
+        for name in counts:
+            def spy(*args, _real=getattr(solver, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(solver, name, spy)
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gup-oscillator", "--omega", "1.0", "--tau", "0.05"],
+        ["--model", "swanson", "--omega", "2.0", "--alpha", "0.3", "--beta", "0.1",
+         "--tau", "0.05"],
+    ], ids=["oscillator", "swanson"])
+    def test_solve(self, argv, counts):
+        assert main(["solve", *argv, "--out", os.devnull]) == 0
+        assert counts == {"eigen_solve": 2, "shooting_eigenvalue": 6}
+
+    @pytest.mark.parametrize("argv", [
+        *(["verify", suite] for suite in sorted(cli.VERIFY_SUITES)),
+        ["profile", "mass", "--tau", "0.1"],
+        ["profile", "veff", "--model", "swanson", "--omega", "2.0", "--alpha", "0.3",
+         "--beta", "0.1", "--tau", "0.05", "--energy", "1.5"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_no_other_command_shoots(self, argv, counts):
+        assert main([*argv, "--out", os.devnull]) == 0
+        assert counts["shooting_eigenvalue"] == 0
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:

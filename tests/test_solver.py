@@ -473,19 +473,20 @@ class TestFold:
         assert_parity(spec)
 
     @pytest.mark.parametrize("n", [601, 600])
-    def test_susy_demo_and_partner_fold(self, n, dstebz_offdiags):
-        from gupmdm.susy import build_unweighted_problem, partner_problem
+    def test_susy_normal_form_and_partner_fold(self, n, dstebz_offdiags):
+        from gupmdm.susy import partner_sl
 
-        spec = solve_sl(build_unweighted_problem(0.05, make_grid(-14, 14, n)), 5)
-        _, partner_slp = partner_problem(0.05, spec.eigenfunctions[0])
+        eps = GupOscillatorParams(1.0, 0.05).normal_form().eps
+        grid = normal_form_grid(eps, n)
+        spec = solve_sl(normal_form_sl(eps, grid), 5)
         # Seeded with the original's levels 1..4, as `partner_check` seeds it.
-        partner = solve_sl(partner_slp, 4, spec.eigenvalues[1:])
+        partner = solve_sl(partner_sl(eps, grid), 4, spec.eigenvalues[1:])
         assert [junction(e) for e in dstebz_offdiags] == [0.0, 0.0]
         assert_parity(spec)
         assert_parity(partner)
 
-    # verify susy's 8 dstebz calls are 2 bisections (each tau's coarse
-    # original) and 6 counts certifying the seeded grids.
+    # verify susy's 8 dstebz calls are all counts (range "V") certifying the
+    # seeded grids, one per tau, problem and grid; none bisects.
     @pytest.mark.parametrize("suite, solves", [("susy", 8), ("hermitize", 1)])
     def test_verify_suites_fold(self, suite, solves, dstebz_offdiags):
         from gupmdm.cli import VERIFY_SUITES

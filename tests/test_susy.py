@@ -1,161 +1,124 @@
-"""Tests of the factorization / intertwining machinery."""
-
-import math
+"""Tests of the factorization of the Liouville normal form."""
 
 import numpy as np
 import pytest
 
-from gupmdm.algebra import LadderRep, apply_ladder, ladder_commutator
-from gupmdm.core import SampledFunction, derivative, inner_slice, make_grid, sample
 from gupmdm import solver
-from gupmdm.solver import ABSTOL, solve_sl
-from gupmdm.susy import (
-    build_unweighted_problem,
-    demo_potential,
-    partner_check,
-    partner_problem,
-    superpotential_from_ground_state,
-    xi_gup,
+from gupmdm.algebra import LadderRep, ladder_commutator
+from gupmdm.core import SampledFunction, constant, derivative, inner_slice
+from gupmdm.models import (
+    GupOscillatorParams,
+    ground_level,
+    ground_state_sq,
+    normal_form_grid,
+    normal_form_sl,
 )
+from gupmdm.solver import ABSTOL, solve_sl
+from gupmdm.susy import partner_check, partner_sl, superpotential
+
+TAUS = [0.0, 0.05, 0.3, 1.0]
 
 
-def veff_from_factorization(rep: LadderRep, c0: float) -> SampledFunction:
-    """V_eff = c0 + theta^2 - (xi theta)', with (xi, theta) = (rep.r, rep.s)."""
-    return c0 + rep.s * rep.s - derivative(rep.r * rep.s, 1)
+def eps_of(tau: float) -> float:
+    """eps of the omega = 1 oscillator's normal form."""
+    return GupOscillatorParams(1.0, tau).normal_form().eps
 
 
-class TestXi:
-    def test_point_values(self):
-        g = make_grid(-2, 2, 5)
-        xi = xi_gup(0.25, g)
-        # p = -2, -1, 0, 1, 2
-        expected = [math.sqrt(2.0), math.sqrt(1.25), 1.0, math.sqrt(1.25), math.sqrt(2.0)]
-        assert np.allclose(xi.values, expected, rtol=0, atol=1e-15)
-
-    def test_tau_zero_is_unity(self):
-        g = make_grid(-5, 5, 101)
-        assert np.all(xi_gup(0.0, g).values == 1.0)
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            xi_gup(-0.1, make_grid(-1, 1, 11))
+def partner_shift(eps, grid) -> np.ndarray:
+    """2W' = q_1 - q, partner_sl's q less normal_form_sl's."""
+    return partner_sl(eps, grid).q.values - normal_form_sl(eps, grid).q.values
 
 
 class TestSuperpotential:
-    def test_gaussian_ground_state(self):
-        # phi0 = exp(-p^2/2), xi = 1  =>  theta = p exactly (up to FD error).
-        g = make_grid(-6, 6, 1201)
-        xi = xi_gup(0.0, g)
-        phi0 = sample(g, lambda p: np.exp(-0.5 * p * p))
-        theta = superpotential_from_ground_state(xi, phi0)
-        # The quotient's relative FD error grows like p^3 where phi0 decays,
-        # so check tightly on |p| <= 2 and loosely on the full inner region.
-        mask = np.abs(g.points) <= 2.0
-        assert np.allclose(theta.values[mask], g.points[mask], atol=5e-5)
-        sl = inner_slice(g.n)
-        assert np.allclose(theta.values[sl], g.points[sl], atol=2e-3)
+    def test_oscillator_is_x(self):
+        grid = normal_form_grid(0.0, 401)
+        assert np.array_equal(superpotential(0.0, grid).values, grid.points)
 
-    def test_even_ground_state_gives_odd_theta(self):
-        g = make_grid(-8, 8, 1601)
-        tau = 0.05
-        slp = build_unweighted_problem(tau, g)
-        spec = solve_sl(slp, 1)
-        xi = xi_gup(tau, g)
-        theta = superpotential_from_ground_state(xi, spec.eigenfunctions[0])
-        sl = inner_slice(g.n)
-        vals = theta.values[sl]
-        assert np.allclose(vals, -vals[::-1], atol=1e-8)
+    @pytest.mark.parametrize("tau", [0.05, 0.3])
+    def test_is_minus_log_derivative_of_ground_state(self, tau):
+        # W = -(log R)', R^2 = `ground_state_sq`, to the O(h^2) of the FD
+        # derivative: the inner-region error falls 4x when h halves. (Where the
+        # box is the whole interval, R^2 is 0 at the ends and log R not finite.)
+        eps = eps_of(tau)
+        errs = []
+        for n in (401, 801):
+            grid = normal_form_grid(eps, n)
+            log_r = SampledFunction(grid, 0.5 * np.log(ground_state_sq(eps, grid.points)))
+            err = -derivative(log_r, 1).values - superpotential(eps, grid).values
+            errs.append(float(np.max(np.abs(err[inner_slice(n)]))))
+        assert 3.8 < errs[0] / errs[1] < 4.2
 
-    def test_annihilates_ground_state(self):
-        g = make_grid(-8, 8, 1601)
-        tau = 0.05
-        slp = build_unweighted_problem(tau, g)
-        spec = solve_sl(slp, 1)
-        xi = xi_gup(tau, g)
-        phi0 = spec.eigenfunctions[0]
-        theta = superpotential_from_ground_state(xi, phi0)
-        out = apply_ladder(LadderRep(r=xi, s=theta), phi0)
-        sl = inner_slice(g.n)
-        scale = float(np.max(np.abs(phi0.values)))
-        assert np.max(np.abs(out.values[sl])) / scale < 1e-6
-
-    @pytest.mark.parametrize("n", [301, 1202])
-    def test_linear_extension_outside_inner_region(self, n):
-        # Past the inner region theta continues the line through its first
-        # (last) two inner values, bit for bit as a per-index loop gives it.
-        g = make_grid(-7, 6, n)
-        xi = xi_gup(0.1, g)
-        phi0 = sample(g, lambda p: (1.0 + 0.1 * p * p) * np.exp(-0.5 * (p - 0.3) ** 2))
-        theta = superpotential_from_ground_state(xi, phi0).values
-        sl = inner_slice(g.n)
-        lo, hi, h = sl.start, sl.stop, g.h
-        slope_l = (theta[lo + 1] - theta[lo]) / h
-        slope_r = (theta[hi - 1] - theta[hi - 2]) / h
-        expected = theta.copy()
-        for i in range(lo):
-            expected[i] = theta[lo] - slope_l * h * (lo - i)
-        for i in range(hi, g.n):
-            expected[i] = theta[hi - 1] + slope_r * h * (i - hi + 1)
-        assert lo > 1 and hi < g.n - 1
-        assert np.array_equal(theta, expected)
-
-    def test_sign_changing_state_rejected(self):
-        g = make_grid(-6, 6, 601)
-        xi = xi_gup(0.0, g)
-        phi1 = sample(g, lambda p: p * np.exp(-0.5 * p * p))
-        with pytest.raises(ValueError):
-            superpotential_from_ground_state(xi, phi1)
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_factorizes_the_normal_form(self, tau):
+        # H = A+ A + mu_0 with A = D + W: q = W^2 - W' + mu_0 to rounding.
+        eps = eps_of(tau)
+        grid = normal_form_grid(eps, 801)
+        q = normal_form_sl(eps, grid).q.values
+        w = superpotential(eps, grid).values
+        rebuilt = w * w - 0.5 * partner_shift(eps, grid) + ground_level(eps)
+        assert np.max(np.abs(rebuilt - q) / np.maximum(1.0, np.abs(q))) < 1e-14
 
 
-class TestVeffReconstruction:
-    def test_recovers_demo_potential(self):
-        # V_eff built from the numerical ground state must reproduce
-        # V - Lambda_0 + c0 = V when c0 = Lambda_0.
-        tau = 0.05
-        g = make_grid(-8, 8, 9601)
-        slp = build_unweighted_problem(tau, g)
-        spec = solve_sl(slp, 1)
-        xi = xi_gup(tau, g)
-        theta = superpotential_from_ground_state(xi, spec.eigenfunctions[0])
-        veff = veff_from_factorization(LadderRep(r=xi, s=theta), float(spec.eigenvalues[0]))
-        sl = inner_slice(g.n)
-        dev = np.abs(veff.values[sl] - slp.q.values[sl])
-        assert np.max(dev) < 5e-4
+class TestPartnerProblem:
+    def test_oscillator_partner_is_shifted_by_two(self):
+        # eps = 0: H_1 = -D^2 + x^2 + 2, bit for bit q + 2.
+        grid = normal_form_grid(0.0, 401)
+        q = normal_form_sl(0.0, grid).q.values
+        assert np.array_equal(partner_sl(0.0, grid).q.values, q + 2.0)
+        comm = ladder_commutator(LadderRep(constant(grid, 1.0), superpotential(0.0, grid)))
+        assert np.allclose(comm.values, 2.0, rtol=0, atol=1e-12)
 
-    def test_undeformed_oscillator_closed_form(self):
-        # xi = 1, theta = p, c0 = 1  =>  V_eff = p^2 exactly at grid points
-        # (the FD derivative of xi*theta = p is exact for linear data).
-        g = make_grid(-5, 5, 501)
-        xi = xi_gup(0.0, g)
-        theta = sample(g, lambda p: p)
-        veff = veff_from_factorization(LadderRep(r=xi, s=theta), 1.0)
-        assert np.allclose(veff.values, g.points**2, atol=1e-12)
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_shift_is_the_ladder_commutator(self, tau):
+        # q_1 - q = 2W' in closed form; [A, A+] = 2 r s' - r r'' of the sampled
+        # (r, s) = (1, W) agrees to O(h^2) on the inner region.
+        eps = eps_of(tau)
+        errs = []
+        for n in (401, 801):
+            grid = normal_form_grid(eps, n)
+            comm = ladder_commutator(LadderRep(constant(grid, 1.0), superpotential(eps, grid)))
+            err = comm.values - partner_shift(eps, grid)
+            errs.append(float(np.max(np.abs(err[inner_slice(n)]))))
+        if tau == 0.0:
+            assert max(errs) < 1e-12     # W = x: the stencil is exact to rounding
+        else:
+            assert 3.8 < errs[0] / errs[1] < 4.2
 
 
-class TestPartner:
-    def test_undeformed_partner_is_shifted_oscillator(self):
-        # tau = 0: V_1 = p^2 + 2, isospectral with p^2 shifted up one level.
-        g = make_grid(-5, 5, 501)
-        xi = xi_gup(0.0, g)
-        theta = sample(g, lambda p: p)
-        rep = LadderRep(r=xi, s=theta)
-        veff = veff_from_factorization(rep, 1.0)
-        v1 = veff + ladder_commutator(rep)
-        assert np.allclose(v1.values, g.points**2 + 2.0, atol=1e-12)
+class TestPartnerCheck:
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_partner_levels_are_the_closed_form(self, tau):
+        # H_1's levels are mu_1, mu_2, ... of `NormalForm.exact_levels`.
+        form = GupOscillatorParams(1.0, tau).normal_form()
+        chk = partner_check(form, 3001)
+        assert np.max(np.abs(chk.lam_partner - form.exact_levels(6)[1:])) < 1e-8
 
     @pytest.mark.parametrize("tau", [0.0, 0.05])
     def test_isospectral_shift(self, tau):
-        p_max = 8.0 if tau == 0.0 else 14.0
-        chk = partner_check(tau, p_max, 1501, k=4)
+        chk = partner_check(GupOscillatorParams(1.0, tau).normal_form(), 1501, k=4)
+        assert chk.eps == eps_of(tau)
         assert np.max(chk.shift_defects) < 1e-6
         assert np.max(chk.mapped_residuals) < 1e-3
 
-    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.0])
+    def test_strong_deformation(self):
+        # tau = 1: the box is the whole interval and W ~ 1e16 at its end nodes.
+        chk = partner_check(GupOscillatorParams(1.0, 1.0).normal_form(), 3001)
+        assert np.max(chk.shift_defects) <= 1e-6
+        assert np.max(chk.mapped_residuals) <= 1e-3
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (3001, 0)])
+    def test_k_out_of_range(self, n, k):
+        form = GupOscillatorParams(1.0, 0.05).normal_form()
+        with pytest.raises(ValueError, match=f"need 1 <= k <= {n - 3}, got {k}"):
+            partner_check(form, n, k=k)
+
+    @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("n", [600, 601, 1501, 3001])
-    def test_every_seeded_grid_is_certified(self, n, tau, monkeypatch):
-        # Three grids are seeded: the original's fine grid, the partner's
-        # coarse grid (with the original's coarse levels 1..k) and its fine
-        # grid. Each seed is certified, so none of them is bisected.
+    def test_every_seeded_grid_is_certified(self, n, tau, monkeypatch, dstebz_ranges):
+        # All four grids are seeded: the original's coarse grid with the closed
+        # form, the partner's coarse grid with the original's coarse levels
+        # 1..k, and each fine grid with its coarse levels. Each seed is
+        # certified, so dstebz only counts (range "V") and never bisects.
         certified = []
 
         def polish(*args):
@@ -165,33 +128,20 @@ class TestPartner:
 
         real_polish = solver._polish
         monkeypatch.setattr(solver, "_polish", polish)
-        partner_check(tau, 14.0, n)
-        assert certified == [True] * 3
+        partner_check(GupOscillatorParams(1.0, tau).normal_form(), n)
+        assert certified == [True] * 4
+        assert dstebz_ranges == [1] * 4
 
-    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("tau", TAUS)
     def test_seeded_partner_levels_are_its_own(self, tau):
         # The original's levels 1..k seed the partner's solve; the levels
         # found are the partner pencil's own, within ABSTOL of its bisected
-        # ones each, not the seeds: each is over 1000 ABSTOL from its seed
-        # (9e-7 at tau = 0, 1e-4 and more above).
-        g = make_grid(-14, 14, 601)
-        spec = solve_sl(build_unweighted_problem(tau, g), 6)
-        _, partner = partner_problem(tau, spec.eigenfunctions[0])
+        # ones each, not the seeds: each is over 1000 ABSTOL from its seed.
+        eps = eps_of(tau)
+        grid = normal_form_grid(eps, 601)
+        spec = solve_sl(normal_form_sl(eps, grid), 6)
+        partner = partner_sl(eps, grid)
         seeded = solve_sl(partner, 5, spec.eigenvalues[1:]).eigenvalues
         bisected = solve_sl(partner, 5).eigenvalues
         assert np.max(np.abs(seeded - bisected)) <= 2 * ABSTOL
         assert np.min(np.abs(seeded - spec.eigenvalues[1:])) > 1000 * ABSTOL
-
-
-class TestDemoProblem:
-    def test_potential_saturates(self):
-        g = make_grid(-50, 50, 101)
-        v = demo_potential(0.1, g)
-        # p^2/(1+tau p^2) -> 1/tau for large |p|
-        assert v.values[0] == pytest.approx(10.0, abs=0.05)
-
-    def test_build_has_unit_weight(self):
-        g = make_grid(-5, 5, 101)
-        slp = build_unweighted_problem(0.2, g)
-        assert np.all(slp.w.values == 1.0)
-        assert np.allclose(slp.c.values, 1.0 + 0.2 * g.points**2, atol=1e-15)
