@@ -531,15 +531,16 @@ def verify_hermitize() -> list[dict]:
                     s=sample(grid, lambda p: p * math.sqrt(0.5)))
     coeffs = swanson_coefficients(rep, params)
     rho = similarity_weight(coeffs)
-    spec = solve_sl(hermitized_problem(coeffs), 5)
+    # Swanson's closed-form levels at tau = 0 seed the solve and check its result;
+    # certified, the levels are the pencil's own (`eigen_solve`'s `near`).
+    exact = (np.arange(5) + 0.5) * params.omega_bar
+    spec = solve_sl(hermitized_problem(coeffs), 5, exact)
     checks = []
     for n in range(5):
         res = untransformed_residual(
             coeffs, rho, spec.eigenfunctions[n], float(spec.eigenvalues[n])
         )
         checks.append(_check(f"rho_mapped_residual n={n}", res, 1e-4))
-    # Swanson's closed-form levels at tau = 0.
-    exact = (np.arange(5) + 0.5) * params.omega_bar
     checks.append(_check("hermitized_spectrum",
                          float(np.max(np.abs(spec.eigenvalues - exact) / exact)), 1e-5))
     herm = SwansonParams(omega=2.0, alpha=0.2, beta=0.2, tau=0.0)

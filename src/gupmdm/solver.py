@@ -4,10 +4,11 @@ Two independent routes: a conservative finite-difference discretization
 solved as a symmetric tridiagonal generalized eigenproblem (a mirror-symmetric
 pencil, folded into its even and odd half blocks; bisection to an absolute
 tolerance for the eigenvalues, or, given estimates of them, Rayleigh quotients
-certified to that tolerance; inverse iteration for the eigenvectors when they
-are first read), and RK4 shooting on the even Liouville normal form at eps in
-g = y/R, R its closed-form ground state, one half-sweep from the box edge to
-the centre per trial eigenvalue. Shooting reads only eps, not the matrix's q;
+of shifted inverse iteration's vectors certified to that tolerance; dstein's
+inverse iteration for the eigenvectors only when they are first read), and RK4
+shooting on the even Liouville normal form at eps in g = y/R, R its closed-form
+ground state, one half-sweep from the box edge to the centre per trial
+eigenvalue. Shooting reads only eps, not the matrix's q;
 it shares the matrix's box (`models.normal_form_grid`), not its spacing, and
 finds level n as the root of the Pruefer angle sum
 Theta(lambda) = (n + 1) pi, monotone up to RK4's stability bound and memoized
@@ -21,10 +22,11 @@ a step would leave it or converge slowly. Richardson extrapolation
 toolbox; its fine grid is seeded with the coarse grid's levels, and its
 coarse grid with whatever estimates the caller has (`gupmdm solve` and
 `verify susy` pass the normal form's closed-form levels, and `verify susy` its
-partner the original's levels 1..k), so neither grid need bisect.
+partner the original's levels 1..k), so neither grid need bisect; `verify
+hermitize` seeds its one solve with Swanson's closed-form levels.
 
-The three LAPACK routines (dstebz, dstein, dtbtrs) come from scipy's
-compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
+The five LAPACK routines (dstebz, dstein, dgttrf, dgttrs, dtbtrs) come from
+scipy's compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
 wrappers `scipy.linalg.lapack` re-exports, so the numbers are the same, without
 the `scipy.linalg` package init, which imports numpy.testing, unittest and
 numpy.random and is most of a fresh process's start-up.
@@ -76,6 +78,7 @@ def _load_flapack(directory: str) -> ModuleType:
 # bundled library path where a platform needs one.
 _flapack = _load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
 dstebz, dstein, dtbtrs = _flapack.dstebz, _flapack.dstein, _flapack.dtbtrs
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 
 class BracketError(SolverError):
@@ -148,14 +151,23 @@ def _unfold(z: np.ndarray) -> np.ndarray:
 
 def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
     """(rho, iblock, isplit): the k = near.size lowest eigenvalues of `_fold`'s
-    (d, e) as the Rayleigh quotients rho_j of dstein's unit vectors at `near`,
-    level j in the even block for even j and the odd block for odd j, in
-    dstein's block order and with its block arrays; or None.
+    (d, e) as the Rayleigh quotients rho_j of unit vectors z_j from shifted
+    inverse iteration at `near`, level j in the even block for even j and the
+    odd block for odd j, in dstein's block order and with its block arrays; or
+    None.
+
+    Each block takes one factorization (dgttrf) of its c copies, copy j
+    shifted by its seed and joined by zero couplings, and up to four solves
+    (dgttrs) from a vector of ones, which the smooth low eigenvectors overlap
+    well (Ipsen, SIAM Review 39, 254 (1997)). Each solve from the second is
+    normalized and tried by the certificate: two suffice for seeds about 1e-3
+    off; closed-form seeds of coarse grids and high levels, further off, take
+    up to four.
 
     None unless k >= 2, `near` ascends and the result is certified: the
     intervals rho_j +- r_j (r_j = ||T z_j - rho_j z_j||) each hold an
-    eigenvalue and are disjoint below hi, half a gap above the top rho;
-    dstebz counts k eigenvalues <= hi; so each interval holds exactly one of
+    eigenvalue and are disjoint below top, half a gap above the top rho;
+    dstebz counts k eigenvalues <= top; so each interval holds exactly one of
     the k lowest, and its Kato-Temple bound r_j^2 / gap_j (Kato, J. Phys. Soc.
     Japan 4, 334 (1949); level 0 has no gap below) is at most ABSTOL.
     """
@@ -166,24 +178,42 @@ def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
     iblock, isplit = np.zeros(m, np.int32), np.zeros(m, np.int32)
     iblock[:k] = 1 + levels % 2
     isplit[:2] = m - m // 2, m
-    z, info = dstein(d, e, near[levels], iblock, isplit)
-    if info != 0:
+    blocks = []
+    for lo, hi, shifts in ((0, isplit[0], near[0::2]), (isplit[0], m, near[1::2])):
+        off = np.tile(np.append(e[lo:hi - 1], 0.0), shifts.size)[:-1]
+        if off.size < 2:                        # scipy's dgttrf takes 3 rows or more
+            return None
+        *lu, info = dgttrf(off, (d[lo:hi] - shifts[:, None]).ravel(), off)
+        if info != 0:
+            return None
+        # The first solve, from ones; its scale is of no account.
+        z = dgttrs(*lu, np.ones((off.size + 1, 1)), overwrite_b=1)[0]
+        blocks.append((d[lo:hi], e[lo:hi - 1], lu, z))
+    with np.errstate(all="ignore"):             # a vector that is not finite fails below
+        for _ in range(3):
+            rho, r = [], []
+            for db, eb, lu, z in blocks:
+                z[:] = dgttrs(*lu, z, overwrite_b=1)[0]
+                y = z.reshape(-1, db.size)      # one row per copy, a view of z
+                y /= np.linalg.norm(y, axis=1, keepdims=True)
+                ty = db * y
+                ty[:, :-1] += eb * y[:, 1:]
+                ty[:, 1:] += eb * y[:, :-1]
+                rho.append(np.einsum("ij,ij->i", y, ty))
+                r.append(np.linalg.norm(ty - rho[-1][:, None] * y, axis=1))
+            lam, rad = np.empty(k), np.empty(k)
+            lam[levels], rad[levels] = np.concatenate(rho), np.concatenate(r)
+            top = 1.5 * lam[-1] - 0.5 * lam[-2]
+            a, b = np.append(-math.inf, lam[:-1] + rad[:-1]), np.append(lam[1:] - rad[1:], top)
+            if np.all(a < lam - rad) and np.all(lam + rad <= b) and np.all(
+                    rad * rad <= ABSTOL * np.minimum(lam - a, b - lam)):
+                break
+        else:
+            return None
+    # dstebz's range 1 ("V") counts (-inf, top]; at tol inf it bisects no further.
+    if dstebz(d, e, 1, -math.inf, top, 0, 0, math.inf, "B")[::4] != (k, 0):
         return None
-    tz = d[:, None] * z
-    tz[:-1] += e[:, None] * z[1:]
-    tz[1:] += e[:, None] * z[:-1]
-    rho = np.einsum("ij,ij->j", z, tz)
-    lam, r = np.empty(k), np.empty(k)
-    lam[levels], r[levels] = rho, np.linalg.norm(tz - rho * z, axis=0)
-    hi = 1.5 * lam[-1] - 0.5 * lam[-2]
-    a, b = np.append(-math.inf, lam[:-1] + r[:-1]), np.append(lam[1:] - r[1:], hi)
-    if not (np.all(a < lam - r) and np.all(lam + r <= b) and np.all(
-            r * r <= ABSTOL * np.minimum(lam - a, b - lam))):
-        return None
-    # dstebz's range 1 ("V") counts (-inf, hi]; at tol inf it bisects no further.
-    if dstebz(d, e, 1, -math.inf, hi, 0, 0, math.inf, "B")[::4] != (k, 0):
-        return None
-    return rho, iblock, isplit
+    return lam[levels], iblock, isplit
 
 
 def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
@@ -200,9 +230,11 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
 
     `near`, k ascending estimates of the levels, changes the cost, not the
     levels found (as `shooting_eigenvalue`'s `start`): where `_polish`
-    certifies the Rayleigh quotients of dstein's vectors at `near` to ABSTOL,
-    they are the eigenvalues and no bisection runs; otherwise the result is
-    bit for bit the unseeded one. A `near` of another size is a ValueError.
+    certifies to ABSTOL the Rayleigh quotients of the vectors that shifted
+    inverse iteration at `near` gives, they are the eigenvalues, and neither
+    bisection nor dstein runs until the eigenfunctions are read; otherwise the
+    result is bit for bit the unseeded one. A `near` of another size is a
+    ValueError.
 
     Eigenfunctions are normalized to integral phi^2 w dp = 1 (trapezoid rule),
     each with its largest-magnitude component made positive (the leftmost of

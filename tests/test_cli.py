@@ -287,12 +287,12 @@ class TestSolve:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("plot, calls", [(False, 2), (True, 3)])
+    @pytest.mark.parametrize("plot, calls", [(False, 0), (True, 1)])
     def test_dstein_runs_only_for_plot(self, plot, calls, dstein_calls, tmp_path):
         # The coarse grid's levels, seeded by the closed form, and the fine
-        # grid's, seeded by the coarse ones, take one dstein call each to
-        # certify; shooting starts from the matrix eigenvalues alone, so only
-        # the --plot table reads the eigenvectors, with one more.
+        # grid's, seeded by the coarse ones, are certified by shifted inverse
+        # iteration, not dstein; shooting starts from the matrix eigenvalues
+        # alone, so only the --plot table reads the eigenvectors, with one call.
         argv = ["solve", *FAST, "--out", str(tmp_path / "run.csv")]
         assert main(argv + ["--plot"] * plot) == 0
         assert len(dstein_calls) == calls
@@ -920,6 +920,18 @@ class TestVerify:
         assert main(["verify", "susy", "--out", os.devnull]) == 0
         assert calls == [(1, 2999), (1, 5999), (1, 2999), (1, 5999)] * 2
         assert certified == [True] * 8
+
+    def test_susy_reads_only_fine_eigenvectors(self, dstein_calls):
+        # No grid needs dstein to be certified; the mapped residuals read the
+        # original's fine eigenfunctions (n = 2 * 3001 - 1), once per tau.
+        assert main(["verify", "susy", "--out", os.devnull]) == 0
+        assert [args[0].size for args in dstein_calls] == [5999, 5999]
+
+    def test_hermitize_bisects_no_grid(self, dstebz_ranges):
+        # The closed-form levels (n + 1/2) omega_bar seed the n = 8001 solve:
+        # dstebz only counts (range "V") to certify them.
+        assert main(["verify", "hermitize", "--out", os.devnull]) == 0
+        assert dstebz_ranges == [1]
 
     def test_vonroos_suite_passes(self, capsys):
         rc = main(["verify", "vonroos"])

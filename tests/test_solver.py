@@ -247,18 +247,20 @@ class TestLazyEigenvectors:
             assert min(np.max(np.abs(phi.values - sign * ref)) for sign in signs) <= 1e-10 * scale
 
     def test_eigenvalues_alone_compute_no_vectors(self, dstein_calls):
-        # solve_sl computes no vectors; solve_extrapolated computes one set,
-        # on the fine pencil at the coarse eigenvalues, to seed its levels.
+        # Neither solve_sl nor solve_extrapolated computes vectors: the fine
+        # levels, seeded by the coarse ones, are certified without dstein. The
+        # first read of the fine eigenfunctions runs it once, at those levels.
         params = GupOscillatorParams(omega=1.0, tau=0.05)
         g = make_grid(-10, 10, 401)
         coarse = solve_sl(params.sl(g), 4)
         assert coarse.eigenvalues.size == 4
-        assert dstein_calls == []
         lams, _, fine = solve_extrapolated(params.sl, g, 4)
         assert lams.size == fine.eigenvalues.size == 4
+        assert dstein_calls == []
+        assert len(fine.eigenfunctions) == 4
         [(d, _, w, _, _)] = dstein_calls
         assert d.size == g.refined().n - 2
-        assert sorted(w) == coarse.eigenvalues.tolist()
+        assert sorted(w) == fine.eigenvalues.tolist()
 
     def test_eigenfunctions_computed_once(self, dstein_calls):
         spec = solve_sl(laplace_problem(), 3)
@@ -295,19 +297,23 @@ BAD_SEEDS = {
     "levels-2-to-7": lambda near: (6, near[2:]),
     "another-problem": lambda near: (6, solve_sl(SYMMETRIC_CASES[2][0], 6).eigenvalues),
     "k-1": lambda near: (1, near[:1]),
+    "not-finite": lambda near: (6, np.append(near[:5], np.inf)),
+    "far-off": lambda near: (6, near[:6] * 1e300),
 }
 
 
 class TestSeededSolve:
     @pytest.mark.parametrize("build, grid, k", SYMMETRIC_BUILDS, ids=SYMMETRIC_IDS)
-    def test_coarse_levels_seed_fine_pencil(self, build, grid, k, dstebz_ranges):
+    def test_coarse_levels_seed_fine_pencil(self, build, grid, k, dstebz_ranges, dstein_calls):
         # Seeded with the coarse levels, the fine levels are certified Rayleigh
-        # quotients: dstebz only counts over a range "V", bisects for none.
+        # quotients: dstebz only counts over a range "V", bisects for none, and
+        # the vectors come from shifted inverse iteration, not dstein.
         near = solve_sl(build(grid), k).eigenvalues
         pair = discretize(build(grid.refined()))
         dstebz_ranges.clear()
         spec = eigen_solve(pair, k, near)
         assert dstebz_ranges == [1]
+        assert dstein_calls == []
         assert np.max(np.abs(spec.eigenvalues - folded_levels(pair, k))) <= solver.ABSTOL
         for phi, ref in zip(spec.eigenfunctions, eigen_solve(pair, k).eigenfunctions):
             assert np.max(np.abs(phi.values - ref.values)) <= 1e-10 * np.max(np.abs(ref.values))
@@ -319,7 +325,9 @@ class TestSeededSolve:
         pair = discretize(build(grid.refined()))
         plain = eigen_solve(pair, k)
         dstebz_ranges.clear()
-        spec = eigen_solve(pair, k, near)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # a bad seed falls back silently
+            spec = eigen_solve(pair, k, near)
         assert 2 in dstebz_ranges
         assert np.array_equal(spec.eigenvalues, plain.eigenvalues)
         for phi, ref in zip(spec.eigenfunctions, plain.eigenfunctions):
@@ -330,24 +338,60 @@ class TestSeededSolve:
             blocks = iblock[:w.size]
             assert all(np.all(np.diff(w[blocks == b]) > 0) for b in (1, 2))
 
-    @pytest.mark.parametrize("noise, info", [(0.0, 1), (1e-9, 0)],
-                             ids=["dstein-fails", "loose-vectors"])
-    def test_bad_vectors_fall_back_to_bisection(self, monkeypatch, noise, info):
-        # A dstein failure, or vectors whose Kato-Temple bound r^2 / gap
-        # exceeds ABSTOL (noise 1e-9 gives r ~ 4e-3 against gaps ~ 2), gives
-        # the bisected levels.
+    @pytest.mark.parametrize("routine", ["dgttrf", "dgttrs"],
+                             ids=["dgttrf-fails", "loose-vectors"])
+    def test_bad_vectors_fall_back_to_bisection(self, monkeypatch, routine):
+        # A failed factorization, or solutions whose Kato-Temple bound r^2 / gap
+        # exceeds ABSTOL (noise 1e-9 of their largest entry gives r from 5e-5
+        # to 3e-3 against gaps ~ 2), gives the bisected levels.
         build, grid, k = SYMMETRIC_BUILDS[0]
         near = solve_sl(build(grid), k).eigenvalues
         pair = discretize(build(grid.refined()))
         plain = eigen_solve(pair, k).eigenvalues
 
-        def loose(d, *args):
-            z, _ = real(d, *args)
-            return z + noise * np.sin(np.arange(d.size))[:, None], info
+        def dgttrf(*args):
+            *lu, _ = real(*args)
+            return *lu, 1
 
-        real = solver.dstein
-        monkeypatch.setattr(solver, "dstein", loose)
+        def dgttrs(*args, **kwargs):
+            x, info = real(*args, **kwargs)
+            noise = 1e-9 * np.max(np.abs(x)) * np.sin(np.arange(x.size))
+            return x + noise.reshape(x.shape), info
+
+        real = getattr(solver, routine)
+        monkeypatch.setattr(solver, routine, {"dgttrf": dgttrf, "dgttrs": dgttrs}[routine])
         assert np.array_equal(eigen_solve(pair, k, near).eigenvalues, plain)
+
+    @pytest.mark.parametrize("tau, n, solves", [(0.05, 1201, 2), (0.0, 601, 3), (0.0, 201, 4)])
+    def test_extra_solves_only_where_needed(self, tau, n, solves, monkeypatch, dstebz_ranges):
+        # Two solves from a vector of ones certify `gupmdm solve`'s default
+        # coarse grid; at tau = 0 the closed form is further off the n = 601
+        # grid, which needs a third, and the n = 201 one, which needs a fourth.
+        # Each solve is one dgttrs call per fold block.
+        form = GupOscillatorParams(omega=1.0, tau=tau).normal_form()
+        pair = discretize(normal_form_sl(form.eps, normal_form_grid(form.eps, n)))
+        calls = []
+
+        def dgttrs(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = solver.dgttrs
+        monkeypatch.setattr(solver, "dgttrs", dgttrs)
+        spec = eigen_solve(pair, 6, form.exact_levels(6))
+        assert dstebz_ranges == [1]
+        assert len(calls) == 2 * solves
+        assert np.max(np.abs(spec.eigenvalues - folded_levels(pair, 6))) <= solver.ABSTOL
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (3, 2), (4, 3), (5, 3)])
+    def test_block_too_small_to_factor_bisects(self, m, k, dstebz_ranges):
+        # A block's stacked copies of fewer than 3 rows are bisected: scipy's
+        # dgttrf wrapper takes no smaller system.
+        pair = discretize(laplace_problem(m + 2))
+        plain = eigen_solve(pair, k).eigenvalues
+        dstebz_ranges.clear()
+        assert np.array_equal(eigen_solve(pair, k, plain + 1e-3).eigenvalues, plain)
+        assert dstebz_ranges == [2]
 
     def test_even_row_pencil_seeded(self, dstebz_ranges):
         # solve seeds only odd-row pencils (2n - 1 points); an even-row fold
