@@ -149,12 +149,11 @@ def _unfold(z: np.ndarray) -> np.ndarray:
     return v
 
 
-def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
-    """(rho, iblock, isplit): the k = near.size lowest eigenvalues of `_fold`'s
-    (d, e) as the Rayleigh quotients rho_j of unit vectors z_j from shifted
-    inverse iteration at `near`, level j in the even block for even j and the
-    odd block for odd j, in dstein's block order and with its block arrays; or
-    None.
+def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> np.ndarray | None:
+    """The k = near.size lowest eigenvalues of `_fold`'s (d, e), ascending, as
+    the Rayleigh quotients rho_j of unit vectors z_j from shifted inverse
+    iteration at `near`, level j in the even block (its first m - m // 2 rows)
+    for even j and the odd block for odd j (`_eigenfunctions`); or None.
 
     Each block takes one factorization (dgttrf) of its c copies, copy j
     shifted by its seed and joined by zero couplings, and up to four solves
@@ -174,12 +173,8 @@ def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
     k, m = near.size, d.size
     if k < 2 or not np.all(np.diff(near) > 0):
         return None
-    levels = np.r_[0:k:2, 1:k:2]                # grouped by block, as dstein wants
-    iblock, isplit = np.zeros(m, np.int32), np.zeros(m, np.int32)
-    iblock[:k] = 1 + levels % 2
-    isplit[:2] = m - m // 2, m
     blocks = []
-    for lo, hi, shifts in ((0, isplit[0], near[0::2]), (isplit[0], m, near[1::2])):
+    for lo, hi, shifts in ((0, m - m // 2, near[0::2]), (m - m // 2, m, near[1::2])):
         off = np.tile(np.append(e[lo:hi - 1], 0.0), shifts.size)[:-1]
         if off.size < 2:                        # scipy's dgttrf takes 3 rows or more
             return None
@@ -202,7 +197,8 @@ def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
                 rho.append(np.einsum("ij,ij->i", y, ty))
                 r.append(np.linalg.norm(ty - rho[-1][:, None] * y, axis=1))
             lam, rad = np.empty(k), np.empty(k)
-            lam[levels], rad[levels] = np.concatenate(rho), np.concatenate(r)
+            lam[0::2], lam[1::2] = rho
+            rad[0::2], rad[1::2] = r
             top = 1.5 * lam[-1] - 0.5 * lam[-2]
             a, b = np.append(-math.inf, lam[:-1] + rad[:-1]), np.append(lam[1:] - rad[1:], top)
             if np.all(a < lam - rad) and np.all(lam + rad <= b) and np.all(
@@ -213,7 +209,7 @@ def _polish(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> tuple | None:
     # dstebz's range 1 ("V") counts (-inf, top]; at tol inf it bisects no further.
     if dstebz(d, e, 1, -math.inf, top, 0, 0, math.inf, "B")[::4] != (k, 0):
         return None
-    return lam[levels], iblock, isplit
+    return lam
 
 
 def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
@@ -223,10 +219,10 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
     a grid centred on 0 gives: symmetrized with B^(-1/2) to T, T must equal
     its reversal, or ValueError. T is folded into its even and odd half
     blocks (`_fold`); LAPACK dstebz bisects for the k lowest eigenvalues to
-    the absolute tolerance ABSTOL, in split-block order, and dstein's inverse
-    iteration computes their eigenvectors only when the spectrum's
-    `eigenfunctions` are first read, as `eigh_tridiagonal(select="i",
-    tol=ABSTOL)` does on the folded pencil.
+    the absolute tolerance ABSTOL, ascending, and dstein's inverse iteration
+    computes their eigenvectors only when the spectrum's `eigenfunctions` are
+    first read, as `eigh_tridiagonal(select="i", tol=ABSTOL)` does on the
+    folded pencil.
 
     `near`, k ascending estimates of the levels, changes the cost, not the
     levels found (as `shooting_eigenvalue`'s `start`): where `_polish`
@@ -259,18 +255,14 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
         raise ValueError(f"eigen_solve needs a palindromic pencil of at least 2 rows (an even "
                          f"problem on a grid centred on 0); this one has {m}")
     d, e = _fold(diag_t, off_t)
-    seeded = None if near is None else _polish(d, e, near)
-    if seeded is None:
-        # range 2 ("I") selects the eigenvalues of indices 1..k.
-        found, vals, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, ABSTOL, "B")
+    lams = None if near is None else _polish(d, e, near)
+    if lams is None:
+        # range 2 ("I") selects the eigenvalues of indices 1..k; order "E" sorts them.
+        found, vals, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, ABSTOL, "E")
         if info != 0 or found < k:
             raise SolverError(f"tridiagonal bisection found {found} of {k} eigenvalues "
                               f"(dstebz info {info})")
-        vals = vals[:k]
-    else:
-        vals, iblock, isplit = seeded
-    order = np.argsort(vals)
-    lams = vals[order]
+        lams = vals[:k]
     radius = np.abs(np.append(e, 0.0))
     resolution = np.finfo(float).eps * float(np.max(np.abs(d) + radius + np.roll(radius, 1)))
     gap = np.diff(lams)
@@ -280,19 +272,26 @@ def eigen_solve(pair: DiscretizedPair, k: int, near=None) -> Spectrum:
                           f"ascending beyond ulp*||T|| = {resolution:.3g}: the grid does not "
                           "resolve them")
     return Spectrum(eigenvalues=lams, compute_eigenfunctions=partial(
-        _eigenfunctions, pair.grid, s, d, e, vals, iblock, isplit, order))
+        _eigenfunctions, pair.grid, s, d, e, lams))
 
 
-def _eigenfunctions(grid: Grid, s, d, e, vals, iblock, isplit, order):
-    """`eigen_solve`'s eigenfunctions: dstein on its folded dstebz output,
-    mirrored back to T's vectors (`_unfold`), then B^(-1/2)."""
-    vecs, info = dstein(d, e, vals, iblock, isplit)
+def _eigenfunctions(grid: Grid, s, d, e, lams):
+    """`eigen_solve`'s eigenfunctions at its ascending `lams`: dstein on the
+    folded (d, e), mirrored back to T's vectors (`_unfold`), then B^(-1/2).
+    T's off-diagonals are nonzero, so level j has j sign changes: even levels
+    go to dstein's block 1 (the fold's first m - m // 2 rows), odd to block 2."""
+    k, m = lams.size, d.size
+    levels = np.r_[0:k:2, 1:k:2]
+    iblock, isplit = np.zeros(m, np.int32), np.zeros(m, np.int32)
+    iblock[:k] = 1 + levels % 2
+    isplit[:2] = m - m // 2, m
+    vecs, info = dstein(d, e, lams[levels], iblock, isplit)
     if info != 0:
-        raise SolverError(f"{info} of {vals.size} eigenvectors failed to converge "
+        raise SolverError(f"{info} of {k} eigenvectors failed to converge "
                           f"(dstein info {info})")
     vecs = _unfold(vecs)
     funcs = []
-    for j in order:
+    for j in np.argsort(levels):                # dstein's columns in level order
         phi = np.zeros(grid.n)
         phi[1:-1] = s * vecs[:, j]
         # vecs columns are unit vectors, so trapz(phi^2 w) = h exactly.

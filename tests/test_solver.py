@@ -221,8 +221,18 @@ def test_eigen_solve_rejects_pencil_without_mirror_symmetry(slp):
         eigen_solve(discretize(slp), 1)
 
 
+# The edges of the fold's block layout: Laplacian pencils of m = 2..5 rows at
+# k = 1 (no level in the odd block) and k = m (every row a level), and 40
+# levels of the normal form.
+LAYOUT_CASES = [(laplace_problem(m + 2), k) for m in range(2, 6) for k in (1, m)]
+LAYOUT_CASES.append((SYMMETRIC_CASES[0][0], 40))
+LAYOUT_IDS = [f"laplace-{m}-rows-k-{k}" for m in range(2, 6) for k in (1, m)]
+LAYOUT_IDS.append("normal-form-k-40")
+
+
 class TestLazyEigenvectors:
-    @pytest.mark.parametrize("slp, k", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+    @pytest.mark.parametrize("slp, k", SYMMETRIC_CASES + LAYOUT_CASES,
+                             ids=SYMMETRIC_IDS + LAYOUT_IDS)
     def test_bit_identical_to_eigh_tridiagonal(self, slp, k):
         pair = discretize(slp)
         vals, funcs = eigh_tridiagonal_reference(pair, k, fold=True)
