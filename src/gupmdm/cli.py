@@ -8,6 +8,12 @@ RFC 4180) when it holds a comma, a double quote or a line break. A `profile`
 CSV formats only its p >= 0 half and writes each p < 0 line as "-" + its mirror
 line: the same bytes, as %.17g of -x is "-" + %.17g of x for x > 0.
 
+The all-float tables (`profile` and the `solve --plot` eigenfunctions) reach
+`write_table` as 2-D float64 arrays. A chunk of cells that all lie in
+%.17g's fixed-notation range, 1e-4 <= |x| < 1e17, or are ±0, is formatted by
+numpy with exact integer rounding (`_fixed_text`); any other chunk by `%`. The
+`solve` and `sweep` tables, with int and str cells, go cell by cell.
+
 `solve` and `sweep` solve each model in its Liouville normal form
 (`gupmdm.models.normal_form_sl`), so they take no box size; `profile` prints
 the momentum-space problem on [-pmax, pmax].
@@ -32,7 +38,6 @@ import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache, partial
-from itertools import chain
 
 import numpy as np
 
@@ -152,8 +157,12 @@ def _parse_value(key: str, raw: str):
 # ---------------------------------------------------------------- output
 
 
-# Rows formatted per `%` in a CSV table; bounds the text held at once.
+# Rows per string of a CSV table of lists; bounds the text held at once.
 CSV_BLOCK_ROWS = 4096
+
+# Cells per chunk of a float-array CSV table; bounds the working set of
+# `_fixed_text` and of its `%` fallback.
+CSV_CHUNK_CELLS = 1024
 
 
 def _csv_cell(v) -> str:
@@ -166,23 +175,193 @@ def _csv_cell(v) -> str:
     return text
 
 
-def _csv_blocks(rows: list[list]) -> Iterator[str]:
-    """The CSV lines of `rows`, one string per CSV_BLOCK_ROWS rows.
+# The exact %.17g kernel. %.17g writes x in fixed notation when its exponent
+# E = floor(log10|x|) lies in [-4, 16], i.e. for 1e-4 <= |x| < 1e17, and ±0 as
+# "0". A cell's bucket j counts the _BOUNDS <= |x|: 0 for ±0, 1 below 1e-4,
+# E + 6 in range and 23 at or above 1e17 or for nan. The bounds are the doubles
+# nearest 10^E; each lies above 10^E when E < 0, so no double between the two
+# is misplaced.
+_POW10 = np.multiply.accumulate(np.r_[1.0, np.full(20, 10.0)])    # exact to 1e20
+_BOUNDS = np.r_[np.nextafter(0.0, 1.0), 1.0 / _POW10[4:0:-1], _POW10[:18]]
+_OUTSIDE = np.isin(np.arange(24), (1, 23))
 
-    When the first row holds only floats, a block whose cell types all match
-    it is formatted by one `%` on a repeated `%.17g` row template; any other
-    block goes cell by cell. Both give `_csv_cell`'s text.
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as hi + lo, each with at most 26 significant bits (Dekker's split)."""
+    big = x * 134217729.0
+    hi = big - (big - x)
+    return hi, x - hi
+
+
+# Per bucket, 10^(16 - E) and its two halves.
+_SCALE = _POW10[np.clip(22 - np.arange(24), 0, 20)]
+_SCALE = np.stack([_SCALE, *_split(_SCALE)])
+# A cell's characters before the keep mask: a sign, the "0.000" of E < 0, then
+# the 17 significant digits d_i at columns 6 + 2i, each followed by a point
+# (kept only after the last integer digit) and d_16 by the separator.
+_CELL_WIDTH = 40
+_TEMPLATE = b"-0.000" + b"0." * 16 + b"0,"
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per four-digit value q: its digits with their points as one little-endian
+    word; and, in each slot k of d_1-4, ..., d_13-16, the 1-based place among
+    d_1 ... d_16 of its last nonzero digit (0 for q = 0), at index q + 10^4 k."""
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)
+    words = np.empty((10**4, 8), np.uint8)
+    words[:] = np.frombuffer(b"0.0.0.0.", np.uint8)
+    words[:, ::2] += digits.T
+    trailing = np.logical_and.accumulate(digits[::-1] == 0, axis=0).sum(axis=0, dtype=np.uint8)
+    slot = np.arange(4, dtype=np.uint8)[:, None]
+    last = np.where(trailing == 4, 0, 4 * slot + 4 - trailing)
+    return words.view("<u8").ravel(), last.ravel()
+
+
+_QUAD_WORDS, _QUAD_LAST = _quad_tables()
+_QUAD_OFFSET = 10**4 * np.arange(4)[:, None]
+
+
+def _keep_table() -> np.ndarray:
+    """Which of a cell's _CELL_WIDTH characters %.17g writes, as 0xff or 0, per
+    (sign, j, nsig).
+
+    nsig is the number of significant digits left once trailing zeros are
+    dropped; a point is kept only when a fraction digit follows it.
     """
-    types = list(map(type, rows[0]))
-    all_floats = all(issubclass(t, float) for t in types)
-    template = ",".join(["%.17g"] * len(types)) + "\n"
+    neg = np.arange(2)[:, None, None, None]
+    j = np.arange(24)[:, None, None]
+    nsig = np.arange(18)[:, None]
+    col = np.arange(_CELL_WIDTH)
+    e, i = j - 6, (col - 6) // 2
+    fixed = (j >= 2) & (j <= 22)
+    digit, point = (col >= 6) & (col % 2 == 0), (col >= 7) & (col % 2 == 1) & (i < 16)
+    keep = ((col == 0) & (neg == 1)
+            | (col >= 1) & (col <= 2) & fixed & (e < 0)
+            | (col >= 3) & (col <= 5) & fixed & (col - 3 < -e - 1)
+            | digit & fixed & ((i < nsig) | (i <= e))
+            | digit & (j == 0) & (i == 0)
+            | point & fixed & (i == e) & (nsig - 1 > e)
+            | (col == _CELL_WIDTH - 1))
+    return (keep * np.uint8(255)).reshape(-1, _CELL_WIDTH)
+
+
+_KEEP = _keep_table()
+
+
+def _exact_product(mag: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo = |x| 10^(16 - E) exactly: hi is the rounded product and lo its
+    error, from Dekker's split of both factors."""
+    scale, scale_hi, scale_lo = np.take(_SCALE, j, axis=1)
+    hi = mag * scale
+    mag_hi, mag_lo = _split(mag)
+    lo = mag_hi * scale_hi
+    lo -= hi
+    lo += mag_hi * scale_lo
+    lo += mag_lo * scale_hi
+    lo += mag_lo * scale_lo
+    return hi, lo
+
+
+def _significand(mag: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d_0 and the four-digit groups of D = round-half-even(|x| 10^(16 - E)).
+
+    D lies in [1e16, 1e17). hi >= 1e16 is an even integer, so hi + rint(lo) is
+    D. D never rounds up to 1e17, which would take |x| within 5e-18 10^(E+1)
+    below 10^(E+1); no double of the range is that close. Returns d_0 and a
+    (4, n) float32 array of d_1-4, ..., d_13-16.
+    """
+    hi, lo = _exact_product(mag, j)
+    # D = top 10^8 + low. top 10^8 has at most 49 significant bits and lies
+    # within 1e8 of hi, so hi - top 10^8 is exact. low reuses hi's buffer and
+    # carry lo's, to bound the working set.
+    top = np.floor(hi / 1e8)
+    low = hi
+    low -= top * 1e8
+    low += np.rint(lo, out=lo)
+    carry = np.floor(low / 1e8, out=lo)
+    top += carry
+    low -= carry * 1e8
+    lead = np.floor(top / 1e8)
+    top -= lead * 1e8
+    quads = np.empty((2, 2, len(mag)), np.float32)     # four digits are exact
+    for eight, quad in zip((top, low), quads):
+        np.floor(eight / 1e4, out=quad[0], casting="same_kind")
+        np.subtract(eight, np.multiply(quad[0], 1e4, dtype=np.float64), out=quad[1],
+                    casting="same_kind")
+    return lead, quads.reshape(4, -1)
+
+
+def _write_digits(chars: np.ndarray, mag: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Writes d_0 ... d_16 of each cell into its row of chars; returns each
+    cell's number of significant digits, trailing zeros dropped."""
+    lead, quads = _significand(mag, j)
+    np.add(lead, 48, out=chars[:, 6], casting="unsafe")
+    quads = quads.astype(np.intp)
+    separators = chars[:, -1].copy()       # the last word covers them
+    chars.view("<u8")[:, 1:] = np.take(_QUAD_WORDS, quads).T
+    chars[:, -1] = separators
+    quads += _QUAD_OFFSET
+    return np.take(_QUAD_LAST, quads).max(axis=0) + 1
+
+
+def _fixed_text(cells: np.ndarray, mag: np.ndarray, j: np.ndarray, chars: np.ndarray) -> str:
+    """%.17g of each of the float cells, whose buckets j all lie in range or at ±0.
+
+    mag is |cells|; chars holds _TEMPLATE on each of its len(cells) rows, with
+    the separator of each cell's column. Each helper frees its temporaries
+    before the next stage, to bound the working set.
+    """
+    row = (np.signbit(cells) * 24 + j) * 18 + _write_digits(chars, mag, j)
+    return _kept(chars, row).decode("ascii")
+
+
+def _kept(chars: np.ndarray, row: np.ndarray) -> bytearray:
+    """The characters of chars that each row of _KEEP[row] keeps, in order."""
+    text = bytearray(chars.size)
+    keep = np.frombuffer(text, np.uint8).reshape(chars.shape)
+    np.take(_KEEP, row, axis=0, out=keep)
+    keep &= chars
+    return text.translate(None, b"\0")
+
+
+def _float_blocks(table: np.ndarray) -> Iterator[str]:
+    """The CSV lines of a 2-D float64 array, one string per CSV_CHUNK_CELLS cells.
+
+    A chunk whose cells all lie in %.17g's fixed-notation range (1e-4 <= |x| <
+    1e17) or are ±0 is formatted by `_fixed_text`; any other chunk by one `%`
+    on a repeated `%.17g` row template. Both give `_csv_cell`'s text.
+    """
+    cols = table.shape[1]
+    step = max(1, CSV_CHUNK_CELLS // cols)
+    chars = np.empty((step, cols, _CELL_WIDTH), np.uint8)
+    chars[:] = np.frombuffer(_TEMPLATE, np.uint8)
+    chars[:, -1, -1] = ord("\n")
+    chars = chars.reshape(-1, _CELL_WIDTH)
+    template = ",".join(["%.17g"] * cols) + "\n"
+    for start in range(0, len(table), step):
+        cells = table[start:start + step].ravel()
+        mag = np.abs(cells)
+        j = np.searchsorted(_BOUNDS, mag, side="right")
+        if _OUTSIDE[j].any():
+            yield (template * (len(cells) // cols)) % tuple(cells.tolist())
+        else:
+            yield _fixed_text(cells, mag, j, chars[:len(cells)])
+
+
+def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
+    """The CSV lines of `rows`.
+
+    A float array (the `profile` and `solve --plot` tables) goes through
+    `_float_blocks`: numpy for chunks in 1e-4 <= |x| < 1e17 or ±0, `%` for any
+    other chunk. A list of rows (`solve`, `sweep`) goes cell by cell through
+    `_csv_cell`, one string per CSV_BLOCK_ROWS rows.
+    """
+    if isinstance(rows, np.ndarray):
+        yield from _float_blocks(rows)
+        return
     for start in range(0, len(rows), CSV_BLOCK_ROWS):
         block = rows[start:start + CSV_BLOCK_ROWS]
-        cells = tuple(chain.from_iterable(block))
-        if all_floats and list(map(type, cells)) == types * len(block):
-            yield (template * len(block)) % cells
-        else:
-            yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in block)
+        yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in block)
 
 
 def _finite_or_null(v):
@@ -200,12 +379,22 @@ def _write_json(payload: dict, dest) -> None:
                           allow_nan=False) + "\n")
 
 
-def write_table(header: list[str], rows: list[list], cfg: RunConfig, dest) -> None:
+def write_table(header: list[str], rows: list[list] | np.ndarray, cfg: RunConfig,
+                dest) -> None:
+    """The table as CSV (`_csv_blocks`) or JSON.
+
+    The all-float tables (`profile`, `solve --plot`) come as 2-D float64
+    arrays: CSV writes cells with 1e-4 <= |x| < 1e17 or ±0 with numpy, and a
+    chunk holding any other cell with `%`, the same bytes either way. Tables
+    with int or str cells come as lists of rows and go cell by cell.
+    """
     if cfg.format == "csv":
         dest.write(",".join(header) + "\n")
-        if rows:
+        if len(rows):
             dest.writelines(_csv_blocks(rows))
     else:
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         _write_json({
             "meta": {"config": asdict(cfg), "version": __version__},
             "rows": [dict(zip(header, row)) for row in rows],
@@ -227,7 +416,7 @@ def _output(out: str | None):
         yield dest
 
 
-def _emit(header: list[str], rows: list[list], cfg: RunConfig) -> None:
+def _emit(header: list[str], rows: list[list] | np.ndarray, cfg: RunConfig) -> None:
     with _output(cfg.out) as dest:
         write_table(header, rows, cfg, dest)
 
@@ -351,8 +540,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         stem = _plot(cfg, x, ys[0], "ground state y0(x)")
         header = ["x", *(f"y{j}" for j in range(len(ys)))]
         with _output(stem + "_eigenfunctions.csv") as fh:
-            write_table(header, np.column_stack([x, *ys]).tolist(),
-                        replace(cfg, format="csv"), fh)
+            write_table(header, np.column_stack([x, *ys]), replace(cfg, format="csv"), fh)
     return EXIT_OK
 
 
@@ -421,14 +609,13 @@ def cmd_profile(
     if cfg.format == "csv" and _mirrored(points, values):
         # Each p < 0 row holds -p and its mirror row's value: "-" + that line.
         m, half = cfg.n // 2, io.StringIO()
-        write_table(["p", "value"], list(zip(points[m:].tolist(), values[m:].tolist())),
-                    cfg, half)
+        write_table(["p", "value"], np.column_stack([points[m:], values[m:]]), cfg, half)
         header, body = half.getvalue().split("\n", 1)
         mirror = body.splitlines(keepends=True)[cfg.n % 2:]   # not the centre row
         with _output(cfg.out) as dest:
             dest.writelines([header, "\n-", "-".join(reversed(mirror)), body])
     else:
-        _emit(["p", "value"], list(zip(points.tolist(), values.tolist())), cfg)
+        _emit(["p", "value"], np.column_stack([points, values]), cfg)
     _plot(cfg, points, values, f"{which} profile")
     return EXIT_OK
 

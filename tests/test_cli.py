@@ -802,6 +802,8 @@ class TestMirroredProfile:
 
 def _reference_csv(header, rows) -> str:
     """The CSV text of write_table, cell by cell: .17g for floats, str otherwise."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     lines = [",".join(header)]
     lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
               for row in rows]
@@ -810,6 +812,26 @@ def _reference_csv(header, rows) -> str:
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1 / 3]
 _LONG = 2 * cli.CSV_BLOCK_ROWS + 3
+
+
+def _long_array(outlier: float | None = None) -> np.ndarray:
+    """_LONG rows of p in [-12, 12] (p = 0 at the centre) and exp(-p^2 / 16),
+    all in %.17g's fixed-notation range; `outlier` replaces one cell of the
+    middle CSV_BLOCK_ROWS block."""
+    p = np.linspace(-12.0, 12.0, _LONG)
+    table = np.column_stack([p, np.exp(-p * p / 16.0)])
+    if outlier is not None:
+        table[cli.CSV_BLOCK_ROWS + 100, 1] = outlier
+    return table
+
+
+# The fixed-notation range is 1e-4 <= |x| < 1e17. The ties are exact doubles whose
+# 18th significant digit is a final 5: they round half to even, to ...12 and ...38.
+_IN_RANGE_EDGES = [0.0, -0.0, 1e-4, -1e-4, np.nextafter(1e17, 0.0), -np.nextafter(1e17, 0.0),
+                   123456789012345.125, 123456789012345.375, 0.1, 1 / 3, 100.0, 1e16, 9.5,
+                   0.000123, 5e-4, 12345.678, 2.0**53, 2.0**53 + 2.0]
+_OUT_OF_RANGE_EDGES = [np.nextafter(1e-4, 0.0), 1e17, -1e17, 5e-324, math.nan, math.inf,
+                       -math.inf, 1e300, -2.5e-7]
 _WRITER_TABLES = {
     "edge-values": (
         ["i", "x", "np", "s"],
@@ -821,11 +843,20 @@ _WRITER_TABLES = {
         list(zip(np.linspace(-12.0, 12.0, _LONG).tolist(),
                  np.exp(-np.linspace(0.0, 9.0, _LONG)).tolist())),
     ),
-    # A later block whose types differ from the first row's.
+    # A list table goes cell by cell: a float block, then an int cell.
     "blocks-mixed-types": (
         ["x", "y"],
         [[j / 7, j / 3] for j in range(_LONG - 1)] + [[0.1, 10**20]],
     ),
+    "array-blocks": (["p", "value"], _long_array()),
+    # The chunk holding the outlier takes the % fallback; the others take the kernel.
+    "array-blocks-one-outlier": (["p", "value"], _long_array(outlier=1e-7)),
+    "array-in-range-edges": (["x", "y"], np.array(_IN_RANGE_EDGES).reshape(-1, 2)),
+    "array-out-of-range-edges": (
+        ["x", "y", "z"],
+        np.array([[x, 1.5, -x] for x in _OUT_OF_RANGE_EDGES]),
+    ),
+    "array-one-column": (["x"], np.array(_IN_RANGE_EDGES)[:, None]),
     "sweep": (
         ["tau", "index", "lambda", "energy", "energy_shooting", "abs_delta", "error"],
         [[0.0, 0, 1.0000002031862414, 0.5, 0.50000006730820878, 3.4e-08, ""],
@@ -842,6 +873,26 @@ class TestWriteTable:
         dest = io.StringIO()
         cli.write_table(header, rows, RunConfig(), dest)
         assert dest.getvalue() == _reference_csv(header, rows)
+
+    @given(
+        cols=st.integers(1, 3),
+        cells=st.lists(st.one_of(
+            *[st.builds(math.copysign,
+                        st.floats(1e-4, 1e17, exclude_max=True), st.sampled_from([1.0, -1.0]))] * 8,
+            st.sampled_from([0.0, -0.0]),
+            st.floats(),
+        ), min_size=1, max_size=60),
+        chunk_cells=st.sampled_from([1, 4, cli.CSV_CHUNK_CELLS]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_array_matches_per_cell_reference(self, cols, cells, chunk_cells):
+        table = np.resize(np.array(cells), (-(-len(cells) // cols), cols))
+        header = [f"c{j}" for j in range(cols)]
+        dest = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CSV_CHUNK_CELLS", chunk_cells)
+            cli.write_table(header, table, RunConfig(), dest)
+        assert dest.getvalue() == _reference_csv(header, table)
 
     def test_string_cells_quoted(self):
         texts = ["a,b", 'say "hi"', "two\nlines", "plain"]
