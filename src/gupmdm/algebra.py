@@ -104,7 +104,7 @@ def similarity_weight(coeffs: SwansonCoefficients) -> SampledFunction:
             rho = np.exp(-0.5 * integral)
         except FloatingPointError as exc:
             raise ValueError("similarity weight overflows on this grid") from exc
-    return SampledFunction(grid, rho)
+    return SampledFunction._owned(grid, rho)
 
 
 def hermitized_problem(coeffs: SwansonCoefficients) -> SturmLiouvilleProblem:

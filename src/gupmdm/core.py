@@ -6,6 +6,13 @@ first read, then cached, so a caller that reads only the eigenvalues keeps no
 eigenvectors (a seeded solve, as each grid of `gupmdm solve` is, computes k
 of them to certify its eigenvalues, and keeps none). Its computation is
 deterministic, so values can still be shared freely across threads.
+
+Every `SampledFunction` holds a finite, read-only float64 array of length n.
+An array from the caller is copied (`SampledFunction(grid, values)`,
+`sample`), so a later write to it changes nothing. The package's own results
+(the arithmetic, `derivative`, `constant`, residuals and the model builders)
+are fresh arrays nothing else holds, and are wrapped read-only without a copy
+(`SampledFunction._owned`).
 """
 
 from __future__ import annotations
@@ -69,6 +76,13 @@ def make_grid(p_min: float, p_max: float, n: int) -> Grid:
     return Grid(float(p_min), float(p_max), int(n))
 
 
+def _check_values(grid: Grid, vals: np.ndarray) -> None:
+    if vals.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} values, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError("sampled values must be finite")
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Real-valued function sampled on a grid."""
@@ -77,16 +91,23 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} values, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sampled values must be finite")
-        vals = vals.copy()
+        vals = np.array(self.values, dtype=float)   # a copy: the caller keeps its array
+        _check_values(self.grid, vals)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _owned(cls, grid: Grid, values: np.ndarray) -> "SampledFunction":
+        """Wrap a fresh float64 array the package has just computed, without a copy.
+
+        No other reference to `values` may exist: it is made read-only in
+        place. The checks are the public constructor's.
+        """
+        _check_values(grid, values)
+        values.flags.writeable = False
+        self = object.__new__(cls)
+        vars(self).update(grid=grid, values=values)
+        return self
 
     # Pointwise algebra; scalars or same-grid functions.
     def _coerce(self, other) -> np.ndarray:
@@ -96,44 +117,44 @@ class SampledFunction:
         return np.asarray(other, dtype=float)
 
     def __add__(self, other):
-        return SampledFunction(self.grid, self.values + self._coerce(other))
+        return SampledFunction._owned(self.grid, self.values + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return SampledFunction(self.grid, self.values - self._coerce(other))
+        return SampledFunction._owned(self.grid, self.values - self._coerce(other))
 
     def __rsub__(self, other):
-        return SampledFunction(self.grid, self._coerce(other) - self.values)
+        return SampledFunction._owned(self.grid, self._coerce(other) - self.values)
 
     def __mul__(self, other):
-        return SampledFunction(self.grid, self.values * self._coerce(other))
+        return SampledFunction._owned(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return SampledFunction(self.grid, self.values / self._coerce(other))
+        return SampledFunction._owned(self.grid, self.values / self._coerce(other))
 
     def __rtruediv__(self, other):
-        return SampledFunction(self.grid, self._coerce(other) / self.values)
+        return SampledFunction._owned(self.grid, self._coerce(other) / self.values)
 
     def __neg__(self):
-        return SampledFunction(self.grid, -self.values)
+        return SampledFunction._owned(self.grid, -self.values)
 
 
 def sample(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> SampledFunction:
     """Sample a vectorized callable on the grid."""
-    return SampledFunction(grid, np.asarray(fn(grid.points), dtype=float))
+    return SampledFunction(grid, fn(grid.points))
 
 
 def constant(grid: Grid, value: float) -> SampledFunction:
-    return SampledFunction(grid, np.full(grid.n, float(value)))
+    return SampledFunction._owned(grid, np.full(grid.n, float(value)))
 
 
 def require_same_grid(*fns: SampledFunction) -> Grid:
     grid = fns[0].grid
     for f in fns[1:]:
-        if f.grid != grid:
+        if f.grid is not grid and f.grid != grid:
             raise GridMismatchError(f"grid mismatch: {f.grid} vs {grid}")
     return grid
 
@@ -173,15 +194,16 @@ class SturmLiouvilleProblem:
         """Pointwise defect (c phi')' - (q - lam w) phi at spectral parameter lam.
 
         The product rule is expanded as c phi'' + c' phi' with the `derivative`
-        stencils, so for polynomial c the defect is the raw ODE's defect
-        (`models.ModelParams.raw_residual`) times the integrating factor, to
-        rounding.
+        stencils, in one array expression, so for polynomial c the defect is
+        the raw ODE's defect (`models.ModelParams.raw_residual`) times the
+        integrating factor, to rounding.
         """
-        require_same_grid(self.c, phi)
-        d1 = derivative(phi, 1)
-        d2 = derivative(phi, 2)
-        dc = derivative(self.c, 1)
-        return self.c * d2 + dc * d1 - (self.q - lam * self.w) * phi
+        grid = require_same_grid(self.c, phi)
+        v, c, h = phi.values, self.c.values, grid.h
+        return SampledFunction._owned(grid, (
+            c * finite_difference(v, h, 2)
+            + finite_difference(c, h, 1) * finite_difference(v, h, 1)
+            - (self.q.values - lam * self.w.values) * v))
 
 
 @dataclass(frozen=True)
@@ -221,12 +243,19 @@ def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     repeats, so on a `Grid` centred on 0 an even or odd f has an exactly odd
     or even derivative.
     """
+    return SampledFunction._owned(f.grid, finite_difference(f.values, f.grid.h, order))
+
+
+def finite_difference(v: np.ndarray, h: float, order: int) -> np.ndarray:
+    """`derivative`'s stencils on the values v at spacing h, as a fresh array.
+
+    For residuals written as one array expression; the values are not
+    checked for finiteness here.
+    """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if f.grid.n < 5:
+    if v.size < 5:
         raise ValueError("derivative needs at least 5 grid points")
-    v = f.values
-    h = f.grid.h
     out = np.empty_like(v)
     if order == 1:
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -236,7 +265,7 @@ def derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
         out[1:-1] = (v[2:] + v[:-2] - 2.0 * v[1:-1]) / (h * h)
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-    return SampledFunction(f.grid, out)
+    return out
 
 
 def count_sign_changes(values: np.ndarray) -> int:

@@ -40,7 +40,7 @@ from .core import (
     SampledFunction,
     SturmLiouvilleProblem,
     constant,
-    derivative,
+    finite_difference,
     make_grid,
 )
 
@@ -135,8 +135,9 @@ class ModelParams:
         a1 = 2.0 * (self.tau + self.delta) * p / u
         a0E = 1.0 / u**2 / self.big_g
         a0P = self.big_c * p * p / u**2 / self.big_g
-        d1, d2 = derivative(phi, 1).values, derivative(phi, 2).values
-        return SampledFunction(phi.grid, d2 + a1 * d1 - (a0P - lam * a0E) * phi.values)
+        v, h = phi.values, phi.grid.h
+        return SampledFunction._owned(phi.grid, finite_difference(v, h, 2)
+                                      + a1 * finite_difference(v, h, 1) - (a0P - lam * a0E) * v)
 
     def normal_form(self) -> NormalForm:
         """S = G[C + G delta (delta + tau)], B = G delta, k^2 = tau G.
@@ -272,8 +273,8 @@ def p_space_sl(params: ModelParams, grid: Grid) -> SturmLiouvilleProblem:
     if np.any(bad):
         raise WeightOverflowError(float(p[np.argmax(bad)]), tau)
     return SturmLiouvilleProblem(
-        c=SampledFunction(grid, c), q=SampledFunction(grid, q), w=SampledFunction(grid, w)
-    )
+        c=SampledFunction._owned(grid, c), q=SampledFunction._owned(grid, q),
+        w=SampledFunction._owned(grid, w))
 
 
 # Both models build with `p_space_sl`; these names stay for existing callers.
@@ -304,8 +305,7 @@ def normal_form_sl(eps: float, grid: Grid) -> SturmLiouvilleProblem:
     e2 = eps * eps
     q = (1.0 - 0.25 * e2 * e2) * tan_x * tan_x
     return SturmLiouvilleProblem(
-        c=constant(grid, 1.0), q=SampledFunction(grid, q), w=constant(grid, 1.0)
-    )
+        c=constant(grid, 1.0), q=SampledFunction._owned(grid, q), w=constant(grid, 1.0))
 
 
 def ground_level(eps: float) -> float:

@@ -299,7 +299,7 @@ def _eigenfunctions(grid: Grid, s, d, e, lams):
         i_max = 1 + int(np.argmax(np.abs(phi[1:-1])))
         if phi[i_max] < 0:
             phi = -phi
-        funcs.append(SampledFunction(grid, phi))
+        funcs.append(SampledFunction._owned(grid, phi))
     return funcs
 
 

@@ -28,7 +28,7 @@ def superpotential(eps: float, grid: Grid) -> SampledFunction:
     """W = -R'/R = kappa eps tan(eps x) = mu_0 tan(eps x)/eps; x at eps = 0."""
     x = grid.points
     tan_x = np.tan(eps * x) / eps if eps > 0 else x
-    return SampledFunction(grid, ground_level(eps) * tan_x)
+    return SampledFunction._owned(grid, ground_level(eps) * tan_x)
 
 
 def partner_sl(eps: float, grid: Grid) -> SturmLiouvilleProblem:

@@ -41,9 +41,10 @@ def _require_positive(M: SampledFunction) -> None:
         raise ValueError("mass function must be positive everywhere")
 
 
-def _power(M: SampledFunction, expo: float) -> SampledFunction:
+def _powers(M: SampledFunction, *expos: float) -> list[SampledFunction]:
     # M > 0 is checked by the caller, so fractional powers via exp(expo*log M) are safe.
-    return SampledFunction(M.grid, np.exp(expo * np.log(M.values)))
+    log_m = np.log(M.values)
+    return [SampledFunction._owned(M.grid, np.exp(expo * log_m)) for expo in expos]
 
 
 def vonroos_apply(
@@ -53,13 +54,13 @@ def vonroos_apply(
     require_same_grid(M, phi)
     _require_positive(M)
 
-    def ordered(e1: float, e2: float, e3: float) -> SampledFunction:
-        inner = derivative(_power(M, e3) * phi, 1)
-        return _power(M, e1) * derivative(_power(M, e2) * inner, 1)
+    m_a, m_b, m_c = _powers(M, amb.a, amb.b, amb.c)   # shared by both orderings
 
-    t1 = ordered(amb.a, amb.b, amb.c)
-    t2 = ordered(amb.c, amb.b, amb.a)
-    return -0.5 * (t1 + t2)
+    def ordered(m1: SampledFunction, m3: SampledFunction) -> SampledFunction:
+        inner = derivative(m3 * phi, 1)
+        return m1 * derivative(m_b * inner, 1)
+
+    return -0.5 * (ordered(m_a, m_c) + ordered(m_c, m_a))
 
 
 def reduced_problem(

@@ -29,7 +29,7 @@ from gupmdm.cli import (
     parse_config_text,
 )
 from gupmdm.core import SampledFunction, SturmLiouvilleProblem, make_grid
-from gupmdm.models import GupOscillatorParams, gup_oscillator_sl
+from gupmdm.models import GupOscillatorParams, p_space_sl
 from gupmdm.solver import ANGLE_TOL, Shooter, SolverError, shooting_eigenvalue, solve_sl
 
 FAST = ["--n", "301", "--k", "3"]
@@ -486,7 +486,7 @@ class TestSolve:
         params = GupOscillatorParams(omega=0.001)
         pmax = 12.0 / math.sqrt(params.omega)
         with pytest.raises(SolverError, match="strictly ascending"):
-            solve_sl(gup_oscillator_sl(params, make_grid(-pmax, pmax, 1201)), 6)
+            solve_sl(p_space_sl(params, make_grid(-pmax, pmax, 1201)), 6)
 
     @pytest.mark.parametrize("argv, message", [
         (["--model", "swanson", "--omega", "2", "--alpha", "0.3", "--beta", "0.1",

@@ -16,6 +16,7 @@ from gupmdm.core import (
     require_same_grid,
     sample,
 )
+from gupmdm.models import GupOscillatorParams, SwansonParams
 
 
 def weighted_inner_product(
@@ -221,3 +222,85 @@ def test_inner_relative_norm():
         defect.values[inner])
     with pytest.raises(GridMismatchError):
         inner_relative_norm(defect, constant(make_grid(0, 1, 11), 1.0))
+
+
+def reference_residual(slp: SturmLiouvilleProblem, phi: SampledFunction, lam: float):
+    """`SturmLiouvilleProblem.residual` as sampled-function algebra, one check per step."""
+    d1 = derivative(phi, 1)
+    d2 = derivative(phi, 2)
+    dc = derivative(slp.c, 1)
+    return slp.c * d2 + dc * d1 - (slp.q - lam * slp.w) * phi
+
+
+def assert_owned(f: SampledFunction, *operands) -> None:
+    """f holds a fresh read-only float64 array of length n, shared with no operand."""
+    assert f.values.dtype == np.float64
+    assert f.values.shape == (f.grid.n,)
+    assert not f.values.flags.writeable
+    for op in operands:
+        assert not np.shares_memory(f.values, op.values)
+
+
+class TestOwnedResults:
+    GRID = make_grid(-2, 2, 41)
+
+    def test_arithmetic_derivative_and_constant(self):
+        f = sample(self.GRID, lambda p: 2.0 + np.sin(p))
+        g = sample(self.GRID, lambda p: 1.0 + p * p)
+        for out in (f + g, f + 2.0, 2.0 + f, f - g, 2.0 - f, f - 1.0, f * g, 3.0 * f, f * 3.0,
+                    f / g, f / 2.0, 1.0 / f, -f, derivative(f, 1), derivative(f, 2)):
+            assert_owned(out, f, g)
+        assert_owned(constant(self.GRID, 1.5))
+
+    @pytest.mark.parametrize("name", ["normal-form", "oscillator", "swanson", "hermitized"])
+    def test_residual_is_owned_and_bit_identical_to_the_algebra(self, name, sl_problems):
+        slp, phi = sl_problems[name]
+        for lam in (0.0, 1.7):
+            res = slp.residual(phi, lam)
+            assert_owned(res, slp.c, slp.q, slp.w, phi)
+            assert np.array_equal(res.values, reference_residual(slp, phi, lam).values)
+
+    @pytest.mark.parametrize("kind", ["oscillator", "swanson"])
+    def test_raw_residual_is_owned_and_bit_identical_to_the_algebra(self, kind):
+        params = (GupOscillatorParams(omega=1.3, tau=0.1) if kind == "oscillator"
+                  else SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05))
+        grid = make_grid(-8, 8, 321)
+        phi = sample(grid, lambda p: np.exp(-0.5 * p * p) * (1.0 + p))
+        p = grid.points
+        u = 1.0 + params.tau * p * p
+        a1 = SampledFunction(grid, 2.0 * (params.tau + params.delta) * p / u)
+        a0 = SampledFunction(grid, params.big_c * p * p / u**2 / params.big_g
+                             - 1.7 * (1.0 / u**2 / params.big_g))
+        res = params.raw_residual(phi, 1.7)
+        assert_owned(res, phi)
+        ref = derivative(phi, 2) + a1 * derivative(phi, 1) - a0 * phi
+        assert np.array_equal(res.values, ref.values)
+
+    def test_caller_array_is_copied(self):
+        arr = np.linspace(0.0, 1.0, self.GRID.n)
+        f = SampledFunction(self.GRID, arr)
+        assert not np.shares_memory(f.values, arr)
+        assert arr.flags.writeable
+        arr[0] = 99.0
+        assert f.values[0] == 0.0
+        assert not f.values.flags.writeable
+
+    def test_overflow_still_raises(self):
+        big = constant(self.GRID, 1e200)
+        spiky = SampledFunction(self.GRID, 1e308 * (-1.0) ** np.arange(self.GRID.n))
+        one = constant(self.GRID, 1.0)
+        slp = SturmLiouvilleProblem(c=one, q=constant(self.GRID, 1e300), w=one)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for compute in (lambda: big * big, lambda: derivative(spiky, 1),
+                            lambda: derivative(spiky, 2),
+                            lambda: slp.residual(constant(self.GRID, 1e10), 0.0)):
+                with pytest.raises(ValueError, match="sampled values must be finite"):
+                    compute()
+
+    def test_residual_needs_five_points(self):
+        grid = make_grid(0, 1, 4)
+        one = constant(grid, 1.0)
+        with pytest.raises(ValueError, match="at least 5 grid points"):
+            SturmLiouvilleProblem(c=one, q=one, w=one).residual(one, 0.0)
+        with pytest.raises(ValueError, match="at least 5 grid points"):
+            GupOscillatorParams(omega=1.0).raw_residual(one, 0.0)

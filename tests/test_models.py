@@ -21,12 +21,11 @@ from gupmdm.models import (
     NormalForm,
     SwansonParams,
     WeightOverflowError,
-    gup_oscillator_sl,
     ground_level,
     ground_state_sq,
     normal_form_grid,
     normal_form_sl,
-    swanson_sl,
+    p_space_sl,
 )
 from gupmdm.solver import Shooter, discretize, shooting_eigenvalue, solve_extrapolated, solve_sl
 
@@ -119,13 +118,13 @@ class TestGupOscillatorRaw:
 
 class TestGupOscillatorSl:
     def test_tau_zero(self):
-        slp = gup_oscillator_sl(GupOscillatorParams(omega=1.0, tau=0.0), GRID)
+        slp = p_space_sl(GupOscillatorParams(omega=1.0, tau=0.0), GRID)
         assert np.allclose(slp.c.values, 1.0)
         assert np.allclose(slp.q.values, GRID.points**2)
         assert np.allclose(slp.w.values, 1.0)
 
     def test_point_values(self):
-        slp = gup_oscillator_sl(GupOscillatorParams(omega=1.0, tau=1.0), GRID)
+        slp = p_space_sl(GupOscillatorParams(omega=1.0, tau=1.0), GRID)
         assert at(slp.c, 1.0) == pytest.approx(2.0)
         assert at(slp.q, 1.0) == pytest.approx(0.5)
         assert at(slp.w, 1.0) == pytest.approx(0.5)
@@ -133,7 +132,7 @@ class TestGupOscillatorSl:
     @pytest.mark.parametrize("tau", [0.0, 0.05, 1.0, 1e300])
     def test_c_and_w_are_u_and_its_inverse(self, tau):
         # The shared builder at (G, delta, C) = (1, 0, 1/omega^2): W = u exactly.
-        slp = gup_oscillator_sl(GupOscillatorParams(omega=0.7, tau=tau), GRID)
+        slp = p_space_sl(GupOscillatorParams(omega=0.7, tau=tau), GRID)
         u = 1.0 + tau * GRID.points * GRID.points
         assert np.array_equal(slp.c.values, u)
         assert np.array_equal(slp.w.values, 1.0 / u)
@@ -142,7 +141,7 @@ class TestGupOscillatorSl:
     def test_integrating_factor_identity(self, shift):
         # (1+tau p^2) * raw defect == SL defect pointwise to rounding.
         params = GupOscillatorParams(omega=1.0, tau=0.1)
-        slp = gup_oscillator_sl(params, GRID)
+        slp = p_space_sl(params, GRID)
         phi = sample(GRID, lambda p: np.exp(-0.5 * (p - shift) ** 2))
         u = sample(GRID, lambda p: 1.0 + 0.1 * p * p)
         lhs = u * params.raw_residual(phi, 1.3)
@@ -153,8 +152,8 @@ class TestGupOscillatorSl:
 class TestSwansonSl:
     def test_alpha_beta_zero_reduces_to_gup_with_rescaled_mu(self):
         omega, tau = 1.5, 0.08
-        sw = swanson_sl(SwansonParams(omega, 0.0, 0.0, tau), GRID)
-        gup = gup_oscillator_sl(GupOscillatorParams(omega, tau), GRID)
+        sw = p_space_sl(SwansonParams(omega, 0.0, 0.0, tau), GRID)
+        gup = p_space_sl(GupOscillatorParams(omega, tau), GRID)
         assert np.allclose(sw.c.values, gup.c.values, atol=1e-13)
         # q carries the extra (1 - omega*tau) factor printed in the deformed
         # Swanson ODE; w picks up 1/omega^2.
@@ -164,15 +163,15 @@ class TestSwansonSl:
         assert np.allclose(sw.w.values, gup.w.values / omega**2, atol=1e-13)
 
     def test_tau_zero_weight(self):
-        sw = swanson_sl(SwansonParams(2.0, 0.3, 0.1, 0.0), GRID)
+        sw = p_space_sl(SwansonParams(2.0, 0.3, 0.1, 0.0), GRID)
         delta = 0.2 / (2 * 2.4)
         assert delta == pytest.approx(1 / 24)
         assert at(sw.c, 1.0) == pytest.approx(math.exp(1 / 24))
 
     def test_tau_zero_alpha_beta_zero_same_operator_scaled(self):
         omega = 1.7
-        sw = swanson_sl(SwansonParams(omega, 0.0, 0.0, 0.0), GRID)
-        gup = gup_oscillator_sl(GupOscillatorParams(omega, 0.0), GRID)
+        sw = p_space_sl(SwansonParams(omega, 0.0, 0.0, 0.0), GRID)
+        gup = p_space_sl(GupOscillatorParams(omega, 0.0), GRID)
         assert np.allclose(sw.c.values, gup.c.values)
         assert np.allclose(sw.q.values, gup.q.values)
         assert np.allclose(sw.w.values, gup.w.values / omega**2)
@@ -181,7 +180,7 @@ class TestSwansonSl:
         params = SwansonParams(omega=1.0, alpha=0.9, beta=-0.9, tau=0.0)
         big = make_grid(-20, 20, 201)
         with pytest.raises(WeightOverflowError) as err:
-            swanson_sl(params, big)
+            p_space_sl(params, big)
         assert abs(err.value.p_at) > 0
         assert f"p = {err.value.p_at:g}, tau = 0" in str(err.value)
 
@@ -475,8 +474,8 @@ def test_tau_continuity_of_spectrum():
     g = make_grid(-17, 17, 1201)
     par0 = GupOscillatorParams(omega, 0.0)
     par1 = GupOscillatorParams(omega, 1e-4)
-    e0 = solve_sl(gup_oscillator_sl(par0, g), 6).eigenvalues
-    e1 = solve_sl(gup_oscillator_sl(par1, g), 6).eigenvalues
+    e0 = solve_sl(p_space_sl(par0, g), 6).eigenvalues
+    e1 = solve_sl(p_space_sl(par1, g), 6).eigenvalues
     shift = np.abs(
         np.array([par1.energy_from_eigenvalue(v) for v in e1])
         - np.array([par0.energy_from_eigenvalue(v) for v in e0])
@@ -488,12 +487,11 @@ MODEL_KWARGS = {
     "gup-oscillator": dict(omega=1.3, tau=0.1),
     "swanson": dict(omega=2.0, alpha=0.3, beta=0.1, tau=0.1),
 }
-MODEL_BUILDERS = {"gup-oscillator": gup_oscillator_sl, "swanson": swanson_sl}
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_table_methods_match_module_functions(name):
     params = MODELS[name](**MODEL_KWARGS[name])
-    slp, ref = params.sl(GRID), MODEL_BUILDERS[name](params, GRID)
+    slp, ref = params.sl(GRID), p_space_sl(params, GRID)
     for attr in ("c", "q", "w"):
         assert np.array_equal(getattr(slp, attr).values, getattr(ref, attr).values)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gupmdm.core import constant, derivative, inner_slice, make_grid, sample
-from gupmdm.models import GupOscillatorParams, gup_oscillator_sl
+from gupmdm.core import SampledFunction, constant, derivative, inner_slice, make_grid, sample
+from gupmdm.models import GupOscillatorParams, p_space_sl
 from gupmdm.vonroos import AmbiguityParams, reduced_problem, vonroos_apply
 
 
@@ -30,6 +30,18 @@ def identity_deviations(amb, ns):
         sl = inner_slice(n)
         devs.append(float(np.max(np.abs(lhs.values[sl] - rhs.values[sl]))))
     return devs
+
+
+def reference_vonroos_apply(M, amb, phi):
+    """`vonroos_apply` as sampled-function algebra, each power of M taken per ordering."""
+    def power(expo):
+        return SampledFunction(M.grid, np.exp(expo * np.log(M.values)))
+
+    def ordered(e1, e2, e3):
+        inner = derivative(power(e3) * phi, 1)
+        return power(e1) * derivative(power(e2) * inner, 1)
+
+    return -0.5 * (ordered(amb.a, amb.b, amb.c) + ordered(amb.c, amb.b, amb.a))
 
 
 class TestAmbiguityParams:
@@ -77,6 +89,18 @@ class TestVonroosApply:
         out1 = vonroos_apply(m, AmbiguityParams(-1.0, 0.0), GAUSSIAN)  # (-1,0,0)
         out2 = vonroos_apply(m, AmbiguityParams(0.0, 0.0), GAUSSIAN)  # (0,0,-1)
         assert np.allclose(out1.values, out2.values, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["normal-form", "oscillator", "swanson", "hermitized"])
+    def test_owned_and_bit_identical_to_the_algebra(self, name, sl_problems):
+        # M = 1/c of each problem; the three powers of M serve both orderings.
+        slp, phi = sl_problems[name]
+        m = slp.mass
+        for amb in (AmbiguityParams(0.0, -1.0), AmbiguityParams(-0.5, 0.0),
+                    AmbiguityParams(0.3, -0.7)):
+            out = vonroos_apply(m, amb, phi)
+            assert out.values.dtype == np.float64 and not out.values.flags.writeable
+            assert not any(np.shares_memory(out.values, f.values) for f in (m, phi))
+            assert np.array_equal(out.values, reference_vonroos_apply(m, amb, phi).values)
 
 
 class TestEffectivePotential:
@@ -151,4 +175,4 @@ class TestReducedProblem:
         # c = 1/M equals the SL diffusion coefficient of the deformed oscillator.
         params = GupOscillatorParams(omega=1.0, tau=0.2)
         slp = reduced_problem(inv_mass(tau=0.2), constant(GRID, 0.0), AmbiguityParams(0.0, -1.0))
-        assert np.allclose(slp.c.values, gup_oscillator_sl(params, GRID).c.values, atol=1e-13)
+        assert np.allclose(slp.c.values, p_space_sl(params, GRID).c.values, atol=1e-13)
