@@ -11,6 +11,7 @@ first-derivative term, and the resulting Hermitian Sturm-Liouville problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,16 @@ class SwansonCoefficients:
         require_same_grid(self.r_t, self.s_t, self.w_t)
         if np.any(self.r_t.values <= 0):
             raise ValueError("r~ must be positive everywhere")
+
+    @cached_property
+    def untransformed_problem(self) -> SturmLiouvilleProblem:
+        """The SL problem (c, q, w) = (r~^2, w~, 1): H~ without its s~ D term.
+
+        Built on first read and kept, so the residuals of one coefficient set
+        (`untransformed_residual`) and its `hermitized_problem` share it.
+        """
+        return SturmLiouvilleProblem(c=self.r_t * self.r_t, q=self.w_t,
+                                     w=constant(self.r_t.grid, 1.0))
 
 
 def ladder_commutator(rep: LadderRep) -> SampledFunction:
@@ -109,13 +120,13 @@ def similarity_weight(coeffs: SwansonCoefficients) -> SampledFunction:
 
 def hermitized_problem(coeffs: SwansonCoefficients) -> SturmLiouvilleProblem:
     """h~ = -D r~^2 D + V~ with V~ = s~^2/(4 r~^2) - s~'/2 + w~ and unit weight."""
-    c = coeffs.r_t * coeffs.r_t
+    base = coeffs.untransformed_problem
     v_t = (
-        coeffs.s_t * coeffs.s_t / (4.0 * c)
+        coeffs.s_t * coeffs.s_t / (4.0 * base.c)
         - 0.5 * derivative(coeffs.s_t, 1)
         + coeffs.w_t
     )
-    return SturmLiouvilleProblem(c=c, q=v_t, w=constant(coeffs.r_t.grid, 1.0))
+    return SturmLiouvilleProblem(c=base.c, q=v_t, w=base.w)
 
 
 def untransformed_residual(
@@ -130,11 +141,10 @@ def untransformed_residual(
     lam; the similarity maps it to an eigenfunction of
     H~ = -D r~^2 D + s~ D + w~. Its defect H~ psi - lam psi is s~ psi' minus
     the residual of the SL problem (c, q, w) = (r~^2, w~, 1), taken as an L2
-    ratio on the inner 80% of the grid.
+    ratio on the inner 80% of the grid; that problem is built once per
+    coefficient set (`SwansonCoefficients.untransformed_problem`).
     """
     require_same_grid(coeffs.r_t, rho, phi)
     psi = phi / rho
-    slp = SturmLiouvilleProblem(c=coeffs.r_t * coeffs.r_t, q=coeffs.w_t,
-                                w=constant(phi.grid, 1.0))
-    defect = coeffs.s_t * derivative(psi, 1) - slp.residual(psi, lam)
+    defect = coeffs.s_t * derivative(psi, 1) - coeffs.untransformed_problem.residual(psi, lam)
     return inner_relative_norm(defect, psi)

@@ -164,11 +164,19 @@ class SturmLiouvilleProblem:
     """-(c phi')' + q phi = lambda w phi with Dirichlet ends.
 
     c > 0 (ellipticity) and w > 0 (positive spectral weight) everywhere.
+
+    `estimates`, where the problem's builder knows its levels in closed form
+    (`models.p_space_sl`), maps k to k ascending estimates of the lowest
+    eigenvalues, or to None where it has none; `solver.solve_sl` seeds its
+    solve with them when its caller passes no `near`. They change the cost
+    of a solve, not its levels, so they take no part in equality.
     """
 
     c: SampledFunction
     q: SampledFunction
     w: SampledFunction
+    estimates: Callable[[int], np.ndarray | None] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         require_same_grid(self.c, self.q, self.w)

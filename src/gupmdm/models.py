@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -260,6 +261,11 @@ def p_space_sl(params: ModelParams, grid: Grid) -> SturmLiouvilleProblem:
     W/u is formed first and u^2 never: the oscillator's c and w are u and 1/u
     exactly, and u^2 cannot overflow. WeightOverflowError names the first p
     where c, q or w is not finite.
+
+    The problem's `estimates` are the model's closed-form levels
+    (`_closed_form_levels`), which `solver.solve_sl` takes as seeds when its
+    caller passes none; the normal form behind them is worked out only when
+    they are asked for.
     """
     p = grid.points
     tau = params.tau
@@ -274,7 +280,17 @@ def p_space_sl(params: ModelParams, grid: Grid) -> SturmLiouvilleProblem:
         raise WeightOverflowError(float(p[np.argmax(bad)]), tau)
     return SturmLiouvilleProblem(
         c=SampledFunction._owned(grid, c), q=SampledFunction._owned(grid, q),
-        w=SampledFunction._owned(grid, w))
+        w=SampledFunction._owned(grid, w), estimates=partial(_closed_form_levels, params))
+
+
+def _closed_form_levels(params: ModelParams, k: int) -> np.ndarray | None:
+    """The model's k lowest lam, B + sqrt(Q) mu_n from the normal form's exact
+    levels; None where the model has no usable normal form (Q <= 0)."""
+    try:
+        form = params.normal_form()
+    except ValueError:
+        return None
+    return form.eigenvalue(form.exact_levels(k))
 
 
 # Both models build with `p_space_sl`; these names stay for existing callers.

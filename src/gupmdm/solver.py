@@ -22,8 +22,11 @@ a step would leave it or converge slowly. Richardson extrapolation
 toolbox; its fine grid is seeded with the coarse grid's levels, and its
 coarse grid with whatever estimates the caller has (`gupmdm solve` and
 `verify susy` pass the normal form's closed-form levels, and `verify susy` its
-partner the original's levels 1..k), so neither grid need bisect; `verify
-hermitize` seeds its one solve with Swanson's closed-form levels.
+partner the original's levels 1..k), or the problem's own estimates, so
+neither grid need bisect; `verify hermitize` seeds its one solve with
+Swanson's closed-form levels. A model's momentum-space problem
+(`models.p_space_sl`) carries its closed-form levels as its estimates, so
+`solve_sl` of it is seeded with them when its caller passes none.
 
 The five LAPACK routines (dstebz, dstein, dgttrf, dgttrs, dtbtrs) come from
 scipy's compiled wrapper module `scipy/linalg/_flapack`, loaded on its own: the
@@ -304,7 +307,15 @@ def _eigenfunctions(grid: Grid, s, d, e, lams):
 
 
 def solve_sl(slp: SturmLiouvilleProblem, k: int, near=None) -> Spectrum:
-    """Convenience wrapper: discretize then eigensolve (`near` as in `eigen_solve`)."""
+    """Convenience wrapper: discretize then eigensolve (`near` as in `eigen_solve`).
+
+    Without a `near`, the problem's own estimates seed the solve
+    (`SturmLiouvilleProblem.estimates`, the closed-form levels of a model's
+    `p_space_sl`); an explicit `near` always wins. A problem without
+    estimates, or whose estimates are None, is bisected.
+    """
+    if near is None and slp.estimates is not None:
+        near = slp.estimates(k)
     return eigen_solve(discretize(slp), k, near)
 
 
@@ -323,7 +334,8 @@ def solve_extrapolated(
 
     Returns (values, coarse, fine): the Richardson values, then the spectra
     of the two grids, whose eigenfunctions are computed on first read.
-    `near` seeds the coarse solve and the coarse eigenvalues the fine one
+    `near`, or without it the coarse problem's own estimates (`solve_sl`),
+    seeds the coarse solve and the coarse eigenvalues the fine one
     (`eigen_solve`'s `near`), so the levels of each grid are certified
     Rayleigh quotients, or bisected where the seeds are not good enough.
 

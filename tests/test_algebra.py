@@ -222,6 +222,18 @@ class TestHermitized:
         )
         assert res > 1e-1
 
+    def test_untransformed_problem_built_once(self):
+        # (r~^2, w~, 1), built on first read and shared by every residual of
+        # the coefficient set and by its hermitized problem.
+        g = make_grid(-4, 4, 801)
+        coeffs = swanson_coefficients(standard_rep(g), self.PARAMS)
+        slp = coeffs.untransformed_problem
+        assert coeffs.untransformed_problem is slp
+        assert hermitized_problem(coeffs).c is slp.c
+        assert np.array_equal(slp.c.values, (coeffs.r_t * coeffs.r_t).values)
+        assert slp.q is coeffs.w_t
+        assert np.all(slp.w.values == 1.0)
+
 
 class TestCoefficientMatch:
     def test_report_values(self):

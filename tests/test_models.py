@@ -495,3 +495,37 @@ def test_model_table_methods_match_module_functions(name):
     slp, ref = params.sl(GRID), p_space_sl(params, GRID)
     for attr in ("c", "q", "w"):
         assert np.array_equal(getattr(slp, attr).values, getattr(ref, attr).values)
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("params", [GupOscillatorParams(omega=2.0, tau=0.1),
+                                        SwansonParams(2.0, 0.3, 0.1, 0.05)],
+                             ids=["oscillator", "swanson"])
+    def test_p_space_estimates_are_closed_form_levels(self, params):
+        form = params.normal_form()
+        estimates = p_space_sl(params, GRID).estimates(6)
+        assert estimates.tolist() == [form.exact_eigenvalue(n) for n in range(6)]
+
+    def test_no_normal_form_no_estimates(self, dstebz_ranges):
+        # Q <= 0: the problem still builds, and solve_sl bisects it.
+        slp = p_space_sl(SwansonParams(2.0, 0.3, 0.1, 0.8), make_grid(-8, 8, 401))
+        assert slp.estimates(5) is None
+        assert solve_sl(slp, 5).eigenvalues.size == 5
+        assert dstebz_ranges == [2]
+
+    def test_other_problems_carry_no_estimates(self):
+        from gupmdm.algebra import LadderRep, hermitized_problem, swanson_coefficients
+        from gupmdm.susy import partner_sl
+        from gupmdm.vonroos import AmbiguityParams, reduced_problem
+
+        grid = normal_form_grid(0.3, 201)
+        rep = LadderRep(r=constant(GRID, math.sqrt(0.5)),
+                        s=sample(GRID, lambda p: p * math.sqrt(0.5)))
+        problems = [
+            normal_form_sl(0.3, grid),
+            partner_sl(0.3, grid),
+            hermitized_problem(swanson_coefficients(rep, SwansonParams(2.0, 0.3, 0.1))),
+            reduced_problem(mass(GupOscillatorParams(1.0, 0.1)), sample(GRID, np.square),
+                            AmbiguityParams(0.0, -1.0)),
+        ]
+        assert [slp.estimates for slp in problems] == [None] * 4

@@ -2,6 +2,7 @@ import contextlib
 import math
 import re
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -468,6 +469,48 @@ class TestSeededSolve:
     def test_near_of_wrong_size_is_value_error(self, near):
         with pytest.raises(ValueError, match="near needs one estimate per level"):
             eigen_solve(discretize(SYMMETRIC_CASES[0][0]), 6, near)
+
+    @pytest.mark.parametrize("params, box, n", [
+        (GupOscillatorParams(omega=2.0, tau=0.1), 50.0, 4801),
+        (GupOscillatorParams(omega=2.0, tau=0.1), 50.0, 9601),
+        (SwansonParams(omega=2.0, alpha=0.3, beta=0.1, tau=0.05), 15.0, 2401),
+    ], ids=["oscillator-4801", "oscillator-9601", "swanson-2401"])
+    def test_p_space_problem_seeds_itself(self, params, box, n, dstebz_ranges, dstein_calls):
+        # A model's p-space problem carries its closed-form levels, and
+        # solve_sl without `near` is seeded with them: the levels are
+        # certified, dstebz only counts, and no dstein runs.
+        slp = p_space_sl(params, make_grid(-box, box, n))
+        spec = solve_sl(slp, 10)
+        assert dstebz_ranges == [1]
+        assert dstein_calls == []
+        ref = folded_levels(discretize(slp), 10)
+        assert np.max(np.abs(spec.eigenvalues - ref)) <= solver.ABSTOL
+
+    def test_explicit_near_wins_over_estimates(self, dstebz_ranges):
+        slp, k = SYMMETRIC_CASES[1]
+        exact = slp.estimates(k)
+        off = exact + (exact[1] - exact[0])
+        plain = eigen_solve(discretize(slp), k).eigenvalues
+        dstebz_ranges.clear()
+        # Estimates a gap off, a good `near`: certified.
+        solve_sl(replace(slp, estimates=lambda k: off), k, exact)
+        assert dstebz_ranges == [1]
+        # Good estimates, a `near` a gap off: bisected.
+        dstebz_ranges.clear()
+        assert np.array_equal(solve_sl(slp, k, off).eigenvalues, plain)
+        assert 2 in dstebz_ranges
+
+    def test_estimates_a_gap_off_give_bisected_levels(self, dstebz_ranges):
+        slp, k = SYMMETRIC_CASES[1]
+        exact = slp.estimates(k)
+        off = replace(slp, estimates=lambda k: exact + (exact[1] - exact[0]))
+        plain = eigen_solve(discretize(slp), k)
+        dstebz_ranges.clear()
+        spec = solve_sl(off, k)
+        assert 2 in dstebz_ranges
+        assert np.array_equal(spec.eigenvalues, plain.eigenvalues)
+        for phi, ref in zip(spec.eigenfunctions, plain.eigenfunctions, strict=True):
+            assert np.array_equal(phi.values, ref.values)
 
 
 @pytest.fixture
